@@ -64,11 +64,6 @@ let outcome_name = function
   | Fault.Deadlock -> "deadlock"
   | Fault.Not_reached -> "not_reached"
 
-let span_wall (r : Campaign.report) (path : string) : float * int =
-  match List.find_opt (fun (row : Obs.Span.row) -> row.path = path) r.Campaign.spans with
-  | Some row -> (row.wall, row.count)
-  | None -> (0.0, 0)
-
 (* One workload's campaign in the timed loop. *)
 type camp = {
   w : Workloads.Workload.t;
@@ -83,7 +78,6 @@ let counted (c : camp) = Array.length c.report.Campaign.outcomes
 
 (* What the traced run learns on top of the timed campaign. *)
 type probe = {
-  mutable golden_s : float list;
   mutable golden_alloc_mb : float list;
   mutable snapshots : int list;
   mutable sup_wall : float;
@@ -91,7 +85,6 @@ type probe = {
   mutable exec : (string * float) list;  (** (outcome, host seconds) per experiment *)
   mutable ff_sites : int list;  (** sites re-simulated before the fault, fast-forwarded runs *)
   mutable full_replays : int;
-  mutable report_s : float list;
 }
 
 (* Counted experiments the traced run re-executes: every [reexec_stride]-th. *)
@@ -99,18 +92,13 @@ let reexec_stride = 3
 
 (* Traced-run extras for one workload, after its timed campaign [c] and
    the unsupervised campaign [unsup] on the same plan: the golden snapshot
-   chain captured by the benchmark, a sample of the counted experiments
-   re-executed and re-classified on their own, and the report rendered.
-   Returns the failures found (outcome or results mismatches). *)
-let probe_workload kind (tr : Trace.t) (p : probe) ~(scratch : string)
+   chain the re-executions restore from, a sample of the counted
+   experiments re-executed and re-classified on their own, and the report
+   rendered.  Returns the failures found (outcome or results mismatches). *)
+let probe_workload kind (tr : Harness.tracer) (p : probe) ~(scratch : string)
     ~(unsup : Campaign.report) (c : camp) : string list =
   let wname = c.w.Workloads.Workload.name in
-  let ((golden, snaps), alloc), dt =
-    Host.timed (fun () ->
-        Trace.time tr "fault.golden" (fun () ->
-            Host.allocated_mb (fun () -> Fault.golden_capture c.spec)))
-  in
-  p.golden_s <- dt :: p.golden_s;
+  let (golden, snaps), alloc = Host.allocated_mb (fun () -> Fault.golden_capture c.spec) in
   p.golden_alloc_mb <- alloc :: p.golden_alloc_mb;
   p.snapshots <- Array.length snaps :: p.snapshots;
   let failures = ref [] in
@@ -122,10 +110,10 @@ let probe_workload kind (tr : Trace.t) (p : probe) ~(scratch : string)
       if i mod reexec_stride = 0 then begin
         let r, dt =
           Host.timed (fun () ->
-              Trace.time tr "fault.exec" (fun () ->
+              Harness.span tr "fault.exec" (fun () ->
                   Fault.run_experiment_from ~max_instrs ~snapshots:snaps c.spec e))
         in
-        let oc = Trace.time tr "fault.classify" (fun () -> Fault.classify ~golden r) in
+        let oc = Harness.span tr "fault.classify" (fun () -> Fault.classify ~golden r) in
         if oc <> o.Fault.o_outcome then
           failures :=
             Printf.sprintf "%s: experiment at %d re-ran as %s, campaign said %s" wname e.at
@@ -147,27 +135,32 @@ let probe_workload kind (tr : Trace.t) (p : probe) ~(scratch : string)
       end)
     c.report.Campaign.outcomes;
   let path = Filename.concat scratch (name kind ^ "-campaign.json") in
-  let (), dt =
-    Host.timed (fun () ->
-        Trace.time tr "obs.report" (fun () ->
-            Report.write path
-              (Report.campaign ~params:[ ("workload", Obs.Json.Str wname) ] c.report)))
-  in
-  p.report_s <- dt :: p.report_s;
+  Harness.span tr "obs.report" (fun () ->
+      Report.write path (Report.campaign ~params:[ ("workload", Obs.Json.Str wname) ] c.report));
   List.rev !failures
 
-let probe_layers (p : probe) (camps : camp list) ~(lats : float list) : (string * float) list =
+(* [spans]: the traced run's own span rows. *)
+let probe_layers (spans : Obs.Span.row list) (p : probe) (camps : camp list)
+    ~(lats : float list) : (string * float) list =
   let ms xs = 1000.0 *. Stats.mean xs in
+  let mean_ms rows path =
+    match Harness.span_total rows path with
+    | _, 0 -> 0.0
+    | wall, k -> 1000.0 *. wall /. float_of_int k
+  in
   let execs = List.map snd p.exec in
   let exec_total = Stats.sum execs in
   let of_outcome o = List.filter_map (fun (o', d) -> if o' = o then Some d else None) p.exec in
   let reports = List.map (fun c -> c.report) camps in
-  let sum_span path sel = List.fold_left (fun a r -> a +. sel (span_wall r path)) 0.0 reports in
+  let sum_span path sel =
+    List.fold_left (fun a r -> a +. sel (Harness.span_total r.Campaign.spans path)) 0.0 reports
+  in
   let n_counted = float_of_int (List.fold_left (fun a c -> a + counted c) 0 camps) in
   let restores = sum_span "exec/restore" (fun (_, k) -> float_of_int k) in
   [
     ("cpu.snapshot_alloc_mb", Stats.mean p.golden_alloc_mb);
-    ("fault.golden_ms", ms p.golden_s);
+    ( "fault.golden_ms",
+      Stats.mean (List.map (fun r -> mean_ms r.Campaign.spans "golden") reports) );
     ("fault.snapshots", Stats.mean (List.map float_of_int p.snapshots));
     ( "fault.restore_ms",
       if restores = 0.0 then 0.0 else 1000.0 *. sum_span "exec/restore" fst /. restores );
@@ -196,11 +189,11 @@ let probe_layers (p : probe) (camps : camp list) ~(lats : float list) : (string 
       );
       ( "supervisor.worker_deaths",
         float_of_int (List.fold_left (fun a r -> a + r.Campaign.worker_deaths) 0 reports) );
-      ("obs.report_ms", ms p.report_s);
+      ("obs.report_ms", mean_ms spans "obs.report");
     ]
 
-let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) ~(nproc : int)
-    : Metrics.result =
+let run kind ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : string) :
+    Metrics.result =
   let n = max 1 (injections_per_second * seconds) in
   let wls = workloads () in
   let fl = hardened kind in
@@ -208,7 +201,6 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
   let order = Host.shuffle ~seed wls in
   let p =
     {
-      golden_s = [];
       golden_alloc_mb = [];
       snapshots = [];
       sup_wall = 0.0;
@@ -216,7 +208,6 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
       exec = [];
       ff_sites = [];
       full_replays = 0;
-      report_s = [];
     }
   in
   let failures = ref [] in
@@ -234,7 +225,7 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
                ones, so drift favours neither *)
             let unsup_leg () =
               let r, dt =
-                Trace.time tr "campaign.unsupervised" (fun () ->
+                Harness.span tr "campaign.unsupervised" (fun () ->
                     Host.in_child (fun () ->
                         Host.timed (fun () ->
                             campaign kind ~seed:cseed ~n ~scratch
@@ -243,9 +234,9 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
               p.unsup_wall <- p.unsup_wall +. dt;
               r
             in
-            let early = if Trace.enabled tr && index land 1 = 1 then Some (unsup_leg ()) else None in
+            let early = if Option.is_some tr && index land 1 = 1 then Some (unsup_leg ()) else None in
             let report, wall, lats, peak_mb =
-              Trace.time tr "campaign" (fun () ->
+              Harness.span tr "campaign" (fun () ->
                   Host.in_child (fun () ->
                       let lats = ref [] and prev = ref 0.0 in
                       (* runs on the worker domain, serialized by the
@@ -265,7 +256,7 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
             in
             let c = { w; spec; report; wall; lats; peak_mb } in
             camps := c :: !camps;
-            if Trace.enabled tr then begin
+            if Option.is_some tr then begin
               p.sup_wall <- p.sup_wall +. wall;
               let unsup = match early with Some r -> r | None -> unsup_leg () in
               failures := !failures @ probe_workload kind tr p ~scratch ~unsup c
@@ -334,24 +325,25 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
   in
   let mismatches = List.length !failures in
   let layers =
-    if not (Trace.enabled tr) then []
-    else
-      [ ("workloads.build_ms", s.build_ms); ("core.prepare_ms", s.prepare_ms) ]
-      @ Harness.cpu_layers
-          (List.concat_map
-             (fun (_, (f1, r1, ph1), (f2, r2, ph2)) ->
-               List.map
-                 (fun ((f : Harness.flavour), (r : Cpu.Machine.result), ph) ->
-                   {
-                     Harness.c_flavour = f.tag;
-                     c_threads = nthreads;
-                     c_totals = r.Cpu.Machine.totals;
-                     c_phases = ph;
-                   })
-                 [ (f1, r1, ph1); (f2, r2, ph2) ])
-             free)
-      @ probe_layers p camps ~lats
-      @ Harness.trace_layers tr ~ops:n_counted ~ops_wall:camp_wall ~traced_wall:loop_wall
+    match tr with
+    | None -> []
+    | Some r ->
+        [ ("workloads.build_ms", s.build_ms); ("core.prepare_ms", s.prepare_ms) ]
+        @ Harness.cpu_layers
+            (List.concat_map
+               (fun (_, (f1, r1, ph1), (f2, r2, ph2)) ->
+                 List.map
+                   (fun ((f : Harness.flavour), (r : Cpu.Machine.result), ph) ->
+                     {
+                       Harness.c_flavour = f.tag;
+                       c_threads = nthreads;
+                       c_totals = r.Cpu.Machine.totals;
+                       c_phases = ph;
+                     })
+                   [ (f1, r1, ph1); (f2, r2, ph2) ])
+               free)
+        @ probe_layers (Obs.Span.rows r) p camps ~lats
+        @ Harness.trace_layers r ~ops:n_counted ~ops_wall:camp_wall ~traced_wall:loop_wall
   in
   let fingerprint =
     Host.md5_hex
@@ -390,7 +382,7 @@ let run kind ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) 
     layers;
     notes =
       [
-        Harness.stamp ~workload:(name kind) ~seed ~nproc ~size ~jobs ~trace:(Trace.enabled tr)
+        Harness.stamp ~workload:(name kind) ~seed ~size ~jobs ~trace:(Option.is_some tr)
           ~work:(Printf.sprintf "campaigns=%d injections=%d" (List.length camps) n);
         Printf.sprintf
           "samples op_p50_ms=op_p90_ms=%d campaigns x %d-%d experiments setup_s=%d \

@@ -1,6 +1,7 @@
-(* What both workload families share: build flavours, the timed set-up
-   (IR build + Elzar.prepare), one fault-free machine run split into its
-   create / init / run phases, and the cpu-layer metrics over such runs. *)
+(* What both workload families share: build flavours, the traced run's
+   span recorder, the timed set-up (IR build + Elzar.prepare), one
+   fault-free machine run split into its create / init / run phases, and
+   the cpu-layer metrics over such runs. *)
 
 type flavour = {
   tag : string;
@@ -12,32 +13,50 @@ let native_novec = { tag = "native-novec"; build = Elzar.Native_novec }
 let elzar cfg = { tag = "elzar"; build = Elzar.Hardened cfg }
 let swiftr = { tag = "swift-r"; build = Elzar.Swiftr }
 
+(* ---- spans ---- *)
+
+(* The traced run's span recorder; [None] in the untraced run, whose calls
+   then carry no span cost. *)
+type tracer = Obs.Span.t option
+
+let span (tr : tracer) (path : string) (f : unit -> 'a) : 'a =
+  match tr with Some r -> Obs.Span.time r path f | None -> f ()
+
+(* Total host seconds and count of the regions recorded under [path]. *)
+let span_total (rows : Obs.Span.row list) (path : string) : float * int =
+  match List.find_opt (fun (row : Obs.Span.row) -> row.path = path) rows with
+  | Some row -> (row.wall, row.count)
+  | None -> (0.0, 0)
+
 (* ---- set-up ---- *)
 
 type setup = {
   prepared : (string * string, Ir.Instr.modul) Hashtbl.t;  (** (workload, flavour tag) *)
-  setup_s : float;  (** median host seconds of one whole set-up *)
-  build_ms : float;  (** median host ms of the IR builds in one set-up *)
-  prepare_ms : float;  (** median host ms of the Elzar.prepare calls in one set-up *)
+  setup_s : float;  (** host seconds of one whole set-up, fastest of [setup_reps] *)
+  build_ms : float;  (** host ms of the IR builds in one set-up, fastest *)
+  prepare_ms : float;  (** host ms of the Elzar.prepare calls in one set-up, fastest *)
 }
 
-(* Set-ups per run; the reported figures are their medians. *)
-let setup_reps = 21
+(* Set-ups per run; each figure is the fastest of them.  One set-up takes
+   tens of ms, so host load that comes and goes (other processes, memory
+   bandwidth) slows some share of the samples by up to 2x, and a median
+   moves with that share from run to run; the minimum does not. *)
+let setup_reps = 31
 
-let setup_once (tr : Trace.t) ~(size : Workloads.Workload.size)
+let setup_once (tr : tracer) ~(size : Workloads.Workload.size)
     ~(workloads : Workloads.Workload.t list) ~(flavours : flavour list) =
   let tbl = Hashtbl.create 64 in
   let build_s = ref 0.0 and prep_s = ref 0.0 in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let m, dt =
-        Host.timed (fun () -> Trace.time tr "workloads.build" (fun () -> w.build size))
+        Host.timed (fun () -> span tr "workloads.build" (fun () -> w.build size))
       in
       build_s := !build_s +. dt;
       List.iter
         (fun fl ->
           let p, dt =
-            Host.timed (fun () -> Trace.time tr "core.prepare" (fun () -> Elzar.prepare fl.build m))
+            Host.timed (fun () -> span tr "core.prepare" (fun () -> Elzar.prepare fl.build m))
           in
           prep_s := !prep_s +. dt;
           Hashtbl.replace tbl (w.name, fl.tag) p)
@@ -45,18 +64,19 @@ let setup_once (tr : Trace.t) ~(size : Workloads.Workload.size)
     workloads;
   (tbl, !build_s, !prep_s)
 
-let setup (tr : Trace.t) ~size ~workloads ~flavours : setup =
+let setup (tr : tracer) ~size ~workloads ~flavours : setup =
   let reps =
     List.init setup_reps (fun _ ->
         Gc.full_major ();
         Host.timed (fun () -> setup_once tr ~size ~workloads ~flavours))
   in
   let (prepared, _, _), _ = List.nth reps (setup_reps - 1) in
+  let fastest xs = List.fold_left Float.min Float.infinity xs in
   {
     prepared;
-    setup_s = Stats.median (List.map snd reps);
-    build_ms = 1000.0 *. Stats.median (List.map (fun ((_, b, _), _) -> b) reps);
-    prepare_ms = 1000.0 *. Stats.median (List.map (fun ((_, _, p), _) -> p) reps);
+    setup_s = fastest (List.map snd reps);
+    build_ms = 1000.0 *. fastest (List.map (fun ((_, b, _), _) -> b) reps);
+    prepare_ms = 1000.0 *. fastest (List.map (fun ((_, _, p), _) -> p) reps);
   }
 
 let prepared (s : setup) (w : Workloads.Workload.t) (fl : flavour) : Ir.Instr.modul =
@@ -71,12 +91,12 @@ type phases = {
   alloc_mb : float;  (** OCaml heap MiB allocated by Machine.create *)
 }
 
-let phase tr name f = Trace.time tr name (fun () -> Host.timed f)
+let phase tr name f = span tr name (fun () -> Host.timed f)
 
 (* [Cpu.Machine.create] + [init] + [Cpu.Machine.run ~args:[|nthreads|]
    "main"], each phase timed (and spanned when [tr] is on) — the same
    calls [Workloads.Workload.execute_prepared] makes. *)
-let exec (tr : Trace.t) ?(engine = Cpu.Machine.default_config.Cpu.Machine.engine)
+let exec (tr : tracer) ?(engine = Cpu.Machine.default_config.Cpu.Machine.engine)
     ~(build : Elzar.build) ~(init : Cpu.Machine.t -> unit) ~(nthreads : int)
     (modul : Ir.Instr.modul) : Cpu.Machine.result * phases =
   let cfg =
@@ -147,23 +167,37 @@ let cpu_layers (runs : cpu_run list) : (string * float) list =
     ("cpu.branch_misses", count (fun c -> c.Cpu.Counters.branch_misses));
   ]
 
+(* Host seconds one span costs, measured on a scratch recorder: the basis
+   of the traced run's own overhead estimate. *)
+let span_cost () : float =
+  let n = 20_000 in
+  let r = Obs.Span.make () in
+  let (), dt =
+    Host.timed (fun () ->
+        for _ = 1 to n do
+          Obs.Span.time r "calibrate" ignore
+        done)
+  in
+  dt /. float_of_int n
+
 (* The traced run's own cost: spans recorded times the calibrated cost of
    one span, as a share of the traced region's host time. *)
-let trace_layers (tr : Trace.t) ~(ops : int) ~(ops_wall : float) ~(traced_wall : float) :
+let trace_layers (r : Obs.Span.t) ~(ops : int) ~(ops_wall : float) ~(traced_wall : float) :
     (string * float) list =
+  let spans = List.fold_left (fun a (row : Obs.Span.row) -> a + row.count) 0 (Obs.Span.rows r) in
   [
     ("trace.ops_per_s", float_of_int ops /. ops_wall);
-    ("trace.spans", float_of_int (Trace.count tr));
-    ("trace.overhead_frac", float_of_int (Trace.count tr) *. Trace.span_cost () /. traced_wall);
+    ("trace.spans", float_of_int spans);
+    ("trace.overhead_frac", float_of_int spans *. span_cost () /. traced_wall);
   ]
 
 (* The "# host ..." stamp every run prints ahead of its result. *)
-let stamp ~(workload : string) ~(seed : int) ~(nproc : int) ~(size : Workloads.Workload.size)
-    ~(jobs : int) ~(trace : bool) ~(work : string) : string =
+let stamp ~(workload : string) ~(seed : int) ~(size : Workloads.Workload.size) ~(jobs : int)
+    ~(trace : bool) ~(work : string) : string =
   Printf.sprintf
     "host ocaml=%s nproc=%d domains=%d engine=%s size=%s workload=%s seed=%d jobs=%d \
      trace=%d %s"
-    Sys.ocaml_version nproc
+    Sys.ocaml_version (Host.nproc ())
     (Domain.recommended_domain_count ())
     (Cpu.Machine.engine_to_string Cpu.Machine.default_config.Cpu.Machine.engine)
     (Workloads.Workload.size_to_string size)

@@ -1,5 +1,5 @@
-(* Host-side helpers: clocks, memory high-water mark, allocation counts,
-   seeded orderings and digests. *)
+(* Host-side helpers: clocks, /proc/self/status fields (memory high-water
+   mark, CPUs), allocation counts, seeded orderings and digests. *)
 
 let now = Unix.gettimeofday
 
@@ -9,23 +9,45 @@ let timed (f : unit -> 'a) : 'a * float =
   let r = f () in
   (r, now () -. t0)
 
+(* The value of the ["key:"] line of /proc/self/status, trimmed; [None]
+   where /proc is unavailable or has no such line. *)
+let proc_status (key : string) : string option =
+  let prefix = key ^ ":" in
+  let n = String.length prefix in
+  try
+    In_channel.with_open_text "/proc/self/status" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | None -> None
+          | Some line when String.length line >= n && String.sub line 0 n = prefix ->
+              Some (String.trim (String.sub line n (String.length line - n)))
+          | Some _ -> scan ()
+        in
+        scan ())
+  with Sys_error _ -> None
+
 (* Peak resident set size of this process (VmHWM), in MiB; [nan] where
    /proc is unavailable. *)
 let peak_rss_mb () : float =
-  try
-    let ic = open_in "/proc/self/status" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec scan () =
-          let line = input_line ic in
-          if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d kB" (fun kb ->
-                float_of_int kb /. 1024.0)
-          else scan ()
-        in
-        scan ())
-  with _ -> Float.nan
+  match Option.bind (proc_status "VmHWM") (fun v -> Scanf.sscanf_opt v "%d" Fun.id) with
+  | Some kb -> float_of_int kb /. 1024.0
+  | None -> Float.nan
+
+(* CPUs this process may run on: the size of its Cpus_allowed_list
+   ("0-1,4" is 3), or the runtime's recommended domain count where /proc
+   does not say. *)
+let nproc () : int =
+  let size range =
+    match List.map int_of_string (String.split_on_char '-' range) with
+    | [ _ ] -> 1
+    | [ a; b ] -> b - a + 1
+    | _ -> failwith range
+  in
+  match proc_status "Cpus_allowed_list" with
+  | Some v -> (
+      try List.fold_left (fun a r -> a + size r) 0 (String.split_on_char ',' v)
+      with Failure _ -> Domain.recommended_domain_count ())
+  | None -> Domain.recommended_domain_count ()
 
 (* Restarts the VmHWM count from the current resident set (Linux
    clear_refs code 5); a no-op where that is unavailable. *)

@@ -1,7 +1,7 @@
 (* perfbench: one benchmark run.
 
      main.exe --workload sim-sweep|fi-reg|fi-mixed --seed N --seconds S
-              --trace 0|1 [--nproc N] [--scratch DIR]
+              --trace 0|1 [--scratch DIR]
 
    Prints "# "-prefixed notes (host stamp, sample counts, fingerprint,
    correctness-gate failures) and, as the last line, the JSON result.
@@ -20,7 +20,6 @@ let rec mkdir_p dir =
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 20 and trace = ref 0 in
-  let nproc = ref (Domain.recommended_domain_count ()) in
   let scratch = ref (Filename.concat ".bench_build" "perfbench-scratch") in
   let usage =
     "main.exe --workload sim-sweep|fi-reg|fi-mixed --seed N --seconds S --trace 0|1"
@@ -31,8 +30,7 @@ let () =
       ("--seed", Arg.Set_int seed, " input seed");
       ("--seconds", Arg.Set_int seconds, " host seconds of work to size the run for");
       ("--trace", Arg.Set_int trace, " 1: traced run printing the per-layer metrics");
-      ("--nproc", Arg.Set_int nproc, " online CPUs, for the host stamp");
-      ("--scratch", Arg.Set_string scratch, " directory for reports, checkpoints and traces");
+      ("--scratch", Arg.Set_string scratch, " directory for reports and checkpoints");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
@@ -45,19 +43,14 @@ let () =
   if !seconds < 1 then bad "--seconds must be at least 1";
   if !trace <> 0 && !trace <> 1 then bad "--trace must be 0 or 1";
   mkdir_p !scratch;
-  let tr = Trace.make ~on:(!trace = 1) in
+  let tr = if !trace = 1 then Some (Obs.Span.make ()) else None in
   let run =
     match !workload with
     | "sim-sweep" -> Sim_sweep.run
     | "fi-reg" -> Fi.run Fi.Reg
     | _ -> Fi.run Fi.Mixed
   in
-  let r = run ~tr ~seed:!seed ~seconds:!seconds ~scratch:!scratch ~nproc:!nproc in
-  if Trace.enabled tr then begin
-    let path = Filename.concat !scratch ("trace-" ^ !workload ^ ".jsonl") in
-    Trace.write tr path;
-    Printf.printf "# trace %s (%d spans)\n" path (Trace.count tr)
-  end;
+  let r = run ~tr ~seed:!seed ~seconds:!seconds ~scratch:!scratch in
   List.iter (fun n -> Printf.printf "# %s\n" n) r.Metrics.notes;
   print_endline (Metrics.result_line ~trace:(!trace = 1) r);
   exit (if r.Metrics.correct then 0 else 1)

@@ -35,14 +35,9 @@ def main():
         print("perfbench: build failed", file=sys.stderr)
         return 2
     exe = os.path.join(build_dir, "default", "perfbench", "main.exe")
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:
-        nproc = os.cpu_count() or 1
     scratch = os.path.join(build_dir, "perfbench-scratch")
     sys.stdout.flush()
-    run = subprocess.run([exe] + sys.argv[1:]
-                         + ["--nproc", str(nproc), "--scratch", scratch])
+    run = subprocess.run([exe] + sys.argv[1:] + ["--scratch", scratch])
     return run.returncode
 
 

@@ -1,18 +1,17 @@
 (* Workload [sim-sweep]: the Fig. 11/12 overhead sweep.  Every Phoenix and
    PARSEC workload runs fault-free under four builds at 2 and 16 simulated
-   threads on small inputs — 112 create + init + run operations per pass,
-   issued one after another (closed loop) in an order drawn from the seed.
-   The campaign, snapshot and supervision layers stay idle here. *)
+   threads on small inputs: one sweep of 112 create + init + run
+   operations, issued one after another (closed loop) in an order drawn
+   from the seed.  The sweep is the unit of work whatever [--seconds]
+   says (about 20-25 s on a 2-core x86 box): the overhead ratio and the
+   fingerprint need every (workload, build, threads) cell.  The campaign,
+   snapshot and supervision layers stay idle here. *)
 
 let size = Workloads.Workload.Small
 let threads = [ 2; 16 ]
 
 let flavours =
   Harness.[ native; native_novec; elzar Elzar.Harden_config.default; swiftr ]
-
-(* Host seconds one pass takes on a 2-core x86 box: a run makes
-   [max 1 (seconds / pass_seconds)] passes. *)
-let pass_seconds = 20
 
 (* Runs re-executed on the Reference engine per run (correctness gate). *)
 let spot_checks = 2
@@ -34,7 +33,6 @@ let key (it : item) = Printf.sprintf "%s/%s/t%d" it.w.Workloads.Workload.name it
 (* One completed operation. *)
 type op = {
   it : item;
-  pass : int;
   lat : float;  (** host seconds, create + init + run *)
   res : Cpu.Machine.result;
   ph : Harness.phases;
@@ -44,11 +42,10 @@ let exec tr ?engine (s : Harness.setup) (it : item) =
   Harness.exec tr ?engine ~build:it.fl.build ~init:(it.w.init size) ~nthreads:it.nthreads
     (Harness.prepared s it.w it.fl)
 
-(* Deterministic fingerprint: simulated counters and digest of every
-   first-pass run, in a fixed order. *)
+(* Deterministic fingerprint: simulated counters and digest of every run,
+   in a fixed order. *)
 let fingerprint (ops : op list) : string =
   ops
-  |> List.filter (fun o -> o.pass = 1)
   |> List.map (fun o ->
          Printf.sprintf "%s:%d:%s:%s" (key o.it) o.res.Cpu.Machine.wall_cycles
            (Host.counter_fields o.res.Cpu.Machine.totals)
@@ -59,13 +56,8 @@ let fingerprint (ops : op list) : string =
    ELZAR wall cycles over native wall cycles. *)
 let overhead (ops : op list) : float =
   let cycles tag (w : Workloads.Workload.t) t =
-    match
-      List.find_opt
-        (fun o -> o.pass = 1 && o.it.fl.tag = tag && o.it.w == w && o.it.nthreads = t)
-        ops
-    with
-    | Some o -> float_of_int o.res.Cpu.Machine.wall_cycles
-    | None -> failwith ("perfbench: sim-sweep is missing a " ^ tag ^ " run")
+    let o = List.find (fun o -> o.it.fl.tag = tag && o.it.w == w && o.it.nthreads = t) ops in
+    float_of_int o.res.Cpu.Machine.wall_cycles
   in
   Stats.gmean
     (List.concat_map
@@ -97,67 +89,60 @@ let gate ~(seed : int) (s : Harness.setup) (ops : op list) : int * int * string 
   List.iter
     (fun it ->
       let o = List.find (fun o -> key o.it = key it) ops in
-      let r, _ = exec (Trace.make ~on:false) ~engine:Cpu.Machine.Reference s it in
+      let r, _ = exec None ~engine:Cpu.Machine.Reference s it in
       if not (Harness.same_result r o.res) then
         fail (Printf.sprintf "%s: Reference engine disagrees" (key it)))
     sample;
   (List.length ops + spot_checks, List.length !failures, List.rev !failures)
 
-let run ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) ~(nproc : int) :
+let run ~(tr : Harness.tracer) ~(seed : int) ~seconds:(_ : int) ~(scratch : string) :
     Metrics.result =
-  let passes = max 1 (seconds / pass_seconds) in
   let s = Harness.setup tr ~size ~workloads:Workloads.Registry.all ~flavours in
   let order = Host.shuffle ~seed (items ()) in
   let report_path = Filename.concat scratch "sim-sweep-run.json" in
-  (* the timed region: closed loop over every pass.  Each op starts on a
+  (* the timed region: one closed-loop sweep.  Each op starts on a
      collected heap, so its latency does not depend on which op the seed
      put before it; the collections stay inside [wall], so [ops_per_s]
      still pays for every op's garbage. *)
-  let ops = ref [] in
   Host.reset_peak_rss ();
-  let (), wall =
+  let ops, wall =
     Host.timed (fun () ->
-        for pass = 1 to passes do
-          List.iter
-            (fun it ->
-              Gc.full_major ();
-              let (res, ph), lat = Host.timed (fun () -> Trace.time tr "op" (fun () -> exec tr s it)) in
-              ops := { it; pass; lat; res; ph } :: !ops;
-              if Trace.enabled tr then
-                Trace.time tr "obs.report" (fun () ->
-                    Report.write report_path
-                      (Report.run_result
-                         ~params:[ ("workload", Obs.Json.Str (key it)) ]
-                         res)))
-            order
-        done)
+        List.map
+          (fun it ->
+            Gc.full_major ();
+            let (res, ph), lat =
+              Host.timed (fun () -> Harness.span tr "op" (fun () -> exec tr s it))
+            in
+            if Option.is_some tr then
+              Harness.span tr "obs.report" (fun () ->
+                  Report.write report_path
+                    (Report.run_result ~params:[ ("workload", Obs.Json.Str (key it)) ] res));
+            { it; lat; res; ph })
+          order)
   in
   let peak_mb = Host.peak_rss_mb () in
-  let ops = List.rev !ops in
   let lats = List.map (fun o -> o.lat) ops in
   let n = List.length ops in
   let attempted, failed, failures = gate ~seed s ops in
-  let sum_counter sel =
-    List.fold_left (fun a o -> a + sel o.res.Cpu.Machine.totals) 0 ops
-  in
+  let sum_counter sel = List.fold_left (fun a o -> a + sel o.res.Cpu.Machine.totals) 0 ops in
   let layers =
-    if not (Trace.enabled tr) then []
-    else
-      [ ("workloads.build_ms", s.build_ms); ("core.prepare_ms", s.prepare_ms) ]
-      @ Harness.cpu_layers
-          (List.map
-             (fun o ->
-               {
-                 Harness.c_flavour = o.it.fl.tag;
-                 c_threads = o.it.nthreads;
-                 c_totals = o.res.Cpu.Machine.totals;
-                 c_phases = o.ph;
-               })
-             ops)
-      @ [ ("obs.report_ms", 1000.0 *. Stats.mean (Trace.samples tr "obs.report")) ]
-      @ Harness.trace_layers tr ~ops:n
-          ~ops_wall:(wall -. Stats.sum (Trace.samples tr "obs.report"))
-          ~traced_wall:wall
+    match tr with
+    | None -> []
+    | Some r ->
+        let report_s, reports = Harness.span_total (Obs.Span.rows r) "obs.report" in
+        [ ("workloads.build_ms", s.build_ms); ("core.prepare_ms", s.prepare_ms) ]
+        @ Harness.cpu_layers
+            (List.map
+               (fun o ->
+                 {
+                   Harness.c_flavour = o.it.fl.tag;
+                   c_threads = o.it.nthreads;
+                   c_totals = o.res.Cpu.Machine.totals;
+                   c_phases = o.ph;
+                 })
+               ops)
+        @ [ ("obs.report_ms", 1000.0 *. report_s /. float_of_int reports) ]
+        @ Harness.trace_layers r ~ops:n ~ops_wall:(wall -. report_s) ~traced_wall:wall
   in
   {
     Metrics.correct = failed = 0;
@@ -175,8 +160,8 @@ let run ~(tr : Trace.t) ~(seed : int) ~(seconds : int) ~(scratch : string) ~(npr
     layers;
     notes =
       [
-        Harness.stamp ~workload:"sim-sweep" ~seed ~nproc ~size ~jobs:1 ~trace:(Trace.enabled tr)
-          ~work:(Printf.sprintf "passes=%d ops=%d" passes n);
+        Harness.stamp ~workload:"sim-sweep" ~seed ~size ~jobs:1 ~trace:(Option.is_some tr)
+          ~work:(Printf.sprintf "ops=%d" n);
         Printf.sprintf "samples op_p50_ms=%d op_p90_ms=%d setup_s=%d" n n Harness.setup_reps;
         Printf.sprintf "fingerprint sim-sweep %s instrs=%d uops=%d cycles=%d l1_misses=%d \
                         branch_misses=%d"

@@ -56,7 +56,7 @@ let test_benchmark_json () =
     (List.length all_metrics + 3 (* workloads *))
     (occurrences "{\"name\":")
 
-let quiet = Trace.make ~on:false
+let quiet : Harness.tracer = None
 
 let hist_setup kind =
   Harness.setup quiet ~size:Fi.size
