@@ -1,59 +1,48 @@
-(* Workloads [fi-reg] and [fi-mixed]: fault-injection campaigns over every
-   [fi_ok] workload (tiny inputs, 2 simulated threads, fast-forward on),
-   one campaign after another (closed loop), each on one worker domain
-   plus the supervisor's watchdog.
+(* Workload [fi-mixed]: fault-injection campaigns over every [fi_ok]
+   workload (tiny inputs, 2 simulated threads, fast-forward on), one
+   campaign after another (closed loop), each on one worker domain plus the
+   supervisor's watchdog.  Each is a [Campaign.model_campaign ~model:Mixed]
+   (register, memory, address and branch sites) on the re-execution build,
+   with a checkpoint file.  The campaigns are made [rounds] times on the
+   same plans. *)
 
-   - [fi-reg] is the Fig. 13 campaign: [Campaign.single] (register SEUs)
-     on the default ELZAR build.
-   - [fi-mixed] runs [Campaign.model_campaign ~model:Mixed] (register,
-     memory, address and branch sites) on the re-execution build, with a
-     checkpoint file — the only workload that does checkpoint I/O. *)
-
-type kind = Reg | Mixed
-
-let name = function Reg -> "fi-reg" | Mixed -> "fi-mixed"
+let name = "fi-mixed"
 let size = Workloads.Workload.Tiny
 let nthreads = 2
 let jobs = 1
 
-(* Injections per workload per second of [--seconds]: about one second of
-   host time per 5 x 12 experiments on a 2-core x86 box.  At the default
-   20 s that is 100 per campaign, so each campaign's p90 latency has ten
-   samples beyond it. *)
+(* Rounds of campaigns per run (see [Harness.in_rounds]).  A round takes
+   about a third of what a [sim-sweep] round does, so three fit where
+   [sim-sweep] makes two. *)
+let rounds = 3
+
+(* Injections per workload per second of [--seconds], over all rounds:
+   about one second of host time per 5 x 12 experiments on a 2-core x86
+   box.  At the default 20 s each campaign draws 33 and is made three
+   times. *)
 let injections_per_second = 5
 
-let hardened = function
-  | Reg -> Harness.elzar Elzar.Harden_config.default
-  | Mixed -> Harness.elzar Elzar.Harden_config.reexec
-
+let hardened = Harness.elzar Elzar.Harden_config.reexec
 let workloads () = List.filter (fun w -> w.Workloads.Workload.fi_ok) Workloads.Registry.all
 
 (* The run spec [Workloads.Workload.fi_spec] would build, from the set-up's
    prepared module. *)
-let spec kind (s : Harness.setup) (w : Workloads.Workload.t) : Fault.run_spec =
-  let fl = hardened kind in
+let spec (s : Harness.setup) (w : Workloads.Workload.t) : Fault.run_spec =
   Fault.make_spec
-    ~flags_cmp:(Elzar.uses_flags_cmp fl.build)
+    ~flags_cmp:(Elzar.uses_flags_cmp hardened.build)
     ~args:[| Int64.of_int nthreads |]
     ~init:(w.init size)
-    ~reexec_retries:(Elzar.reexec_retries fl.build)
-    (Harness.prepared s w fl) "main"
+    ~reexec_retries:(Elzar.reexec_retries hardened.build)
+    (Harness.prepared s w hardened) "main"
 
-(* One campaign.  [progress] sees every completed experiment. *)
-let campaign kind ~(seed : int) ~(n : int) ~(scratch : string) ?supervise
+(* One campaign, checkpointed to a fresh file.  [progress] sees every
+   completed experiment. *)
+let campaign ~(seed : int) ~(n : int) ~(scratch : string) ?supervise
     ?(progress = fun (_ : Campaign.progress) -> ()) ~(tag : string) (spec : Fault.run_spec) :
     Campaign.report =
-  match kind with
-  | Reg -> Campaign.single ~seed ~n ~jobs ~progress ?supervise spec
-  | Mixed ->
-      let checkpoint = Filename.concat scratch (tag ^ ".ck") in
-      if Sys.file_exists checkpoint then Sys.remove checkpoint;
-      Campaign.model_campaign ~seed ~n ~jobs ~progress ~checkpoint ?supervise ~model:Fault.Mixed
-        spec
-
-(* Deterministic digest of a campaign's results block. *)
-let results_digest (r : Campaign.report) : string =
-  Digest.to_hex (Digest.string (Obs.Json.to_string ~compact:true (Report.campaign_results r)))
+  let checkpoint = Filename.concat scratch (tag ^ ".ck") in
+  if Sys.file_exists checkpoint then Sys.remove checkpoint;
+  Campaign.model_campaign ~seed ~n ~jobs ~progress ~checkpoint ?supervise ~model:Fault.Mixed spec
 
 let outcome_name = function
   | Fault.Masked -> "masked"
@@ -76,6 +65,21 @@ type camp = {
 
 let counted (c : camp) = Array.length c.report.Campaign.outcomes
 
+(* Deterministic digest of a campaign's results block. *)
+let results_digest (r : Campaign.report) : string =
+  Digest.to_hex (Digest.string (Obs.Json.to_string ~compact:true (Report.campaign_results r)))
+
+(* [a] with the host times of [b], the same campaign in a later round,
+   where they were faster: the whole call, and experiment by experiment
+   (one worker runs the plan in order, so the i-th callback of every
+   round follows the same experiment).  [None] when the rounds ran
+   differently. *)
+let fastest (a : camp) (b : camp) : camp option =
+  if results_digest a.report <> results_digest b.report
+     || List.length a.lats <> List.length b.lats
+  then None
+  else Some { a with wall = Float.min a.wall b.wall; lats = List.map2 Float.min a.lats b.lats }
+
 (* What the traced run learns on top of the timed campaign. *)
 type probe = {
   mutable golden_alloc_mb : float list;
@@ -91,7 +95,7 @@ type probe = {
    on the Reference engine.  A full Reference replay costs as much as tens
    of fast-forwarded experiments, so each run checks a seeded sample and
    the seeds between them cover every workload. *)
-let replay_checks = 4
+let replay_checks = 2
 
 (* Counted experiments the traced run re-executes: every [reexec_stride]-th. *)
 let reexec_stride = 3
@@ -101,7 +105,7 @@ let reexec_stride = 3
    chain the re-executions restore from, a sample of the counted
    experiments re-executed and re-classified on their own, and the report
    rendered.  Returns the failures found (outcome or results mismatches). *)
-let probe_workload kind (tr : Harness.tracer) (p : probe) ~(scratch : string)
+let probe_workload (tr : Harness.tracer) (p : probe) ~(scratch : string)
     ~(unsup : Campaign.report) (c : camp) : string list =
   let wname = c.w.Workloads.Workload.name in
   let (golden, snaps), alloc = Host.allocated_mb (fun () -> Fault.golden_capture c.spec) in
@@ -140,7 +144,7 @@ let probe_workload kind (tr : Harness.tracer) (p : probe) ~(scratch : string)
         | [] -> p.full_replays <- p.full_replays + 1
       end)
     c.report.Campaign.outcomes;
-  let path = Filename.concat scratch (name kind ^ "-campaign.json") in
+  let path = Filename.concat scratch (name ^ "-campaign.json") in
   Harness.span tr "obs.report" (fun () ->
       Report.write path (Report.campaign ~params:[ ("workload", Obs.Json.Str wname) ] c.report));
   List.rev !failures
@@ -198,12 +202,10 @@ let probe_layers (spans : Obs.Span.row list) (p : probe) (camps : camp list)
       ("obs.report_ms", mean_ms spans "obs.report");
     ]
 
-let run kind ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : string) :
+let run ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : string) :
     Metrics.result =
-  let n = max 1 (injections_per_second * seconds) in
+  let n = max 1 (injections_per_second * seconds / rounds) in
   let wls = workloads () in
-  let fl = hardened kind in
-  let s = Harness.setup tr ~size ~workloads:wls ~flavours:[ fl; Harness.native ] in
   let order = Host.shuffle ~seed wls in
   let p =
     {
@@ -217,59 +219,72 @@ let run kind ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : s
     }
   in
   let failures = ref [] in
-  (* the timed region: one supervised campaign per workload, closed loop *)
-  let camps = ref [] in
-  let (), loop_wall =
+  let fail msg = failures := !failures @ [ msg ] in
+  (* the timed region: rounds of one supervised campaign per workload,
+     closed loop, each round in the same order *)
+  let (s, by_round), loop_wall =
     Host.timed (fun () ->
-        List.iteri
-          (fun index w ->
-            let wname = w.Workloads.Workload.name in
-            let cseed = Host.campaign_seed ~seed ~workload:wname in
-            let spec = spec kind s w in
-            (* traced run: an unsupervised campaign on the same plan, before
-               the supervised one on odd positions and after it on even
-               ones, so drift favours neither *)
-            let unsup_leg () =
-              let r, dt =
-                Harness.span tr "campaign.unsupervised" (fun () ->
-                    Host.in_child (fun () ->
-                        Host.timed (fun () ->
-                            campaign kind ~seed:cseed ~n ~scratch
-                              ~tag:(wname ^ "-unsupervised") spec)))
-              in
-              p.unsup_wall <- p.unsup_wall +. dt;
-              r
-            in
-            let early = if Option.is_some tr && index land 1 = 1 then Some (unsup_leg ()) else None in
-            let report, wall, lats, peak_mb =
-              Harness.span tr "campaign" (fun () ->
-                  Host.in_child (fun () ->
-                      let lats = ref [] and prev = ref 0.0 in
-                      (* runs on the worker domain, serialized by the
-                         campaign lock; read back only after the campaign
-                         has joined it *)
-                      let progress (pr : Campaign.progress) =
-                        lats := (pr.Campaign.elapsed -. !prev) :: !lats;
-                        prev := pr.Campaign.elapsed
-                      in
-                      Host.reset_peak_rss ();
-                      let report, wall =
-                        Host.timed (fun () ->
-                            campaign kind ~seed:cseed ~n ~scratch ~supervise:Supervisor.default
-                              ~progress ~tag:wname spec)
-                      in
-                      (report, wall, List.rev !lats, Host.peak_rss_mb ())))
-            in
-            let c = { w; spec; report; wall; lats; peak_mb } in
-            camps := c :: !camps;
-            if Option.is_some tr then begin
-              p.sup_wall <- p.sup_wall +. wall;
-              let unsup = match early with Some r -> r | None -> unsup_leg () in
-              failures := !failures @ probe_workload kind tr p ~scratch ~unsup c
-            end)
-          order)
+        Harness.in_rounds tr ~rounds ~size ~workloads:wls ~flavours:[ hardened; Harness.native ]
+          (fun s round ->
+            List.mapi
+              (fun index w ->
+                let wname = w.Workloads.Workload.name in
+                let cseed = Host.campaign_seed ~seed ~workload:wname in
+                let spec = spec s w in
+                (* traced run, first round: an unsupervised campaign on the
+                   same plan, before the supervised one on odd positions
+                   and after it on even ones, so drift favours neither *)
+                let probed = Option.is_some tr && round = 0 in
+                let unsup_leg () =
+                  let r, dt =
+                    Harness.span tr "campaign.unsupervised" (fun () ->
+                        Host.in_child (fun () ->
+                            Host.timed (fun () ->
+                                campaign ~seed:cseed ~n ~scratch ~tag:(wname ^ "-unsupervised")
+                                  spec)))
+                  in
+                  p.unsup_wall <- p.unsup_wall +. dt;
+                  r
+                in
+                let early = if probed && index land 1 = 1 then Some (unsup_leg ()) else None in
+                let report, wall, lats, peak_mb =
+                  Harness.span tr "campaign" (fun () ->
+                      Host.in_child (fun () ->
+                          let lats = ref [] and prev = ref 0.0 in
+                          (* runs on the worker domain, serialized by the
+                             campaign lock; read back only after the
+                             campaign has joined it *)
+                          let progress (pr : Campaign.progress) =
+                            lats := (pr.Campaign.elapsed -. !prev) :: !lats;
+                            prev := pr.Campaign.elapsed
+                          in
+                          Host.reset_peak_rss ();
+                          let report, wall =
+                            Host.timed (fun () ->
+                                campaign ~seed:cseed ~n ~scratch ~supervise:Supervisor.default
+                                  ~progress ~tag:wname spec)
+                          in
+                          (report, wall, List.rev !lats, Host.peak_rss_mb ())))
+                in
+                let c = { w; spec; report; wall; lats; peak_mb } in
+                if probed then begin
+                  p.sup_wall <- p.sup_wall +. wall;
+                  let unsup = match early with Some r -> r | None -> unsup_leg () in
+                  failures := !failures @ probe_workload tr p ~scratch ~unsup c
+                end;
+                c)
+              order))
   in
-  let camps = List.rev !camps in
+  let camps =
+    List.fold_left
+      (List.map2 (fun a b ->
+           match fastest a b with
+           | Some c -> c
+           | None ->
+               fail (a.w.Workloads.Workload.name ^ ": rounds of the campaign ran differently");
+               a))
+      (List.hd by_round) (List.tl by_round)
+  in
   (* outside the timed region: fault-free native and hardened runs (the
      cpu layer, the overhead ratio and the hardened-output check), then
      the correctness gate *)
@@ -283,11 +298,10 @@ let run kind ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : s
           in
           (f, r, ph)
         in
-        (w, go Harness.native, go fl))
+        (w, go Harness.native, go hardened))
       wls
   in
   let checks = ref 0 in
-  let fail msg = failures := !failures @ [ msg ] in
   List.iter
     (fun ((w : Workloads.Workload.t), (_, nr, _), (_, hr, _)) ->
       incr checks;
@@ -321,7 +335,9 @@ let run kind ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : s
       end)
     (List.filteri (fun i _ -> i < replay_checks) (Host.shuffle ~seed:(seed + 1) camps));
   let n_counted = List.fold_left (fun a c -> a + counted c) 0 camps in
-  let lats = List.concat_map (fun c -> c.lats) camps in
+  (* the probed round's latencies: the re-executions they are compared with
+     are single samples too *)
+  let lats = List.concat_map (fun c -> c.lats) (List.hd by_round) in
   let camp_wall = Stats.sum (List.map (fun c -> c.wall) camps) in
   (* Latency percentiles are taken per campaign, then combined by geometric
      mean: pooled over campaigns whose experiments differ tenfold in cost,
@@ -389,16 +405,17 @@ let run kind ~(tr : Harness.tracer) ~(seed : int) ~(seconds : int) ~(scratch : s
     layers;
     notes =
       [
-        Harness.stamp ~workload:(name kind) ~seed ~size ~jobs ~trace:(Option.is_some tr)
-          ~work:(Printf.sprintf "campaigns=%d injections=%d" (List.length camps) n);
+        Harness.stamp ~workload:name ~seed ~size ~jobs ~trace:(Option.is_some tr)
+          ~work:
+            (Printf.sprintf "campaigns=%d injections=%d rounds=%d" (List.length camps) n rounds);
         Printf.sprintf
-          "samples op_p50_ms=op_p90_ms=%d campaigns x %d-%d experiments setup_s=%d \
-           experiments=%d"
+          "samples op_p50_ms=op_p90_ms=%d campaigns x %d-%d experiments (each the fastest of %d \
+           rounds) setup_s=%d experiments=%d"
           (List.length camps)
           (List.fold_left (fun a c -> min a (List.length c.lats)) max_int camps)
           (List.fold_left (fun a c -> max a (List.length c.lats)) 0 camps)
-          Harness.setup_reps n_counted;
-        Printf.sprintf "fingerprint %s %s" (name kind) fingerprint;
+          rounds (rounds * Harness.setup_reps) n_counted;
+        Printf.sprintf "fingerprint %s %s" name fingerprint;
         "campaign peak_rss_mb "
         ^ String.concat " "
             (List.map

@@ -32,16 +32,18 @@ let span_total (rows : Obs.Span.row list) (path : string) : float * int =
 
 type setup = {
   prepared : (string * string, Ir.Instr.modul) Hashtbl.t;  (** (workload, flavour tag) *)
-  setup_s : float;  (** host seconds of one whole set-up, fastest of [setup_reps] *)
+  setup_s : float;  (** host seconds of one whole set-up, fastest *)
   build_ms : float;  (** host ms of the IR builds in one set-up, fastest *)
   prepare_ms : float;  (** host ms of the Elzar.prepare calls in one set-up, fastest *)
 }
 
-(* Set-ups per run; each figure is the fastest of them.  One set-up takes
-   tens of ms, so host load that comes and goes (other processes, memory
-   bandwidth) slows some share of the samples by up to 2x, and a median
-   moves with that share from run to run; the minimum does not. *)
-let setup_reps = 31
+(* Set-ups before each round; each figure is the fastest of all of them.
+   One set-up takes tens of ms, so host load that comes and goes slows some
+   share of the samples by up to 2x, and a median moves with that share
+   from run to run; the minimum does not, as long as the samples are spread
+   over more than one spell of load.  With the collection before each, one
+   set-up costs about 0.2 s. *)
+let setup_reps = 7
 
 let setup_once (tr : tracer) ~(size : Workloads.Workload.size)
     ~(workloads : Workloads.Workload.t list) ~(flavours : flavour list) =
@@ -81,6 +83,36 @@ let setup (tr : tracer) ~size ~workloads ~flavours : setup =
 
 let prepared (s : setup) (w : Workloads.Workload.t) (fl : flavour) : Ir.Instr.modul =
   Hashtbl.find s.prepared (w.Workloads.Workload.name, fl.tag)
+
+(* ---- rounds ---- *)
+
+(* A run makes its timed work [rounds] times, one round after another and
+   each in the same order, and an operation's host time is the fastest of
+   its rounds.  On a shared host, neighbours slow this process by up to
+   1.5x in spells of about ten seconds, so a single sample, a mean or a
+   median moves with how much of the run the spells happened to cover;
+   the runs of one operation are a whole round (tens of seconds) apart and
+   seldom all fall in a spell.  [in_rounds] makes the set-ups before each
+   round and returns the fastest of them with [f s round] for each round;
+   every round runs on the first set-up's modules. *)
+let in_rounds (tr : tracer) ~(rounds : int) ~size ~workloads ~flavours (f : setup -> int -> 'a)
+    : setup * 'a list =
+  let s = ref (setup tr ~size ~workloads ~flavours) in
+  let results =
+    List.init rounds (fun round ->
+        if round > 0 then begin
+          let t = setup tr ~size ~workloads ~flavours in
+          s :=
+            {
+              !s with
+              setup_s = Float.min !s.setup_s t.setup_s;
+              build_ms = Float.min !s.build_ms t.build_ms;
+              prepare_ms = Float.min !s.prepare_ms t.prepare_ms;
+            }
+        end;
+        f !s round)
+  in
+  (!s, results)
 
 (* ---- one fault-free run ---- *)
 

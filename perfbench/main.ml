@@ -1,6 +1,6 @@
 (* perfbench: one benchmark run.
 
-     main.exe --workload sim-sweep|fi-reg|fi-mixed --seed N --seconds S
+     main.exe --workload sim-sweep|fi-mixed --seed N --seconds S
               --trace 0|1 [--scratch DIR]
 
    Prints "# "-prefixed notes (host stamp, sample counts, fingerprint,
@@ -10,7 +10,7 @@
 
 open Perfbench
 
-let workloads = [ "sim-sweep"; "fi-reg"; "fi-mixed" ]
+let workloads = [ "sim-sweep"; Fi.name ]
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -22,11 +22,11 @@ let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 20 and trace = ref 0 in
   let scratch = ref (Filename.concat ".bench_build" "perfbench-scratch") in
   let usage =
-    "main.exe --workload sim-sweep|fi-reg|fi-mixed --seed N --seconds S --trace 0|1"
+    "main.exe --workload sim-sweep|fi-mixed --seed N --seconds S --trace 0|1"
   in
   Arg.parse
     [
-      ("--workload", Arg.Set_string workload, " sim-sweep | fi-reg | fi-mixed");
+      ("--workload", Arg.Set_string workload, " sim-sweep | fi-mixed");
       ("--seed", Arg.Set_int seed, " input seed");
       ("--seconds", Arg.Set_int seconds, " host seconds of work to size the run for");
       ("--trace", Arg.Set_int trace, " 1: traced run printing the per-layer metrics");
@@ -44,12 +44,7 @@ let () =
   if !trace <> 0 && !trace <> 1 then bad "--trace must be 0 or 1";
   mkdir_p !scratch;
   let tr = if !trace = 1 then Some (Obs.Span.make ()) else None in
-  let run =
-    match !workload with
-    | "sim-sweep" -> Sim_sweep.run
-    | "fi-reg" -> Fi.run Fi.Reg
-    | _ -> Fi.run Fi.Mixed
-  in
+  let run = if !workload = "sim-sweep" then Sim_sweep.run else Fi.run in
   let r = run ~tr ~seed:!seed ~seconds:!seconds ~scratch:!scratch in
   List.iter (fun n -> Printf.printf "# %s\n" n) r.Metrics.notes;
   print_endline (Metrics.result_line ~trace:(!trace = 1) r);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Entry point of the repository benchmark.
 
-    python3 perfbench/run.py --workload sim-sweep|fi-reg|fi-mixed \
+    python3 perfbench/run.py --workload sim-sweep|fi-mixed \
         --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout.  Builds perfbench/main.exe (and the

@@ -53,28 +53,24 @@ let test_benchmark_json () =
       Alcotest.(check int) ("BENCHMARK.json lists " ^ d.name) 1 (occurrences entry))
     all_metrics;
   Alcotest.(check int) "no other metric in BENCHMARK.json"
-    (List.length all_metrics + 3 (* workloads *))
+    (List.length all_metrics + 2 (* workloads *))
     (occurrences "{\"name\":")
 
 let quiet : Harness.tracer = None
 
-let hist_setup kind =
-  Harness.setup quiet ~size:Fi.size
-    ~workloads:[ Workloads.Registry.find "hist" ]
-    ~flavours:[ Fi.hardened kind ]
-
-let fi_digest kind ~seed =
-  let s = hist_setup kind in
-  let spec = Fi.spec kind s (Workloads.Registry.find "hist") in
-  let r = Fi.campaign kind ~seed ~n:6 ~scratch:"." ~tag:"test" spec in
+let fi_digest ~seed =
+  let s =
+    Harness.setup quiet ~size:Fi.size
+      ~workloads:[ Workloads.Registry.find "hist" ]
+      ~flavours:[ Fi.hardened ]
+  in
+  let spec = Fi.spec s (Workloads.Registry.find "hist") in
+  let r = Fi.campaign ~seed ~n:6 ~scratch:"." ~tag:"test" spec in
   (Fi.results_digest r, Array.map fst r.Campaign.outcomes)
 
 let test_same_seed () =
-  List.iter
-    (fun kind ->
-      let d1, _ = fi_digest kind ~seed:5 and d2, _ = fi_digest kind ~seed:5 in
-      Alcotest.(check string) (Fi.name kind ^ " results digest") d1 d2)
-    [ Fi.Reg; Fi.Mixed ];
+  let d1, _ = fi_digest ~seed:5 and d2, _ = fi_digest ~seed:5 in
+  Alcotest.(check string) (Fi.name ^ " results digest") d1 d2;
   let one () =
     let s =
       Harness.setup quiet ~size:Workloads.Workload.Tiny
@@ -92,12 +88,9 @@ let test_same_seed () =
   Alcotest.(check string) "fault-free counters" (one ()) (one ())
 
 let test_seed_changes_plan () =
-  List.iter
-    (fun kind ->
-      let _, p1 = fi_digest kind ~seed:(Host.campaign_seed ~seed:1 ~workload:"hist")
-      and _, p2 = fi_digest kind ~seed:(Host.campaign_seed ~seed:2 ~workload:"hist") in
-      Alcotest.(check bool) (Fi.name kind ^ " plans differ") true (p1 <> p2))
-    [ Fi.Reg; Fi.Mixed ];
+  let _, p1 = fi_digest ~seed:(Host.campaign_seed ~seed:1 ~workload:"hist")
+  and _, p2 = fi_digest ~seed:(Host.campaign_seed ~seed:2 ~workload:"hist") in
+  Alcotest.(check bool) (Fi.name ^ " plans differ") true (p1 <> p2);
   Alcotest.(check bool) "run order differs" true
     (Host.shuffle ~seed:1 (List.init 20 Fun.id) <> Host.shuffle ~seed:2 (List.init 20 Fun.id))
 
