@@ -1,6 +1,6 @@
 (** Campaign wall-time: the Fig. 13 injection campaign under the old
     configuration (reference interpreter, every run replays the whole
-    program) vs the optimized one (closure engine + snapshot
+    program) vs the optimized one (compiled engine + snapshot
     fast-forward), at the same worker count and seed.  The two reports
     must be bit-identical — the speedup is pure execution engineering,
     not a change of experiment — and the bench fails loudly if they are
@@ -42,14 +42,14 @@ let campaign (w : Workloads.Workload.t) ~(engine : Cpu.Machine.engine_kind)
 let measure (name : string) : row =
   let w = Workloads.Registry.find name in
   let base = campaign w ~engine:Cpu.Machine.Reference ~fast_forward:false () in
-  let opt = campaign w ~engine:Cpu.Machine.Closure ~fast_forward:true () in
+  let opt = campaign w ~engine:Cpu.Machine.Compiled ~fast_forward:true () in
   if not (base.Campaign.stats = opt.Campaign.stats
           && base.Campaign.outcomes = opt.Campaign.outcomes) then
     failwith
       (Printf.sprintf
          "bench campaign: %s: optimized campaign is NOT bit-identical to baseline" name);
   let sup =
-    campaign w ~engine:Cpu.Machine.Closure ~fast_forward:true
+    campaign w ~engine:Cpu.Machine.Compiled ~fast_forward:true
       ~supervise:Supervisor.default ()
   in
   if not (sup.Campaign.stats = opt.Campaign.stats
@@ -100,7 +100,7 @@ let emit_json path (rows : row list) (g : float) =
 let run () =
   Common.heading
     (Printf.sprintf
-       "Campaign wall-time: reference+replay vs closure+fast-forward (%d injections, %d \
+       "Campaign wall-time: reference+replay vs compiled+fast-forward (%d injections, %d \
         workers)"
        !Common.fi_injections (Common.fi_effective_jobs ()));
   Printf.printf "%-10s %6s %12s %12s %8s %9s\n" "bench" "runs" "baseline-s" "optimized-s"

@@ -7,7 +7,7 @@ let fi_injections = ref 150
 
 (* Execution engine for the simulation runs behind the figures.  Set with
    --engine; experiments that sweep or compare engines themselves (interp,
-   campaign_speed) ignore it and measure all tiers. *)
+   campaign_speed) ignore it and measure both tiers. *)
 let engine = ref Cpu.Machine.default_config.Cpu.Machine.engine
 
 (* Fault-injection campaign worker pool: 0 = auto (one worker per

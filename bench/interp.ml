@@ -1,14 +1,14 @@
 (** Interpreter microbenchmark: simulated MIPS (million dynamic
-    instructions retired per host second) of the three execution tiers —
-    reference interpreter, closure engine, block-fused engine — per build
-    flavour.  Every cell doubles as a bit-identity check: the engines must
-    agree on retired instructions, wall cycles and the output digest, or
-    the benchmark fails.  This is the direct measure of the compiled
-    tiers' win (EXPERIMENTS.md §interp); campaign-level wall time is
-    measured by [campaign_speed].
+    instructions retired per host second) of the two execution tiers —
+    reference interpreter and compiled engine — per build flavour.  Every
+    cell doubles as a bit-identity check: the engines must agree on
+    retired instructions, wall cycles and the output digest, or the
+    benchmark fails.  This is the direct measure of the compiled tier's
+    win (EXPERIMENTS.md §interp); campaign-level wall time is measured by
+    [campaign_speed].
 
     With [--json], emits BENCH_interp.json in the working directory so CI
-    can track the MIPS of all tiers over time. *)
+    can track the MIPS of both tiers over time. *)
 
 let benchmarks = [ "hist"; "linreg"; "km" ]
 let flavours = [ Common.native; Common.native_novec; Common.elzar; Common.swiftr ]
@@ -28,8 +28,8 @@ type sample = {
 (* One timed simulation run.  Machine construction (memory image, IR
    loading, input preparation) stays outside the timed region — this
    benchmark isolates the interpretation rate itself; the compiled
-   engines' one-time translation happens inside (first quantum) and is
-   part of their cost. *)
+   engine's one-time translation happens inside (on each function's first
+   entry) and is part of its cost. *)
 let time_run (w : Workloads.Workload.t) (f : Common.flavour) ~(census : bool)
     (engine : Cpu.Machine.engine_kind) : int * int * string * float =
   let prepared = Common.prepared w f !Common.size in
@@ -85,13 +85,15 @@ let check_identity (a : sample) (b : sample) =
          (if a.s_digest = b.s_digest then "equal" else "differ"))
 
 (* The versioned document (schema "elzar.bench.interp") goes through the
-   same report pipeline as campaigns and CLI runs.  [closure_speedup]
-   (closure over reference, per flavour/mode) is kept for continuity;
-   [gmean_speedup] summarizes each engine pair over the plain-mode cells
-   (the census cells deliberately deoptimize most blocks on hardened
-   flavours, so they measure the fallback, not the tier). *)
-let emit_json path (samples : sample list) (speedups : (string * float) list)
-    (pair_gmeans : (string * float) list) =
+   same report pipeline as campaigns and CLI runs; its own version is 3
+   because removing an engine removed members (EXPERIMENTS.md stability
+   promise).  [gmean_speedup] summarizes the engine pair over the
+   plain-mode cells (the census cells deliberately keep most hardened
+   instructions on their per-instruction closures, so they measure the
+   fallback, not fusion). *)
+let version = 3
+
+let emit_json path (samples : sample list) (pair_gmeans : (string * float) list) =
   let sample_json s =
     Obs.Json.Obj
       [
@@ -106,71 +108,50 @@ let emit_json path (samples : sample list) (speedups : (string * float) list)
       ]
   in
   Report.write path
-    (Report.versioned ~schema:"elzar.bench.interp"
+    (Report.versioned ~version ~schema:"elzar.bench.interp"
        [
          ("size", Obs.Json.Str (Workloads.Workload.size_to_string !Common.size));
          ("samples", Obs.Json.List (List.map sample_json samples));
-         ( "closure_speedup",
-           Obs.Json.Obj (List.map (fun (tag, x) -> (tag, Obs.Json.Float x)) speedups) );
          ( "gmean_speedup",
            Obs.Json.Obj
              (List.map (fun (pair, x) -> (pair, Obs.Json.Float x)) pair_gmeans) );
        ])
 
-let pairs = [ "closure_over_reference"; "block_over_reference"; "block_over_closure" ]
+let pair = "compiled_over_reference"
 
 let run () =
-  Common.heading "Interpreter MIPS: reference vs closure vs block engines";
-  Printf.printf "%-10s %-14s %-7s %9s %9s %9s %9s\n" "bench" "flavour" "mode"
-    "ref MIPS" "clos MIPS" "blk MIPS" "blk/clos";
-  let samples = ref [] in
-  let speedups = ref [] in
-  let pair_acc = Hashtbl.create 8 in
-  let note pair r =
-    Hashtbl.replace pair_acc pair
-      (r :: (try Hashtbl.find pair_acc pair with Not_found -> []))
-  in
+  Common.heading "Interpreter MIPS: reference vs compiled engines";
+  Printf.printf "%-10s %-14s %-7s %9s %9s %9s\n" "bench" "flavour" "mode" "ref MIPS"
+    "comp MIPS" "comp/ref";
+  let samples = ref [] and plain = ref [] in
   List.iter
     (fun f ->
       List.iter
         (fun census ->
-          let per_clos = ref [] and per_blk = ref [] in
+          let per = ref [] in
           List.iter
             (fun name ->
               let w = Workloads.Registry.find name in
               let sr = measure w f ~census Cpu.Machine.Reference in
-              let sc = measure w f ~census Cpu.Machine.Closure in
-              let sb = measure w f ~census Cpu.Machine.Block in
+              let sc = measure w f ~census Cpu.Machine.Compiled in
               check_identity sr sc;
-              check_identity sr sb;
-              samples := !samples @ [ sr; sc; sb ];
-              per_clos := (sc.s_mips /. sr.s_mips) :: !per_clos;
-              per_blk := (sb.s_mips /. sc.s_mips) :: !per_blk;
-              if not census then begin
-                note "closure_over_reference" (sc.s_mips /. sr.s_mips);
-                note "block_over_reference" (sb.s_mips /. sr.s_mips);
-                note "block_over_closure" (sb.s_mips /. sc.s_mips)
-              end;
-              Printf.printf "%-10s %-14s %-7s %9.2f %9.2f %9.2f %8.2fx\n" name
-                f.Common.tag sr.s_mode sr.s_mips sc.s_mips sb.s_mips
-                (sb.s_mips /. sc.s_mips))
+              samples := !samples @ [ sr; sc ];
+              let x = sc.s_mips /. sr.s_mips in
+              per := x :: !per;
+              if not census then plain := x :: !plain;
+              Printf.printf "%-10s %-14s %-7s %9.2f %9.2f %8.2fx\n" name f.Common.tag
+                sr.s_mode sr.s_mips sc.s_mips x)
             benchmarks;
-          let mode = if census then "census" else "plain" in
-          speedups := !speedups @ [ (f.Common.tag ^ "/" ^ mode, Common.gmean !per_clos) ];
-          Printf.printf "  %-30s gmean closure/ref %.2fx  block/closure %.2fx\n"
-            (f.Common.tag ^ "/" ^ mode)
-            (Common.gmean !per_clos) (Common.gmean !per_blk))
+          Printf.printf "  %-30s gmean compiled/ref %.2fx\n"
+            (f.Common.tag ^ "/" ^ if census then "census" else "plain")
+            (Common.gmean !per))
         [ false; true ])
     flavours;
-  let pair_gmeans =
-    List.map (fun p -> (p, Common.gmean (Hashtbl.find pair_acc p))) pairs
-  in
-  Printf.printf "identity: all %d cells bit-identical across the three engines\n"
-    (List.length !samples / 3);
-  List.iter
-    (fun (pair, x) -> Printf.printf "%-25s gmean speedup (plain) %.2fx\n" pair x)
-    pair_gmeans;
+  let gm = Common.gmean !plain in
+  Printf.printf "identity: all %d cells bit-identical across both engines\n"
+    (List.length !samples / 2);
+  Printf.printf "%-25s gmean speedup (plain) %.2fx\n" pair gm;
   if !Common.json_reports then begin
-    emit_json "BENCH_interp.json" !samples !speedups pair_gmeans;
+    emit_json "BENCH_interp.json" !samples [ (pair, gm) ];
     Printf.printf "wrote BENCH_interp.json\n"
   end

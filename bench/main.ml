@@ -30,7 +30,7 @@ let experiments =
 let usage () =
   Printf.printf
     "usage: main.exe [%s] [--size tiny|small|medium|large] \
-     [--engine reference|closure|block] [--injections N] [--fi-jobs J] \
+     [--engine reference|compiled] [--injections N] [--fi-jobs J] \
      [--fi-progress] [--json]\n"
     (String.concat "|" (List.map fst experiments));
   exit 1
@@ -51,11 +51,11 @@ let () =
         parse rest
     | "--engine" :: e :: rest ->
         (Common.engine :=
-           match e with
-           | "reference" -> Cpu.Machine.Reference
-           | "closure" -> Cpu.Machine.Closure
-           | "block" -> Cpu.Machine.Block
-           | _ -> usage ());
+           match Cpu.Machine.engine_of_string e with
+           | Ok e -> e
+           | Error msg ->
+               Printf.printf "%s\n" msg;
+               usage ());
         parse rest
     | "--injections" :: n :: rest ->
         Common.fi_injections := int_of_string n;

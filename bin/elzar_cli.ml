@@ -42,24 +42,16 @@ let size_arg =
   Arg.(value & opt size_conv Workloads.Workload.Small & info [ "s"; "size" ] ~doc:"Input size.")
 
 let engine_conv =
-  let parse = function
-    | "reference" -> Ok Cpu.Machine.Reference
-    | "closure" -> Ok Cpu.Machine.Closure
-    | "block" -> Ok Cpu.Machine.Block
-    | s -> Error (`Msg ("unknown engine " ^ s ^ " (expected reference, closure or block)"))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Cpu.Machine.engine_of_string s) in
   Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (Cpu.Machine.engine_to_string e))
 
-(* [None] means "not given": each command picks its own default (the
-   closure tier) and [inject] additionally honours the deprecated
-   [--reference-engine] alias. *)
 let engine_arg =
-  Arg.(value & opt (some engine_conv) None
+  Arg.(value & opt engine_conv Cpu.Machine.default_config.Cpu.Machine.engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: reference (the interpreter, kept as the executable \
-                 specification), closure (per-instruction threaded code, the default) or \
-                 block (fused superblock closures with precomputed timing). All engines \
-                 are bit-identical; only wall time differs.")
+           ~doc:"Execution engine: compiled (the default: per-instruction threaded code \
+                 with straight-line runs fused into superblocks) or reference (the \
+                 interpreter, kept as the executable specification). Both engines are \
+                 bit-identical; only wall time differs.")
 
 let threads_arg = Arg.(value & opt int 2 & info [ "t"; "threads" ] ~doc:"Worker threads.")
 
@@ -86,9 +78,6 @@ let run_cmd =
   let run name build nthreads size profile engine json =
     let w = Workloads.Registry.find name in
     let prof = if profile then Some (Cpu.Profile.create ()) else None in
-    let engine =
-      Option.value engine ~default:Cpu.Machine.default_config.Cpu.Machine.engine
-    in
     let machine_cfg =
       { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
     in
@@ -125,8 +114,8 @@ let run_cmd =
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
-             ~doc:"Attribute simulated cycles per instruction class (closure engine \
-                   only) and print the table.")
+             ~doc:"Attribute simulated cycles per instruction class (compiled engine \
+                   only, with superblock fusion off) and print the table.")
   in
   let json =
     Arg.(value & opt (some string) None
@@ -192,17 +181,10 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
 
 let inject_cmd =
   let run name build n seed jobs double same_bit model avf checkpoint quiet engine
-      reference_engine no_fast_forward json no_supervise retries deadline_factor
+      no_fast_forward json no_supervise retries deadline_factor
       deadline_floor max_tool_errors chaos =
     let w = Workloads.Registry.find name in
-    let spec = Workloads.Workload.fi_spec w ~build () in
-    let engine =
-      match engine with
-      | Some e -> e
-      | None ->
-          if reference_engine then Cpu.Machine.Reference else spec.Fault.engine
-    in
-    let spec = { spec with Fault.engine } in
+    let spec = { (Workloads.Workload.fi_spec w ~build ()) with Fault.engine } in
     let fast_forward = not no_fast_forward in
     (* Ctrl-C / SIGTERM: cooperative cancellation.  The flag stops the
        campaign at the next experiment boundary; the engine flushes and
@@ -353,12 +335,6 @@ let inject_cmd =
                    the same parameters resumes from it instead of restarting.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the progress meter.") in
-  let reference_engine =
-    Arg.(value & flag
-         & info [ "reference-engine" ]
-             ~doc:"Deprecated alias for --engine reference (ignored when --engine is \
-                   given).")
-  in
   let no_fast_forward =
     Arg.(value & flag
          & info [ "no-fast-forward" ]
@@ -414,7 +390,7 @@ let inject_cmd =
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
     Term.(const run $ name_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
-          $ avf $ checkpoint $ quiet $ engine_arg $ reference_engine $ no_fast_forward
+          $ avf $ checkpoint $ quiet $ engine_arg $ no_fast_forward
           $ json $ no_supervise $ retries $ deadline_factor $ deadline_floor
           $ max_tool_errors $ chaos)
 

@@ -4,8 +4,9 @@
     become program counters, registers become frame-slot offsets (vectors
     occupy one 64-bit cell per lane), immediates are pre-encoded into lane
     bits, and every instruction is paired with its μop lowering from
-    {!Cost}.  The interpreter in {!Machine} then runs a single tight
-    dispatch loop. *)
+    {!Cost} and that lowering's static {!Timing} plan (built once per
+    module, so every machine and snapshot restore over it shares them).
+    The interpreter in {!Machine} then runs a single tight dispatch loop. *)
 
 open Ir
 
@@ -61,6 +62,7 @@ let fl_inject = 16
 type citem = {
   op : rinstr;
   uops : Cost.uop array;
+  plan : Timing.plan;  (** [uops] precompiled for {!Timing.exec_plan} *)
   srcs : int array;  (** frame offsets read, for dependency tracking *)
   dst : int;  (** frame offset written, -1 if none *)
   dlanes : int;
@@ -236,10 +238,12 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
             lor (if Cost.is_avx i then fl_avx else 0)
             lor if f.Instr.hardened && dst >= 0 then fl_inject else 0
           in
+          let uops = Cost.of_instr i in
           emit
             {
               op;
-              uops = Cost.of_instr i;
+              uops;
+              plan = Timing.plan_of_uops uops;
               srcs = srcs_of (Instr.operands i);
               dst;
               dlanes;
@@ -260,10 +264,12 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
         | Instr.Br _ | Instr.Cond_br _ | Instr.Vbr _ | Instr.Vbr_unchecked _ -> fl_branch
         | Instr.Ret _ | Instr.Unreachable -> 0
       in
+      let uops = Cost.of_term ~flags_cmp b.term in
       emit
         {
           op = top;
-          uops = Cost.of_term ~flags_cmp b.term;
+          uops;
+          plan = Timing.plan_of_uops uops;
           srcs = srcs_of (Instr.term_operands b.term);
           dst = -1;
           dlanes = 0;

@@ -125,25 +125,27 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
   else if l2 = l1 then ((l1 + 1 + (lane2 mod (dlanes - 1))) mod dlanes, b2)
   else (l2, b2)
 
-(* Three-tier execution engine.  [Closure] is the threaded-code tier: at
-   machine-build time every [rinstr] is translated into a pre-specialized
-   OCaml closure (operand offsets, lane strides, flag bookkeeping and the
-   fault-injection hooks of *this* config resolved once), and the dispatch
-   loop just tail-calls through the closure array.  [Block] additionally
-   fuses each straight-line run of instructions into a single superblock
-   closure with bulk counter updates and a precompiled static timing plan;
-   blocks whose instructions would carry compiled-in hooks (armed fault
-   sites, census, undo log, tracing, profiling) deoptimize to the
-   per-instruction closures.  [Reference] is the original [step]
-   interpreter, kept as the executable spec: all tiers are required to
+(* Two-tier execution engine.  [Compiled] translates each function, on
+   its first entry, into pre-specialized OCaml closures — one per
+   [rinstr], with operand offsets, lane strides and the fault-injection
+   hooks of *this* config resolved once, timed by the instruction's
+   precomputed [Timing.plan] — and fuses every straight-line run of
+   hook-free instructions into a single superblock closure with bulk
+   counter updates.  Instructions that would
+   carry a compiled-in hook (armed fault sites, census, undo log, tracing,
+   profiling) keep their per-instruction closure; fusion is decided per
+   block, inside the engine.  [Reference] is the original [step]
+   interpreter, kept as the executable spec: both tiers are required to
    produce bit-identical results (cycles, counters, output, traps), which
    the engine-equivalence tests assert. *)
-type engine_kind = Reference | Closure | Block
+type engine_kind = Reference | Compiled
 
-let engine_to_string = function
-  | Reference -> "reference"
-  | Closure -> "closure"
-  | Block -> "block"
+let engine_to_string = function Reference -> "reference" | Compiled -> "compiled"
+
+let engine_of_string = function
+  | "reference" -> Ok Reference
+  | "compiled" -> Ok Compiled
+  | s -> Error (Printf.sprintf "unknown engine %S (expected reference or compiled)" s)
 
 (* Raised out of [resume] when the abort hook reports cancellation at a
    quantum boundary.  Deliberately NOT a [trap_reason]: an aborted run is
@@ -167,8 +169,8 @@ type config = {
           capped at ~1 MB — the Intel SDE debugtrace analogue of §IV-B *)
   engine : engine_kind;
   profile : Profile.t option;
-      (** per-instruction-class cycle attribution (closure engine only);
-          [None] compiles no hook into the closures at all *)
+      (** per-instruction-class cycle attribution (compiled engine, with
+          fusion off under profiling); [None] compiles no hook at all *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the same
           boundary [on_quantum] fires on): the first [true] raises {!Abort}
@@ -193,13 +195,13 @@ let default_config =
     stack_size = 1 lsl 17;
     reexec_retries = 0;
     trace = None;
-    engine = Closure;
+    engine = Compiled;
     profile = None;
     abort = None;
     chaos = None;
   }
 
-(* One fused superblock of the block engine: [fb_len] dynamic instructions
+(* One fused superblock of the compiled engine: [fb_len] dynamic instructions
    (a hook-free straight-line prefix, plus the trailing block ender when
    the run ends in a control transfer) executed by one closure.  [fb_exec]
    follows the same return protocol as the per-instruction closures. *)
@@ -213,14 +215,13 @@ type t = {
       (** tid-indexed view of [threads] (tids are dense spawn indices);
           O(1) lookup on the hot join path.  Only the first [nthreads]
           entries are meaningful. *)
-  mutable kcode : (thread -> frame -> int) array array;
-      (** closure-compiled code, indexed by [cf_id] then [pc]; built
-          lazily on the first [resume] under the [Closure] and [Block]
-          engines *)
-  mutable kblocks : fblock option array array;
+  kcode : (thread -> frame -> int) array array;
+      (** per-instruction closures, indexed by [cf_id] then [pc]; a
+          function's row stays empty until the [Compiled] engine first
+          enters it *)
+  kblocks : fblock option array array;
       (** fused superblocks, indexed by [cf_id] then starting [pc];
-          [Some] only at fusable block starts.  Built lazily on the first
-          [resume] under the [Block] engine *)
+          [Some] only at fusable block starts.  Filled with [kcode] *)
   mutable snap_base : Bytes.t;
       (** memory image at the first snapshot of this run; empty until
           [snapshot] is first called *)
@@ -267,13 +268,14 @@ type result = {
 let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t =
   let mem = Memory.create () in
   let code = Code.compile ~debug:(cfg.trace <> None) ~flags_cmp m mem in
+  let nfuncs = Array.length code.Code.cfuncs in
   {
     code;
     mem;
     threads = [];
     by_tid = [||];
-    kcode = [||];
-    kblocks = [||];
+    kcode = Array.make nfuncs [||];
+    kblocks = Array.make nfuncs [||];
     snap_base = Bytes.empty;
     nthreads = 0;
     output = Buffer.create 256;
@@ -1124,7 +1126,7 @@ let step (m : t) (th : thread) : bool =
   if !next_pc >= 0 then fr.pc <- !next_pc;
   !continue_ && th.status = Running
 
-(* ---- closure-compiled (threaded-code) engine ---- *)
+(* ---- compiled (threaded-code) engine ---- *)
 
 (* Return protocol of a compiled instruction closure:
    -  [r >= 0]: next pc in the same frame; the driver keeps the pc in a
@@ -1177,7 +1179,7 @@ let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
 (* ---- operand accessors specialized at compile time ----
    [lane_fn] keeps [get_lane]'s general wrap; [get_fn ~n] additionally
    drops the [mod lanes] when the operand covers all n lanes of the
-   consumer.  Shared by the closure and block tiers. *)
+   consumer.  Shared by the per-instruction closures and fused blocks. *)
 
 let lane_fn (o : Code.rop) : int64 array -> int -> int64 =
   match o with
@@ -1231,24 +1233,27 @@ let ready_fn (srcs : int array) : frame -> int =
    lane counts and the given hook flags: operand offsets and the
    [mod lanes] stride are resolved once, and the fault-injection /
    undo-log hooks are compiled in or dropped entirely instead of being
-   re-examined on every dynamic instruction.  Both compiled tiers build
-   on this: the closure tier passes its config-derived flags and a
-   [Timing.exec] epilogue via [finish_plain]; the block tier's fused
-   prefixes pass all-false flags (fusion eligibility guarantees the
-   hooks could not fire) and a precompiled [Timing.exec_plan] epilogue.
-   Semantics — including timing, counter and fault-stream order — mirror
-   [step] exactly; the equivalence tests hold all engines to
+   re-examined on every dynamic instruction.  Timing runs the
+   instruction's precompiled plan ([Timing.exec_plan]).  Per-instruction
+   closures pass this config's hook flags; fused block prefixes pass
+   all-false flags (fusion eligibility guarantees the hooks could not
+   fire).  Semantics — including timing, counter and fault-stream order —
+   mirror [step] exactly; the equivalence tests hold both engines to
    bit-identical results. *)
 let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
     ~(addr_faults : bool) ~(mem_faults : bool) ~(cf_faults : bool)
-    ~(reexec_on : bool)
-    ~(finish_plain : thread -> frame -> int -> int -> unit) :
-    thread -> frame -> int -> int =
-  let uops = it.Code.uops in
+    ~(reexec_on : bool) : thread -> frame -> int -> int =
+  let plan = it.Code.plan in
+  let dst = it.Code.dst in
   let cls = class_of it.Code.op in
   let next = pc + 1 in
+  (* timing epilogue of the plain ops (same order as [step]) *)
+  let finish_plain th (fr : frame) ready mem_lat =
+    let completion = Timing.exec_plan th.timing ~ready ~mem_lat plan in
+    if dst >= 0 then fr.ready.(dst) <- completion
+  in
   let finish_branch th ready ~taken ~force_miss =
-    let completion = Timing.exec th.timing ~ready ~mem_lat:Cache.hit_latency uops in
+    let completion = Timing.exec_plan th.timing ~ready ~mem_lat:Cache.hit_latency plan in
     let miss = Branch_pred.record th.bpred ~pc ~taken in
     if miss || force_miss then begin
       th.ctr.Counters.branch_misses <- th.ctr.Counters.branch_misses + 1;
@@ -1429,7 +1434,7 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
           for i = 0 to nargs - 1 do
             args.(i) <- getters.(i) regs
           done;
-          let completion = Timing.exec th.timing ~ready ~mem_lat:4 uops in
+          let completion = Timing.exec_plan th.timing ~ready ~mem_lat:4 plan in
           let nf = new_frame cfc ~ret_off:cdst ~sp:th.sp in
           for i = 0 to nargs - 1 do
             let off, lanes = poffs.(i) in
@@ -1480,7 +1485,7 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
             args.(i) <- getters.(i) regs
           done;
           let cfc = m.code.Code.cfuncs.(fid) in
-          let completion = Timing.exec th.timing ~ready ~mem_lat:4 uops in
+          let completion = Timing.exec_plan th.timing ~ready ~mem_lat:4 plan in
           let nf = new_frame cfc ~ret_off:cdst ~sp:th.sp in
           let poffs = cfc.Code.param_offs in
           for i = 0 to nargs - 1 do
@@ -1650,7 +1655,7 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
         let ret_fn = match o with Some v -> Some (lane_fn v) | None -> None in
         let ret_lanes = cf.Code.ret_lanes in
         fun th fr ready ->
-          let completion = Timing.exec th.timing ~ready ~mem_lat:4 uops in
+          let completion = Timing.exec_plan th.timing ~ready ~mem_lat:4 plan in
           (if reexec_on then
              (* the checkpointed call completed: commit (drop) the checkpoint *)
              match th.ck with
@@ -1733,15 +1738,14 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
           if taken then t else e
     | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
-(* Compiles one instruction into its closure-tier form: [compile_body]
-   with this config's hook flags and a [Timing.exec] epilogue, wrapped in
-   the per-instruction bookkeeping (trace, instruction ceiling, counters,
+(* Compiles one instruction into its per-instruction closure:
+   [compile_body] with this config's hook flags, wrapped in the
+   per-instruction bookkeeping (trace, instruction ceiling, counters,
    fault-site streams, optional profiling). *)
 let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     thread -> frame -> int =
   let cfg = m.cfg in
-  let uops = it.Code.uops in
-  let nuops = Array.length uops in
+  let nuops = Array.length it.Code.uops in
   let dst = it.Code.dst in
   let fl = it.Code.flags in
   let cls = class_of it.Code.op in
@@ -1760,15 +1764,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   let mem_faults = match cfg.inject with Some i -> i.kind = Mem_flip | None -> false in
   let cf_faults = match cfg.inject with Some i -> i.kind = Branch_flip | None -> false in
   let ready_of = ready_fn it.Code.srcs in
-  (* timing epilogue shared by the plain-op bodies (same order as [step]) *)
-  let finish_plain th (fr : frame) ready mem_lat =
-    let completion = Timing.exec th.timing ~ready ~mem_lat uops in
-    if dst >= 0 then fr.ready.(dst) <- completion
-  in
-  let body =
-    compile_body m cf pc it ~addr_faults ~mem_faults ~cf_faults ~reexec_on
-      ~finish_plain
-  in
+  let body = compile_body m cf pc it ~addr_faults ~mem_faults ~cf_faults ~reexec_on in
   (* per-instruction fault-site streams, compiled to hooks (or to nothing) *)
   let site_hook : (unit -> unit) option =
     match cfg.inject with
@@ -1872,16 +1868,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
         Profile.add prof cls ~cycles:(Timing.cycle th.timing - c0);
         r
 
-(* Builds the closure table for every function: [kcode.(cf_id).(pc)] runs
-   that instruction. *)
-let kcompile (m : t) =
-  m.kcode <-
-    Array.map
-      (fun (cf : Code.cfunc) ->
-        Array.mapi (fun pc it -> compile_item m cf pc it) cf.Code.code)
-      m.code.Code.cfuncs
-
-(* ---- block-fused engine ---- *)
+(* ---- superblock fusion ---- *)
 
 (* Superblock boundaries: control transfers, calls (including builtins)
    and returns end a block. *)
@@ -1919,8 +1906,8 @@ let leaders (cf : Code.cfunc) : bool array =
     code;
   l
 
-(* Deoptimization rules: a prefix instruction is fusable only if the
-   closure tier would compile NO hook into it under this config, so the
+(* Deoptimization rules: a prefix instruction is fusable only if its
+   per-instruction closure would carry NO hook under this config, so the
    fused (hook-free) body is bit-identical by construction.  Armed
    mem/addr faults are applied and cleared by the very instruction whose
    site hook armed them, so instructions that are not sites of the
@@ -1953,24 +1940,6 @@ let fusable (cfg : config) ~(hardened : bool) (it : Code.citem) : bool =
   | None -> (not cfg.count_inject_sites) || not (is_reg_site || is_mem_site))
   && ((not (cfg.reexec_retries > 0)) || not logs_stores)
 
-(* One prefix instruction of a fused block: the [compile_body] semantics
-   with every hook compiled out (fusion eligibility guarantees none could
-   fire) and the precompiled static timing plan in place of the
-   per-instance [Timing.exec] μop walk. *)
-let compile_fused_step (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
-    (frame -> int) * (thread -> frame -> int -> int) =
-  let dst = it.Code.dst in
-  let plan = Timing.plan_of_uops it.Code.uops in
-  let finish_plain th (fr : frame) ready mem_lat =
-    let completion = Timing.exec_plan th.timing ~ready ~mem_lat plan in
-    if dst >= 0 then fr.ready.(dst) <- completion
-  in
-  let body =
-    compile_body m cf pc it ~addr_faults:false ~mem_faults:false
-      ~cf_faults:false ~reexec_on:false ~finish_plain
-  in
-  (ready_fn it.Code.srcs, body)
-
 (* Fuses the straight-line prefix [s .. s+plen-1] plus an optional
    trailing ender into one closure.  The prefix's counter deltas — its
    static cost summary — are precomputed and applied in bulk on entry; a
@@ -2001,8 +1970,14 @@ let compile_block (m : t) (cf : Code.cfunc)
   done;
   let t_uops = suf_uops.(0) and t_avx = suf_avx.(0) in
   let t_loads = suf_loads.(0) and t_stores = suf_stores.(0) in
+  (* prefix bodies with every hook compiled out: fusion eligibility
+     guarantees none could fire *)
   let steps =
-    Array.init plen (fun i -> compile_fused_step m cf (s + i) code.(s + i))
+    Array.init plen (fun i ->
+        let it = code.(s + i) in
+        ( ready_fn it.Code.srcs,
+          compile_body m cf (s + i) it ~addr_faults:false ~mem_faults:false
+            ~cf_faults:false ~reexec_on:false ))
   in
   (* progress through the prefix, for trap retraction; machines run
      single-domain and blocks are never re-entered mid-flight *)
@@ -2052,44 +2027,43 @@ let compile_block (m : t) (cf : Code.cfunc)
   in
   { fb_len = (match ender with Some _ -> plen + 1 | None -> plen); fb_exec }
 
-(* Builds the fused-block table: [kblocks.(cf_id).(pc)] is [Some b] iff a
-   fused superblock starts at [pc] under this machine's config.  Tracing
-   and profiling need per-instruction hooks everywhere, so they disable
-   fusion wholesale; otherwise each maximal straight-line run whose
-   instructions all satisfy [fusable] is fused.  Requires [kcode] (enders
-   reuse the per-instruction closures). *)
-let kcompile_blocks (m : t) =
+(* Compiles one function for the [Compiled] engine, on its first entry:
+   [kcode.(cf_id).(pc)] runs that instruction, and [kblocks.(cf_id).(pc)]
+   is [Some b] iff a fused superblock starts at [pc] under this machine's
+   config.  Tracing and profiling need per-instruction hooks everywhere,
+   so they disable fusion wholesale; otherwise each maximal straight-line
+   run whose instructions all satisfy [fusable] is fused (its ender reuses
+   the per-instruction closure).  Compiling per function rather than per
+   module keeps a restored campaign experiment from translating code it
+   never reaches. *)
+let compile_func (m : t) (cf : Code.cfunc) =
   let cfg = m.cfg in
-  let fuse = cfg.trace = None && cfg.profile = None in
-  m.kblocks <-
-    Array.map
-      (fun (cf : Code.cfunc) ->
-        let code = cf.Code.code in
-        let n = Array.length code in
-        let tbl = Array.make n None in
-        if fuse && n > 0 then begin
-          let l = leaders cf in
-          let kc = m.kcode.(cf.Code.cf_id) in
-          let hardened = cf.Code.cf_hardened in
-          for s = 0 to n - 1 do
-            if l.(s) && not (is_ender code.(s)) then begin
-              let e = ref (s + 1) in
-              while !e < n && (not (is_ender code.(!e))) && not l.(!e) do
-                incr e
-              done;
-              let plen = !e - s in
-              let ok = ref true in
-              for j = s to !e - 1 do
-                if not (fusable cfg ~hardened code.(j)) then ok := false
-              done;
-              if !ok && !e < n then
-                if l.(!e) then tbl.(s) <- Some (compile_block m cf kc s plen None)
-                else tbl.(s) <- Some (compile_block m cf kc s plen (Some !e))
-            end
-          done
-        end;
-        tbl)
-      m.code.Code.cfuncs
+  let code = cf.Code.code in
+  let n = Array.length code in
+  let kc = Array.mapi (fun pc it -> compile_item m cf pc it) code in
+  let tbl = Array.make n None in
+  if cfg.trace = None && cfg.profile = None && n > 0 then begin
+    let l = leaders cf in
+    let hardened = cf.Code.cf_hardened in
+    for s = 0 to n - 1 do
+      if l.(s) && not (is_ender code.(s)) then begin
+        let e = ref (s + 1) in
+        while !e < n && (not (is_ender code.(!e))) && not l.(!e) do
+          incr e
+        done;
+        let plen = !e - s in
+        let ok = ref true in
+        for j = s to !e - 1 do
+          if not (fusable cfg ~hardened code.(j)) then ok := false
+        done;
+        if !ok && !e < n then
+          if l.(!e) then tbl.(s) <- Some (compile_block m cf kc s plen None)
+          else tbl.(s) <- Some (compile_block m cf kc s plen (Some !e))
+      end
+    done
+  end;
+  m.kcode.(cf.Code.cf_id) <- kc;
+  m.kblocks.(cf.Code.cf_id) <- tbl
 
 (* ---- scheduler ---- *)
 
@@ -2116,46 +2090,27 @@ let ref_quantum (m : t) (th : thread) =
         continue_ := step m th
       done
 
-(* One scheduling quantum under the closure engine.  The program counter
+(* One scheduling quantum under the compiled engine.  The program counter
    lives in a local between closures; [fr.pc] is written back only when
    the quantum budget expires mid-frame (frame switches maintain it
-   inline, per the closure return protocol). *)
-let closure_quantum (m : t) (th : thread) =
-  let budget = ref quantum in
-  let running = ref true in
-  while !running && !budget > 0 do
-    let fr = List.hd th.frames in
-    let code = m.kcode.(fr.cf.Code.cf_id) in
-    let pc = ref fr.pc in
-    let switched = ref false in
-    while (not !switched) && !budget > 0 do
-      let r = code.(!pc) th fr in
-      decr budget;
-      if r >= 0 then pc := r
-      else begin
-        switched := true;
-        if r = k_yield then running := false
-      end
-    done;
-    if not !switched then fr.pc <- !pc
-  done
-
-(* One scheduling quantum under the block engine.  At a fused block start
-   the whole superblock runs as one closure and the budget is debited
-   once by its dynamic length; everywhere else (deoptimized blocks,
-   mid-block pcs after a budget expiry or snapshot restore, blocks longer
-   than the remaining budget, the [max_instrs] ceiling) execution falls
-   back to the per-instruction closures.  Quanta therefore end after
-   exactly the same instruction counts as the other engines, preserving
-   snapshot/abort/chaos boundary semantics, and the ceiling check
-   guarantees [Hang] can never fire inside a fused block. *)
-let block_quantum (m : t) (th : thread) =
+   inline, per the closure return protocol), and each frame switch
+   compiles the entered function if it has not run yet.  At a fused block
+   start the whole superblock runs as one closure and the budget is
+   debited once by its dynamic length; everywhere else (deoptimized
+   blocks, mid-block pcs after a budget expiry or snapshot restore, blocks
+   longer than the remaining budget, the [max_instrs] ceiling) execution
+   falls back to the per-instruction closures.  Quanta therefore end
+   after exactly the same instruction counts as the reference engine,
+   preserving snapshot/abort/chaos boundary semantics, and the ceiling
+   check guarantees [Hang] can never fire inside a fused block. *)
+let compiled_quantum (m : t) (th : thread) =
   let max_instrs = m.cfg.max_instrs in
   let budget = ref quantum in
   let running = ref true in
   while !running && !budget > 0 do
     let fr = List.hd th.frames in
     let cfid = fr.cf.Code.cf_id in
+    if Array.length m.kcode.(cfid) = 0 then compile_func m fr.cf;
     let code = m.kcode.(cfid) in
     let blocks = m.kblocks.(cfid) in
     let pc = ref fr.pc in
@@ -2235,17 +2190,8 @@ let make_result (m : t) (trap : trap_reason option) : result =
    quantum — the hook the fault campaign uses to capture snapshots at
    deterministic (quantum-boundary) points. *)
 let resume ?on_quantum (m : t) : result =
-  (match m.cfg.engine with
-  | Reference -> ()
-  | Closure -> if Array.length m.kcode = 0 then kcompile m
-  | Block ->
-      if Array.length m.kcode = 0 then kcompile m;
-      if Array.length m.kblocks = 0 then kcompile_blocks m);
   let run_quantum =
-    match m.cfg.engine with
-    | Reference -> ref_quantum
-    | Closure -> closure_quantum
-    | Block -> block_quantum
+    match m.cfg.engine with Reference -> ref_quantum | Compiled -> compiled_quantum
   in
   (* chaos fires once, at the first quantum boundary of this drive; the
      abort hook is polled at every one.  Both raise out of [loop] — past
@@ -2478,8 +2424,8 @@ let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
       mem;
       threads = [];
       by_tid = [||];
-      kcode = [||];
-      kblocks = [||];
+      kcode = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
+      kblocks = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
       snap_base = Bytes.empty;
       nthreads = sn.sn_nthreads;
       output = Buffer.create (String.length sn.sn_output + 256);

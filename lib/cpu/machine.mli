@@ -109,22 +109,24 @@ type inject = {
 val second_flip :
   dlanes:int -> lane:int -> bit:int -> lane2:int -> bit2:int -> int * int
 
-(** Execution engine selection.  [Closure] (the default) is the
-    threaded-code tier: each instruction is translated once, at machine
-    build, into a closure specialized on its operands and on the config's
-    fault/trace/recovery hooks.  [Block] builds on it, additionally fusing
-    each straight-line instruction run into a single superblock closure
-    with bulk counter updates and a precompiled static timing plan; blocks
-    whose instructions would carry compiled-in hooks (armed fault sites,
-    site census, undo log, tracing, profiling) deoptimize to the
-    per-instruction closures, and quanta still end at exactly the same
-    instruction counts.  [Reference] is the original interpreter, kept as
-    the executable specification; all engines are required to produce
-    bit-identical results. *)
-type engine_kind = Reference | Closure | Block
+(** Execution engine selection.  [Compiled] (the default) translates each
+    function, on its first entry, into closures specialized on every
+    instruction's operands, static timing plan and the config's
+    fault/trace/recovery hooks, and fuses each straight-line run of
+    hook-free instructions into a single superblock closure with bulk
+    counter updates.  Instructions that would carry compiled-in hooks
+    (armed fault sites, site census, undo log, tracing, profiling) keep
+    their per-instruction closure, and quanta still end at exactly the
+    same instruction counts.  [Reference] is the original interpreter,
+    kept as the executable specification; both engines are required to
+    produce bit-identical results. *)
+type engine_kind = Reference | Compiled
 
 (** Lower-case name, as accepted by the CLI [--engine] flag. *)
 val engine_to_string : engine_kind -> string
+
+(** Inverse of {!engine_to_string}; the error names the valid engines. *)
+val engine_of_string : string -> (engine_kind, string) result
 
 (** Raised out of {!resume}/{!run} when the [abort] hook reports
     cancellation at a quantum boundary.  Not a {!trap_reason}: an aborted
@@ -151,9 +153,9 @@ type config = {
           same class strings the AVF table uses.  [Some tbl] compiles a
           cycle-delta hook into every closure; [None] (the default)
           compiles nothing — the closures are identical to an unprofiled
-          build, so the off state costs zero.  Only the compiled engines
-          attribute ([Block] disables fusion wholesale so every
-          instruction keeps its hook); [Reference] ignores the table. *)
+          build, so the off state costs zero.  Only [Compiled] attributes,
+          with fusion off under profiling so every instruction keeps its
+          hook; [Reference] ignores the table. *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the
           boundary [on_quantum] fires on); the first [true] raises
@@ -171,7 +173,7 @@ type config = {
 
 val default_config : config
 
-(** One fused superblock of the [Block] engine (opaque): a hook-free
+(** One fused superblock of the [Compiled] engine (opaque): a hook-free
     straight-line prefix plus optional trailing ender, run as one
     closure. *)
 type fblock
@@ -181,10 +183,12 @@ type t = {
   mem : Memory.t;
   mutable threads : thread list;
   mutable by_tid : thread array;  (** tid-indexed view of [threads] *)
-  mutable kcode : (thread -> frame -> int) array array;
-      (** closure-compiled code, by [cf_id] then pc; built on first resume *)
-  mutable kblocks : fblock option array array;
-      (** fused superblocks, by [cf_id] then starting pc ([Block] engine) *)
+  kcode : (thread -> frame -> int) array array;
+      (** per-instruction closures, by [cf_id] then pc; a function's row
+          is empty until the [Compiled] engine first enters it *)
+  kblocks : fblock option array array;
+      (** fused superblocks, by [cf_id] then starting pc; filled with
+          [kcode] *)
   mutable snap_base : Bytes.t;  (** base memory image of the snapshot chain *)
   mutable nthreads : int;
   output : Buffer.t;

@@ -23,9 +23,27 @@ exception Fault of int64  (** access outside mapped memory *)
 let page = 4096
 let page_bits = 12
 
+(* A fresh whole-memory image, zero-filled or copied from [src], written
+   in 1 MB steps: one C call over all 64 MB would hold off every other
+   domain's stop-the-world minor collection for its whole duration, and
+   campaign workers build images while their neighbours run
+   watchdog-timed experiments. *)
+let fresh_image ?src size =
+  let b = Bytes.create size in
+  let step = 1 lsl 20 in
+  let off = ref 0 in
+  while !off < size do
+    let n = min step (size - !off) in
+    (match src with
+    | None -> Bytes.fill b !off n '\000'
+    | Some s -> Bytes.blit s !off b !off n);
+    off := !off + step
+  done;
+  b
+
 let create ?(size = 1 lsl 26) () =
   {
-    data = Bytes.make size '\000';
+    data = fresh_image size;
     size;
     static_brk = page;
     heap_base = 0;
@@ -184,7 +202,7 @@ let apply_pages (m : t) (pages : (int * Bytes.t) array) =
 let of_image ~(base : Bytes.t) ~(pages : (int * Bytes.t) array) (mt : meta) : t =
   let m =
     {
-      data = Bytes.copy base;
+      data = fresh_image ~src:base (Bytes.length base);
       size = Bytes.length base;
       static_brk = 0;
       heap_base = 0;

@@ -1,4 +1,5 @@
-(** Opt-in per-instruction-class cycle attribution for the closure engine.
+(** Opt-in per-instruction-class cycle attribution for the compiled engine
+    (which turns superblock fusion off while profiling).
 
     A table keyed by the same class strings {!Machine.class_of} feeds to
     the AVF table ("alu", "cmp", "mov", "load", ...), accumulating retired

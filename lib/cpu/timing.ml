@@ -115,11 +115,12 @@ let exec (t : t) ~(ready : int) ~(mem_lat : int) (uops : Cost.uop array) : int =
 (* [exec] re-derives, for every dynamic instance of an instruction,    *)
 (* facts that are fixed at compile time: the μop count, the decoded    *)
 (* port set of each μop, whether it chains on the previous μop, and    *)
-(* whether it touches memory.  The block engine compiles each          *)
-(* instruction's μop sequence once into a [plan]; [exec_plan] then     *)
+(* whether it touches memory.  [Code.compile] turns each              *)
+(* instruction's μop sequence into a [plan] once; [exec_plan] then     *)
 (* only evaluates the dynamic residue (port contention, the dispatch   *)
 (* window, L1 hit/miss latency, the miss pipe) and is bit-identical    *)
-(* to [exec] on the same sequence of calls.                            *)
+(* to [exec] on the same sequence of calls.  The compiled engine times *)
+(* every instruction this way; [exec] is the reference interpreter's.  *)
 (* ------------------------------------------------------------------ *)
 
 type uplan = {

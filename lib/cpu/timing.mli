@@ -29,7 +29,8 @@ val cycle : t -> int
 
 (** Issues one instruction's μop sequence; [ready] is when its register
     inputs are available, [mem_lat] substitutes the latency of load μops.
-    Returns the cycle its result is ready. *)
+    Returns the cycle its result is ready.  The reference interpreter's
+    entry point; the compiled engine uses {!exec_plan}. *)
 val exec : t -> ready:int -> mem_lat:int -> Cost.uop array -> int
 
 (** Precompiled form of one μop: the static facts [exec] would re-derive
@@ -43,8 +44,8 @@ type uplan = {
   up_membus : bool;
 }
 
-(** Static cost plan of one instruction's μop sequence, compiled once by
-    the block engine. *)
+(** Static cost plan of one instruction's μop sequence, compiled once per
+    instruction by [Code.compile]. *)
 type plan =
   | Pempty
   | Palu1 of uplan  (** exactly one μop, no memory side *)

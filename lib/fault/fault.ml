@@ -70,7 +70,7 @@ type run_spec = {
 
 let make_spec ?(flags_cmp = false) ?(args = [||]) ?(init = fun _ -> ())
     ?(max_instrs = 200_000_000) ?(reexec_retries = 0)
-    ?(engine = Cpu.Machine.Closure) modul entry =
+    ?(engine = Cpu.Machine.default_config.Cpu.Machine.engine) modul entry =
   { modul; flags_cmp; entry; args; init; max_instrs; reexec_retries; engine }
 
 (* One pre-drawn experiment: flip [bit] of one lane of the destination of

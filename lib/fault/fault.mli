@@ -47,6 +47,7 @@ type run_spec = {
   engine : Cpu.Machine.engine_kind;  (** execution engine for every run *)
 }
 
+(** [engine] defaults to [Cpu.Machine.default_config]'s. *)
 val make_spec :
   ?flags_cmp:bool ->
   ?args:int64 array ->

@@ -17,8 +17,10 @@
 val version : int
 
 (** [versioned ~schema fields] is the standard envelope:
-    [{"schema": ..., "version": ..., fields...}]. *)
-val versioned : schema:string -> (string * Obs.Json.t) list -> Obs.Json.t
+    [{"schema": ..., "version": ..., fields...}].  [version] (default
+    {!version}) lets one document kind bump its own version. *)
+val versioned :
+  ?version:int -> schema:string -> (string * Obs.Json.t) list -> Obs.Json.t
 
 val counters : Cpu.Counters.t -> Obs.Json.t
 

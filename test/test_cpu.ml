@@ -157,6 +157,40 @@ let test_timing_mispredict () =
   check_bool "flush advances dispatch" true
     (Timing.cycle t >= before + 10 + Cost.mispredict_penalty)
 
+(* The compiled engine times every instruction with [exec_plan] over its
+   precompiled plan, the reference interpreter with [exec]: over any
+   instruction stream — μop mixes, dependences, hits and misses — both
+   must return the same completion cycles and leave the same pipe state. *)
+let prop_exec_plan_matches_exec =
+  let uop_gen =
+    QCheck.Gen.(
+      map
+        (fun (((lat, ports), (rt, chain)), mem) ->
+          Cost.u ~rt ~chain ~mem lat ports)
+        (pair
+           (pair
+              (pair (int_range 1 20)
+                 (oneofl Cost.[ p0; p1; p5; p01; p06; p15; p23; p237; p0156 ]))
+              (pair (int_range 1 10) bool))
+           (frequencyl [ (4, Cost.Mnone); (2, Cost.Mload); (1, Cost.Mstore) ])))
+  in
+  let instr_gen =
+    QCheck.Gen.(
+      triple (array_size (int_range 0 4) uop_gen) (int_range 0 30)
+        (oneofl [ Cache.hit_latency; Cache.miss_latency ]))
+  in
+  QCheck.Test.make ~count:300 ~name:"exec_plan replays exec bit-identically"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 300) instr_gen))
+    (fun stream ->
+      let a = Timing.create () and b = Timing.create () in
+      List.for_all
+        (fun (uops, dready, mem_lat) ->
+          let ready = Timing.cycle a + dready - 15 in
+          let ra = Timing.exec a ~ready ~mem_lat uops in
+          let rb = Timing.exec_plan b ~ready ~mem_lat (Timing.plan_of_uops uops) in
+          ra = rb && a = b)
+        stream)
+
 (* ---- memory ---- *)
 
 let test_memory_rw () =
@@ -222,4 +256,5 @@ let tests =
     Alcotest.test_case "memory: faults" `Quick test_memory_null_faults;
     Alcotest.test_case "memory: malloc/free" `Quick test_malloc_free_reuse;
     Alcotest.test_case "memory: stack isolation" `Quick test_stack_isolated_from_heap;
+    QCheck_alcotest.to_alcotest prop_exec_plan_matches_exec;
   ]

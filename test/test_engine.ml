@@ -1,12 +1,14 @@
-(* Engine equivalence: the closure-compiled and block-fused engines must
-   be bit-identical to the reference interpreter — same wall cycles,
-   per-thread counters, output bytes, traps and fault-site streams —
-   across every workload and build flavour, with and without an armed
-   injection.  Also checks that restoring a mid-run snapshot and resuming
-   reproduces the straight run exactly (the soundness condition behind
-   campaign fast-forward), that the block tier deoptimizes armed fault
-   sites to per-instruction execution, and that its supervision hooks
-   keep quantum-boundary discipline. *)
+(* Engine equivalence: the compiled engine must be bit-identical to the
+   reference interpreter — same wall cycles, per-thread counters, output
+   bytes, traps and fault-site streams — across every workload and build
+   flavour, with and without an armed injection.  Armed, census and
+   undo-log runs keep most hardened instructions on the compiled engine's
+   per-instruction closures, so those cases check the fallback path; the
+   plain runs check fusion.  Also checks that restoring a mid-run snapshot
+   and resuming reproduces the straight run exactly (the soundness
+   condition behind campaign fast-forward), that the compiled engine
+   deoptimizes armed fault sites to per-instruction execution, and that
+   its supervision hooks keep quantum-boundary discipline. *)
 
 let builds =
   [
@@ -35,7 +37,7 @@ let check_result name (a : Cpu.Machine.result) (b : Cpu.Machine.result) =
   (* catch-all structural equality: counters lists, detect latency, ... *)
   if a <> b then Alcotest.failf "%s: results differ structurally" name
 
-(* every workload, every build flavour: reference == closure == block *)
+(* every workload, every build flavour: reference == compiled *)
 let check_engines (w : Workloads.Workload.t) () =
   List.iter
     (fun b ->
@@ -44,9 +46,7 @@ let check_engines (w : Workloads.Workload.t) () =
           ~size:Workloads.Workload.Tiny
       in
       let name = w.Workloads.Workload.name ^ "/" ^ Elzar.build_name b in
-      let reference = run Cpu.Machine.Reference in
-      check_result name reference (run Cpu.Machine.Closure);
-      check_result (name ^ "/block") reference (run Cpu.Machine.Block))
+      check_result name (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled))
     builds
 
 (* armed injections: the per-kind site streams and fault hooks must fire
@@ -70,9 +70,7 @@ let check_inject_engines () =
           (Cpu.Machine.fault_kind_to_string kind)
           at reexec_retries
       in
-      let reference = run Cpu.Machine.Reference in
-      check_result name reference (run Cpu.Machine.Closure);
-      check_result (name ^ "/block") reference (run Cpu.Machine.Block))
+      check_result name (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled))
     [
       (Cpu.Machine.Reg_flip, 5_000, 0);
       (Cpu.Machine.Reg_flip, 50_000, 0);
@@ -92,9 +90,7 @@ let check_count_sites () =
         { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = true }
       w ~build:harden ~nthreads:2 ~size:Workloads.Workload.Tiny
   in
-  let reference = run Cpu.Machine.Reference in
-  check_result "count-sites" reference (run Cpu.Machine.Closure);
-  check_result "count-sites/block" reference (run Cpu.Machine.Block)
+  check_result "count-sites" (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled)
 
 (* snapshot/restore: resuming from any mid-run snapshot must reproduce the
    straight run bit-for-bit, under either engine *)
@@ -166,35 +162,46 @@ let check_campaign_fast_forward () =
         (off.Campaign.stats = on.Campaign.stats && off.Campaign.outcomes = on.Campaign.outcomes))
     [ Fault.Mem; Fault.Addr; Fault.Cf; Fault.Mixed ]
 
-(* campaigns under the block engine: the full report must be bit-identical
-   to a closure-engine campaign, for any worker count and fault model *)
-let check_block_campaign () =
+(* campaigns under the compiled engine: the full report must be
+   bit-identical to a reference-engine full-replay campaign on the same
+   (small) plan, for any worker count and fault model *)
+let check_compiled_campaign () =
   let w = Workloads.Registry.find "linreg" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
   let spec = Workloads.Workload.fi_spec w ~build:harden () in
-  let bspec = { spec with Fault.engine = Cpu.Machine.Block } in
-  let base = Campaign.single ~seed:19 ~n:24 ~jobs:1 ~fast_forward:false spec in
+  let rspec = { spec with Fault.engine = Cpu.Machine.Reference } in
+  let base = Campaign.single ~seed:19 ~n:10 ~jobs:1 ~fast_forward:false rspec in
   List.iter
     (fun jobs ->
-      let blk = Campaign.single ~seed:19 ~n:24 ~jobs ~fast_forward:true bspec in
+      let c = Campaign.single ~seed:19 ~n:10 ~jobs ~fast_forward:true spec in
       Alcotest.(check bool)
-        (Printf.sprintf "block jobs=%d: same stats" jobs)
+        (Printf.sprintf "compiled jobs=%d: same stats" jobs)
         true
-        (blk.Campaign.stats = base.Campaign.stats);
+        (c.Campaign.stats = base.Campaign.stats);
       Alcotest.(check bool)
-        (Printf.sprintf "block jobs=%d: same outcomes" jobs)
+        (Printf.sprintf "compiled jobs=%d: same outcomes" jobs)
         true
-        (blk.Campaign.outcomes = base.Campaign.outcomes))
+        (c.Campaign.outcomes = base.Campaign.outcomes))
     [ 1; 2; 4 ];
   List.iter
     (fun model ->
-      let cl = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:1 ~fast_forward:false ~model spec in
-      let bl = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:2 ~fast_forward:true ~model bspec in
+      let r = Campaign.model_campaign ~seed:23 ~n:4 ~jobs:1 ~fast_forward:false ~model rspec in
+      let c = Campaign.model_campaign ~seed:23 ~n:4 ~jobs:2 ~fast_forward:true ~model spec in
       Alcotest.(check bool)
-        (Fault.model_to_string model ^ ": block report identical")
+        (Fault.model_to_string model ^ ": compiled report identical")
         true
-        (cl.Campaign.stats = bl.Campaign.stats && cl.Campaign.outcomes = bl.Campaign.outcomes))
+        (r.Campaign.stats = c.Campaign.stats && r.Campaign.outcomes = c.Campaign.outcomes))
     [ Fault.Mem; Fault.Addr; Fault.Cf; Fault.Mixed ]
+
+(* one source for the default engine: a default campaign spec runs on the
+   same engine as a default machine *)
+let check_default_engine () =
+  let w = Workloads.Registry.find "linreg" in
+  let modul = (Workloads.Workload.fi_spec w ~build:Elzar.Native ()).Fault.modul in
+  Alcotest.(check string)
+    "default spec engine = default machine engine"
+    (Cpu.Machine.engine_to_string Cpu.Machine.default_config.Cpu.Machine.engine)
+    (Cpu.Machine.engine_to_string (Fault.make_spec modul "main").Fault.engine)
 
 let count_fused (m : Cpu.Machine.t) =
   Array.fold_left
@@ -208,7 +215,7 @@ let count_fused (m : Cpu.Machine.t) =
    execution and fire at the exact dynamic instruction — site streams,
    injected class and detection latency identical to the reference
    interpreter *)
-let check_block_deopt () =
+let check_deopt () =
   let w = Workloads.Registry.find "hist" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
   let spec = Workloads.Workload.fi_spec w ~build:harden () in
@@ -219,7 +226,7 @@ let check_block_deopt () =
     (m, r)
   in
   let plain_cfg =
-    { Cpu.Machine.default_config with Cpu.Machine.engine = Cpu.Machine.Block }
+    { Cpu.Machine.default_config with Cpu.Machine.engine = Cpu.Machine.Compiled }
   in
   let m_plain, _ = run_with plain_cfg in
   let fused_plain = count_fused m_plain in
@@ -246,11 +253,11 @@ let check_block_deopt () =
       (Cpu.Machine.Branch_flip, 1_000);
     ]
 
-(* supervision boundary discipline under the block engine: the abort hook
-   is polled exactly once per scheduling quantum (not once per fused
+(* supervision boundary discipline under the compiled engine: the abort
+   hook is polled exactly once per scheduling quantum (not once per fused
    block), the chaos hook fires exactly once per run, and a cooperative
    abort still cuts the run short *)
-let check_block_supervision () =
+let check_supervision () =
   let w = Workloads.Registry.find "hist" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
   let spec = Workloads.Workload.fi_spec w ~build:harden () in
@@ -263,7 +270,7 @@ let check_block_supervision () =
   let cfg =
     {
       Cpu.Machine.default_config with
-      Cpu.Machine.engine = Cpu.Machine.Block;
+      Cpu.Machine.engine = Cpu.Machine.Compiled;
       abort =
         Some
           (fun () ->
@@ -292,7 +299,7 @@ let check_block_supervision () =
     }
   in
   match run_cfg abort_cfg ~on_quantum:(fun _ -> ()) with
-  | (_ : Cpu.Machine.result) -> Alcotest.fail "abort hook did not raise under block engine"
+  | (_ : Cpu.Machine.result) -> Alcotest.fail "abort hook did not raise under compiled engine"
   | exception Cpu.Machine.Abort ->
       Alcotest.(check int) "aborted at the sixth boundary" 6 !polls2
 
@@ -307,17 +314,15 @@ let tests =
   @ [
       Alcotest.test_case "equiv under injection" `Quick check_inject_engines;
       Alcotest.test_case "equiv site census" `Quick check_count_sites;
-      Alcotest.test_case "snapshot resume (closure)" `Quick
-        (check_snapshot_resume Cpu.Machine.Closure);
       Alcotest.test_case "snapshot resume (reference)" `Quick
         (check_snapshot_resume Cpu.Machine.Reference);
-      Alcotest.test_case "snapshot resume (block)" `Quick
-        (check_snapshot_resume Cpu.Machine.Block);
+      Alcotest.test_case "snapshot resume (compiled)" `Quick
+        (check_snapshot_resume Cpu.Machine.Compiled);
       Alcotest.test_case "campaign fast-forward bit-identical" `Quick
         check_campaign_fast_forward;
-      Alcotest.test_case "campaign under block engine bit-identical" `Quick
-        check_block_campaign;
-      Alcotest.test_case "block deopt at armed fault sites" `Quick check_block_deopt;
-      Alcotest.test_case "block supervision quantum discipline" `Quick
-        check_block_supervision;
+      Alcotest.test_case "campaign compiled vs reference bit-identical" `Quick
+        check_compiled_campaign;
+      Alcotest.test_case "default engine has one source" `Quick check_default_engine;
+      Alcotest.test_case "deopt at armed fault sites" `Quick check_deopt;
+      Alcotest.test_case "supervision quantum discipline" `Quick check_supervision;
     ]

@@ -319,13 +319,7 @@ let known_classes =
 let test_profile_hook () =
   let w = Workloads.Registry.find "hist" in
   let run profile =
-    let cfg =
-      {
-        Cpu.Machine.default_config with
-        Cpu.Machine.engine = Cpu.Machine.Closure;
-        profile;
-      }
-    in
+    let cfg = { Cpu.Machine.default_config with Cpu.Machine.profile } in
     Workloads.Workload.execute ~machine_cfg:cfg w ~build:Elzar.Native ~nthreads:2
       ~size:Workloads.Workload.Tiny
   in
