@@ -6,15 +6,8 @@
     not a change of experiment — and the bench fails loudly if they are
     not.
 
-    The optimized campaign is also re-run under a {!Supervisor} (the
-    production default for CLI campaigns): its results must again be
-    bit-identical — supervision is pure insurance, never a change of
-    experiment — and its wall-time overhead is reported alongside the
-    speedup.
-
-    With [--json], emits BENCH_campaign.json recording the wall times,
-    the speedup and the supervision overhead per benchmark plus the
-    geometric-mean speedup. *)
+    With [--json], emits BENCH_campaign.json recording the wall times and
+    the speedup per benchmark plus the geometric-mean speedup. *)
 
 let benchmarks = [ "hist"; "linreg" ]
 
@@ -22,57 +15,44 @@ type row = {
   r_bench : string;
   r_baseline_s : float;
   r_optimized_s : float;
-  r_supervised_s : float;
   r_speedup : float;
-  r_sup_overhead : float;  (** supervised / optimized wall-time ratio *)
   r_runs : int;
   r_report : Campaign.report;  (** the optimized campaign, for the JSON results block *)
 }
 
 let campaign (w : Workloads.Workload.t) ~(engine : Cpu.Machine.engine_kind)
-    ~(fast_forward : bool) ?supervise () : Campaign.report =
+    ~(fast_forward : bool) : Campaign.report =
   let spec =
     { (Workloads.Workload.fi_spec w ~build:(Elzar.Hardened Elzar.Harden_config.default) ())
       with Fault.engine = engine }
   in
   Campaign.single ~n:!Common.fi_injections
     ~jobs:(Common.fi_effective_jobs ())
-    ~fast_forward ?supervise spec
+    ~fast_forward spec
 
 let measure (name : string) : row =
   let w = Workloads.Registry.find name in
-  let base = campaign w ~engine:Cpu.Machine.Reference ~fast_forward:false () in
-  let opt = campaign w ~engine:Cpu.Machine.Compiled ~fast_forward:true () in
+  let base = campaign w ~engine:Cpu.Machine.Reference ~fast_forward:false in
+  let opt = campaign w ~engine:Cpu.Machine.Compiled ~fast_forward:true in
   if not (base.Campaign.stats = opt.Campaign.stats
           && base.Campaign.outcomes = opt.Campaign.outcomes) then
     failwith
       (Printf.sprintf
          "bench campaign: %s: optimized campaign is NOT bit-identical to baseline" name);
-  let sup =
-    campaign w ~engine:Cpu.Machine.Compiled ~fast_forward:true
-      ~supervise:Supervisor.default ()
-  in
-  if not (sup.Campaign.stats = opt.Campaign.stats
-          && sup.Campaign.outcomes = opt.Campaign.outcomes
-          && sup.Campaign.quarantined = []) then
-    failwith
-      (Printf.sprintf
-         "bench campaign: %s: supervised campaign is NOT bit-identical to unsupervised"
-         name);
   {
     r_bench = name;
     r_baseline_s = base.Campaign.wall_seconds;
     r_optimized_s = opt.Campaign.wall_seconds;
-    r_supervised_s = sup.Campaign.wall_seconds;
     r_speedup = base.Campaign.wall_seconds /. opt.Campaign.wall_seconds;
-    r_sup_overhead = sup.Campaign.wall_seconds /. opt.Campaign.wall_seconds;
     r_runs = opt.Campaign.experiments_run;
     r_report = opt;
   }
 
-(* Schema "elzar.bench.campaign".  Each row carries the optimized
-   campaign's deterministic results block, so CI diffs catch outcome
-   drift as well as wall-time regressions. *)
+(* Schema "elzar.bench.campaign", version 3: version 2 also carried the
+   retired supervised leg's [supervised_seconds] and
+   [supervision_overhead].  Each row carries the optimized campaign's
+   deterministic results block, so CI diffs catch outcome drift as well
+   as wall-time regressions. *)
 let emit_json path (rows : row list) (g : float) =
   let row_json r =
     Obs.Json.Obj
@@ -81,15 +61,13 @@ let emit_json path (rows : row list) (g : float) =
         ("runs", Obs.Json.Int r.r_runs);
         ("baseline_seconds", Obs.Json.Float r.r_baseline_s);
         ("optimized_seconds", Obs.Json.Float r.r_optimized_s);
-        ("supervised_seconds", Obs.Json.Float r.r_supervised_s);
         ("speedup", Obs.Json.Float r.r_speedup);
-        ("supervision_overhead", Obs.Json.Float r.r_sup_overhead);
         ("bit_identical", Obs.Json.Bool true);
         ("results", Report.campaign_results r.r_report);
       ]
   in
   Report.write path
-    (Report.versioned ~schema:"elzar.bench.campaign"
+    (Report.versioned ~version:3 ~schema:"elzar.bench.campaign"
        [
          ("injections", Obs.Json.Int !Common.fi_injections);
          ("jobs", Obs.Json.Int (Common.fi_effective_jobs ()));
@@ -103,13 +81,13 @@ let run () =
        "Campaign wall-time: reference+replay vs compiled+fast-forward (%d injections, %d \
         workers)"
        !Common.fi_injections (Common.fi_effective_jobs ()));
-  Printf.printf "%-10s %6s %12s %12s %8s %9s\n" "bench" "runs" "baseline-s" "optimized-s"
-    "speedup" "sup-ovh";
+  Printf.printf "%-10s %6s %12s %12s %8s\n" "bench" "runs" "baseline-s" "optimized-s"
+    "speedup";
   let rows = List.map measure benchmarks in
   List.iter
     (fun r ->
-      Printf.printf "%-10s %6d %12.2f %12.2f %7.2fx %8.2fx\n" r.r_bench r.r_runs
-        r.r_baseline_s r.r_optimized_s r.r_speedup r.r_sup_overhead)
+      Printf.printf "%-10s %6d %12.2f %12.2f %7.2fx\n" r.r_bench r.r_runs
+        r.r_baseline_s r.r_optimized_s r.r_speedup)
     rows;
   let g = Common.gmean (List.map (fun r -> r.r_speedup) rows) in
   Printf.printf "%-10s %38s %7.2fx\n" "gmean" "" g;

@@ -130,6 +130,30 @@ let run_cmd =
 
 (* ---- inject ---- *)
 
+(* [conv] restricted to values satisfying [ok]; anything else is a usage
+   error (Cmdliner's exit 124), reported before the campaign starts. *)
+let restrict ~(what : string) (ok : 'a -> bool) (conv : 'a Arg.conv) : 'a Arg.conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least conv lo =
+  restrict ~what:(Printf.sprintf "at least %d" lo) (fun v -> v >= lo) conv
+
+let positive_float =
+  restrict ~what:"a finite number above 0"
+    (fun v -> Float.is_finite v && v > 0.0)
+    Arg.float
+
+let nonneg_float =
+  restrict ~what:"a finite number of at least 0"
+    (fun v -> Float.is_finite v && v >= 0.0)
+    Arg.float
+
 (* One --chaos entry: EVENT@SLOT with an optional trailing '!' for
    "persistent" (act on every execution of the slot, not just the first).
    EVENT is raise | hang | kill | slow:SECONDS. *)
@@ -181,8 +205,8 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
 
 let inject_cmd =
   let run name build n seed jobs double same_bit model avf checkpoint quiet engine
-      no_fast_forward json no_supervise retries deadline_factor
-      deadline_floor max_tool_errors chaos =
+      no_fast_forward json retries deadline_factor deadline_floor max_tool_errors
+      chaos =
     let w = Workloads.Registry.find name in
     let spec = { (Workloads.Workload.fi_spec w ~build ()) with Fault.engine } in
     let fast_forward = not no_fast_forward in
@@ -223,29 +247,21 @@ let inject_cmd =
             if p.Campaign.completed >= p.Campaign.total then prerr_newline ())
     in
     let supervise =
-      if no_supervise then None
-      else
-        Some
-          {
-            Supervisor.retries;
-            deadline_factor;
-            deadline_floor;
-            max_tool_errors;
-          }
+      { Supervisor.retries; deadline_factor; deadline_floor; max_tool_errors }
     in
     let model = Fault.model_of_string model in
     let report =
       if double then
         Campaign.double ~seed ~n ~same_bit ?jobs ?progress ?checkpoint ~fast_forward
-          ?supervise ~chaos ~cancel spec
+          ~supervise ~chaos ~cancel spec
       else
         match model with
         | Fault.Reg ->
             Campaign.single ~seed ~n ?jobs ?progress ?checkpoint ~fast_forward
-              ?supervise ~chaos ~cancel spec
+              ~supervise ~chaos ~cancel spec
         | m ->
             Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~fast_forward
-              ?supervise ~chaos ~cancel ~model:m spec
+              ~supervise ~chaos ~cancel ~model:m spec
     in
     Format.printf "%a@." Fault.pp_stats report.Campaign.stats;
     let obs = Array.map snd report.Campaign.outcomes in
@@ -265,7 +281,7 @@ let inject_cmd =
         report.Campaign.quarantined
     end;
     if report.Campaign.worker_deaths > 0 then
-      Printf.eprintf "%d worker domain death(s); workers were respawned\n"
+      Printf.eprintf "%d worker death(s); the worker loop restarted each time\n"
         report.Campaign.worker_deaths;
     if report.Campaign.interrupted then
       Printf.eprintf "campaign interrupted; partial results above%s\n"
@@ -284,7 +300,6 @@ let inject_cmd =
             ("fault_model", Obs.Json.Str (Fault.model_to_string model));
             ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
             ("fast_forward", Obs.Json.Bool fast_forward);
-            ("supervised", Obs.Json.Bool (supervise <> None));
           ]
         in
         Report.write path (Report.campaign ~params report);
@@ -292,14 +307,17 @@ let inject_cmd =
     | None -> ());
     if report.Campaign.interrupted then
       exit (128 + if !sig_seen = Sys.sigterm then 15 else 2);
-    if supervise <> None && nq > max_tool_errors then begin
+    if nq > max_tool_errors then begin
       Printf.eprintf "too many tool errors: %d quarantined > --max-tool-errors %d\n" nq
         max_tool_errors;
       exit 3
     end
   in
   let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
-  let n = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Number of injections.") in
+  let n =
+    Arg.(value & opt (at_least int 1) 100
+         & info [ "n" ] ~doc:"Number of injections (at least 1).")
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let jobs =
     Arg.(value & opt (some int) None
@@ -348,51 +366,44 @@ let inject_cmd =
                    histogram, phase spans) to $(docv) as versioned JSON. The result \
                    sections are bit-identical for any --jobs value.")
   in
-  let no_supervise =
-    Arg.(value & flag
-         & info [ "no-supervise" ]
-             ~doc:"Run experiments without the supervision layer (no host-exception \
-                   retry/quarantine, no wall-clock watchdog, no worker respawn). \
-                   Results are bit-identical either way on campaigns with no tool \
-                   errors.")
-  in
   let retries =
-    Arg.(value & opt int Supervisor.default.Supervisor.retries
+    Arg.(value & opt (at_least int 0) Supervisor.default.Supervisor.retries
          & info [ "retries" ]
-             ~doc:"Re-executions of an experiment whose run raised a host exception \
-                   before it is quarantined.")
+             ~doc:"Re-executions (at least 0) of an experiment whose run raised a host \
+                   exception before it is quarantined.")
   in
   let deadline_factor =
-    Arg.(value & opt float Supervisor.default.Supervisor.deadline_factor
+    Arg.(value & opt positive_float Supervisor.default.Supervisor.deadline_factor
          & info [ "deadline-factor" ]
-             ~doc:"Per-experiment wall-clock deadline, as a multiple of the running \
-                   median experiment time; a run aborted twice by the watchdog is \
-                   quarantined.")
+             ~doc:"Per-experiment wall-clock deadline, as a multiple (finite, above 0) \
+                   of the running median experiment time; a run that overruns its \
+                   deadline twice is quarantined.")
   in
   let deadline_floor =
-    Arg.(value & opt float Supervisor.default.Supervisor.deadline_floor
+    Arg.(value & opt nonneg_float Supervisor.default.Supervisor.deadline_floor
          & info [ "deadline-floor" ]
-             ~doc:"Never deadline an experiment below this many seconds.")
+             ~doc:"Never deadline an experiment below this many seconds (finite, at \
+                   least 0).")
   in
   let max_tool_errors =
-    Arg.(value & opt int Supervisor.default.Supervisor.max_tool_errors
+    Arg.(value & opt (at_least int 0) Supervisor.default.Supervisor.max_tool_errors
          & info [ "max-tool-errors" ]
-             ~doc:"Exit nonzero (3) when more than this many experiments were \
-                   quarantined. The campaign still completes and reports either way.")
+             ~doc:"Exit nonzero (3) when more than this many (at least 0) experiments \
+                   were quarantined. The campaign still completes and reports either \
+                   way.")
   in
   let chaos =
     Arg.(value & opt chaos_conv []
          & info [ "chaos" ] ~docv:"PLAN"
              ~doc:"Test-only harness-failure injection: comma-separated EVENT@SLOT \
                    entries (raise@3, hang@5, slow:0.2@7, kill@9; trailing '!' makes an \
-                   entry fire on every execution of its slot). Requires supervision.")
+                   entry fire on every execution of its slot).")
   in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
     Term.(const run $ name_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
           $ avf $ checkpoint $ quiet $ engine_arg $ no_fast_forward
-          $ json $ no_supervise $ retries $ deadline_factor $ deadline_floor
-          $ max_tool_errors $ chaos)
+          $ json $ retries $ deadline_factor $ deadline_floor $ max_tool_errors $ chaos)
 
 (* ---- show ---- *)
 

@@ -174,17 +174,9 @@ type config = {
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the same
           boundary [on_quantum] fires on): the first [true] raises {!Abort}
-          out of the run.  Kept a closure so callers can poll an atomic
-          flag set by a watchdog without the machine knowing about it;
+          out of the run.  Kept a closure so callers can check a deadline
+          or a cancel flag without the machine knowing about either;
           [None] compiles to a single match per quantum *)
-  chaos : (unit -> unit) option;
-      (** test-only chaos hook: invoked exactly once, at the first quantum
-          boundary of the run, on the simulation thread.  Supervision
-          tests use it to raise host exceptions, stall the run until the
-          abort hook fires, or slow it down — proving the supervisor's
-          isolation/watchdog/retry paths against a real engine.  [None]
-          (the default everywhere outside tests) costs one bool check per
-          quantum *)
 }
 
 let default_config =
@@ -198,7 +190,6 @@ let default_config =
     engine = Compiled;
     profile = None;
     abort = None;
-    chaos = None;
   }
 
 (* One fused superblock of the compiled engine: [fb_len] dynamic instructions
@@ -2101,7 +2092,7 @@ let ref_quantum (m : t) (th : thread) =
    longer than the remaining budget, the [max_instrs] ceiling) execution
    falls back to the per-instruction closures.  Quanta therefore end
    after exactly the same instruction counts as the reference engine,
-   preserving snapshot/abort/chaos boundary semantics, and the ceiling
+   preserving snapshot/abort boundary semantics, and the ceiling
    check guarantees [Hang] can never fire inside a fused block. *)
 let compiled_quantum (m : t) (th : thread) =
   let max_instrs = m.cfg.max_instrs in
@@ -2193,20 +2184,14 @@ let resume ?on_quantum (m : t) : result =
   let run_quantum =
     match m.cfg.engine with Reference -> ref_quantum | Compiled -> compiled_quantum
   in
-  (* chaos fires once, at the first quantum boundary of this drive; the
-     abort hook is polled at every one.  Both raise out of [loop] — past
-     the [Trap] handler below — so neither can be mistaken for an
-     experiment outcome. *)
-  let chaos_pending = ref (m.cfg.chaos <> None) in
+  (* the abort hook is polled at every quantum boundary; {!Abort} (and
+     anything the hook raises) escapes [loop] past the [Trap] handler
+     below, so it can never be mistaken for an experiment outcome *)
   let rec loop () =
     match pick_next m with
     | Some th ->
         run_quantum m th;
         (match on_quantum with Some f -> f m | None -> ());
-        if !chaos_pending then begin
-          chaos_pending := false;
-          match m.cfg.chaos with Some f -> f () | None -> ()
-        end;
         (match m.cfg.abort with Some f when f () -> raise Abort | _ -> ());
         loop ()
     | None ->

@@ -130,7 +130,7 @@ val engine_of_string : string -> (engine_kind, string) result
 
 (** Raised out of {!resume}/{!run} when the [abort] hook reports
     cancellation at a quantum boundary.  Not a {!trap_reason}: an aborted
-    run was cut short by the host (watchdog deadline, Ctrl-C), so it has
+    run was cut short by the host (wall-clock deadline, Ctrl-C), so it has
     no outcome and must never be classified — supervisors catch it and
     decide whether to retry or quarantine the experiment. *)
 exception Abort
@@ -159,16 +159,11 @@ type config = {
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the
           boundary [on_quantum] fires on); the first [true] raises
-          {!Abort} out of the run.  Cheap by construction: callers pass a
-          closure reading an atomic flag armed by an external watchdog,
-          and the simulated results of a run that was never aborted are
-          bit-identical to one executed without the hook. *)
-  chaos : (unit -> unit) option;
-      (** test-only chaos hook, invoked exactly once at the first quantum
-          boundary, on the simulation thread.  Supervision tests use it
-          to raise host exceptions, stall until [abort] fires, or sleep —
-          exercising every supervisor path against the real engine.
-          [None] outside tests. *)
+          {!Abort} out of the run; any exception the hook raises escapes
+          the run the same way.  Cheap by construction: callers pass a
+          closure reading a cancel flag and the clock, and the simulated
+          results of a run that was never aborted are bit-identical to one
+          executed without the hook. *)
 }
 
 val default_config : config

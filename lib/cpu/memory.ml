@@ -27,7 +27,7 @@ let page_bits = 12
    in 1 MB steps: one C call over all 64 MB would hold off every other
    domain's stop-the-world minor collection for its whole duration, and
    campaign workers build images while their neighbours run
-   watchdog-timed experiments. *)
+   deadline-timed experiments. *)
 let fresh_image ?src size =
   let b = Bytes.create size in
   let step = 1 lsl 20 in

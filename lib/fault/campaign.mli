@@ -7,8 +7,8 @@
     and discards-and-redraws experiments whose injection site was never
     reached.  Supports running-counter/ETA progress reporting,
     checkpoint/resume of interrupted campaigns, and supervised execution
-    ({!Supervisor}): retry/quarantine of host failures, a wall-clock
-    watchdog, worker-death respawn, and cooperative cancellation. *)
+    ({!Supervisor}): retry/quarantine of host failures, wall-clock
+    deadlines, worker-death recovery, and cooperative cancellation. *)
 
 (** [Domain.recommended_domain_count ()]: the pool width used when [jobs]
     is not given. *)
@@ -52,8 +52,7 @@ type progress = {
           from, and callers should render the ETA as unknown. *)
   running : Fault.stats;  (** per-outcome running counters *)
   not_reached : int;  (** discarded so far *)
-  quarantined : int;
-      (** experiments the supervisor gave up on (0 when unsupervised) *)
+  quarantined : int;  (** experiments the supervisor gave up on *)
 }
 
 type report = {
@@ -69,13 +68,13 @@ type report = {
   not_reached : int;  (** runs discarded because the site was not reached *)
   quarantined : Supervisor.tool_error list;
       (** experiments the supervisor quarantined (host exception on every
-          retry, repeated watchdog deadline, repeated worker death), in
+          retry, repeated deadline overrun, repeated worker death), in
           plan-slot order.  Excluded from [stats]/[outcomes]: supervision
           may shrink the sample, never skew it.  Persisted in the
-          checkpoint, so a resumed campaign never re-executes them.
-          Always [[]] when [supervise] was not given. *)
+          checkpoint, so a resumed campaign never re-executes them. *)
   worker_deaths : int;
-      (** worker domains that died and were respawned (supervised only) *)
+      (** exceptions that escaped a worker loop; the worker requeued (or
+          quarantined) its experiment and restarted the loop *)
   interrupted : bool;
       (** the [cancel] flag stopped the campaign before every planned
           experiment completed; the checkpoint file (if any) was kept for
@@ -88,17 +87,16 @@ type report = {
           break down captures, fast-forward restores and checkpoint I/O.
           Wall times (and [worker_deaths]/[interrupted]) are
           non-deterministic; everything else in the report above is
-          bit-identical for any worker count, with or without
-          supervision, for the experiments that completed. *)
+          bit-identical for any worker count, for the experiments that
+          completed. *)
 }
 
 (** [run ?jobs ?progress ?checkpoint ?redraw ~spec ~golden exps] runs a
     pre-drawn experiment list and returns the campaign report.
 
-    - [jobs]: worker-domain count (default {!default_jobs}; [1] runs
-      serially on the calling domain — except under [supervise], which
-      always spawns worker domains so a worker death can never take down
-      the caller).
+    - [jobs]: worker count (default {!default_jobs}).  Worker 0 runs on
+      the calling domain and the others on spawned domains, so [jobs = N]
+      uses exactly N domains; [1] runs serially on the caller.
     - [progress]: called after every completed experiment, serialized
       under the engine lock.  Exception-safe: a raising callback warns
       once on stderr and the campaign carries on.
@@ -119,16 +117,16 @@ type report = {
       (campaign entry points pass the one that already timed their golden
       and planning phases); without it a fresh recorder covers just this
       call.  Either way the rows end up in [report.spans].
-    - [supervise]: run every experiment under a {!Supervisor} with this
-      configuration — host exceptions are retried then quarantined,
-      runaway runs are aborted by a wall-clock watchdog, dead worker
-      domains are respawned.
-    - [chaos]: test-only harness-failure injection plan; only acts under
-      [supervise].
+    - [supervise]: the {!Supervisor} configuration every experiment runs
+      under (default {!Supervisor.default}) — host exceptions are retried
+      then quarantined, runaway runs are aborted at their wall-clock
+      deadline, and an exception that escapes a worker loop requeues the
+      experiment and restarts the loop in the same domain.
+    - [chaos]: test-only harness-failure injection plan.
     - [cancel]: cooperative cancellation flag.  Once set (e.g. from a
-      signal handler), in-flight experiments finish (or, under
-      [supervise], are aborted at the next quantum boundary), no new ones
-      start, and the report comes back with [interrupted = true]. *)
+      signal handler), in-flight experiments are aborted at their next
+      quantum boundary, no new ones start, and the report comes back
+      with [interrupted = true]. *)
 val run :
   ?jobs:int ->
   ?progress:(progress -> unit) ->

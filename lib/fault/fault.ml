@@ -195,9 +195,9 @@ let classify ~(golden : Cpu.Machine.result) (r : Cpu.Machine.result) : outcome =
 (* Runs one pre-drawn experiment and returns the raw machine result, so
    callers can account simulated cycles as well as the outcome.
    [max_instrs] overrides the spec's budget (campaigns pass the golden-run
-   derived {!hang_budget}); [abort] and [chaos] are the supervision hooks
-   of {!Cpu.Machine.config}, compiled into the run's config unchanged. *)
-let experiment_cfg ?max_instrs ?abort ?chaos (spec : run_spec) (e : experiment) :
+   derived {!hang_budget}); [abort] is the supervision hook of
+   {!Cpu.Machine.config}, compiled into the run's config unchanged. *)
+let experiment_cfg ?max_instrs ?abort (spec : run_spec) (e : experiment) :
     Cpu.Machine.config =
   {
     Cpu.Machine.default_config with
@@ -214,12 +214,11 @@ let experiment_cfg ?max_instrs ?abort ?chaos (spec : run_spec) (e : experiment) 
     reexec_retries = spec.reexec_retries;
     engine = spec.engine;
     abort;
-    chaos;
   }
 
-let run_experiment ?max_instrs ?abort ?chaos (spec : run_spec) (e : experiment) :
+let run_experiment ?max_instrs ?abort (spec : run_spec) (e : experiment) :
     Cpu.Machine.result =
-  run_with spec (experiment_cfg ?max_instrs ?abort ?chaos spec e)
+  run_with spec (experiment_cfg ?max_instrs ?abort spec e)
 
 (* The site stream an experiment's [at] is drawn against. *)
 let site_stream (kind : Cpu.Machine.fault_kind) (sn : Cpu.Machine.snapshot) : int =
@@ -247,10 +246,10 @@ let pick_snapshot (snapshots : Cpu.Machine.snapshot array) (e : experiment) :
    injection site and resume under the injecting config.  Snapshots carry
    their site counters, so the pre-drawn plan stays valid and the outcome
    is bit-identical to a from-scratch run (the prefix is deterministic). *)
-let run_experiment_from ?max_instrs ?spans ?abort ?chaos
+let run_experiment_from ?max_instrs ?spans ?abort
     ~(snapshots : Cpu.Machine.snapshot array) (spec : run_spec) (e : experiment) :
     Cpu.Machine.result =
-  let cfg = experiment_cfg ?max_instrs ?abort ?chaos spec e in
+  let cfg = experiment_cfg ?max_instrs ?abort spec e in
   match pick_snapshot snapshots e with
   | None -> run_with spec cfg
   | Some sn ->

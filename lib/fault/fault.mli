@@ -100,13 +100,12 @@ val classify : golden:Cpu.Machine.result -> Cpu.Machine.result -> outcome
 (** Runs one experiment and returns the raw machine result (outcome via
     {!classify}; simulated cycles via [wall_cycles]).  [max_instrs]
     overrides the spec's budget — campaigns pass {!hang_budget}.  [abort]
-    and [chaos] are threaded into the machine config verbatim (the
-    supervision hooks of {!Cpu.Machine.config}); a run that was never
-    aborted is bit-identical with or without them. *)
+    is threaded into the machine config verbatim (the supervision hook of
+    {!Cpu.Machine.config}); a run that was never aborted is bit-identical
+    with or without it. *)
 val run_experiment :
   ?max_instrs:int ->
   ?abort:(unit -> bool) ->
-  ?chaos:(unit -> unit) ->
   run_spec ->
   experiment ->
   Cpu.Machine.result
@@ -124,7 +123,6 @@ val run_experiment_from :
   ?max_instrs:int ->
   ?spans:Obs.Span.t ->
   ?abort:(unit -> bool) ->
-  ?chaos:(unit -> unit) ->
   snapshots:Cpu.Machine.snapshot array ->
   run_spec ->
   experiment ->

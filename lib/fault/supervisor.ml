@@ -4,7 +4,7 @@
     isolated, deterministically re-executed a bounded number of times, and
     only then given up on — except the suspect here is the *harness*
     itself (a host exception out of the simulator, a wall-clock runaway, a
-    dead worker domain), not the simulated program.  Every verdict that
+    dead worker), not the simulated program.  Every verdict that
     is not [V_ok] leaves the campaign's statistics untouched: supervision
     may shrink the sample, never skew it. *)
 
@@ -88,61 +88,21 @@ let clock_median (k : clock) : float option =
 
 (* ---- the supervisor ---- *)
 
-(* Per-worker watchdog slot.  The abort flag is the ONLY state the machine
-   ever reads (through the [abort] hook, one atomic load per quantum); the
-   deadline is written by the worker when it arms a run and read by the
-   watchdog domain.  [infinity] = idle. *)
-type slot = { sl_abort : bool Atomic.t; sl_deadline : float Atomic.t }
+(* No domain of its own: each worker checks its run's deadline and the
+   cancel flag in the machine's abort hook, which the machine polls once
+   per quantum anyway. *)
+type t = { cfg : config; clock : clock; cancel : bool Atomic.t; deaths : int Atomic.t }
 
-type t = {
-  cfg : config;
-  clock : clock;
-  slots : slot array;
-  cancel : bool Atomic.t;
-  deaths : int Atomic.t;
-  wd_stop : bool Atomic.t;
-  mutable wd : unit Domain.t option;
-}
-
-(* How often the watchdog scans the slots.  Bounds both the deadline
-   enforcement slack and the Ctrl-C propagation latency. *)
-let watchdog_tick = 0.01
-
-let watchdog (s : t) () =
-  while not (Atomic.get s.wd_stop) do
-    let now = Unix.gettimeofday () in
-    let cancelled = Atomic.get s.cancel in
-    Array.iter
-      (fun sl ->
-        if cancelled || now > Atomic.get sl.sl_deadline then Atomic.set sl.sl_abort true)
-      s.slots;
-    Unix.sleepf watchdog_tick
-  done
-
-let start ?cancel (cfg : config) ~(jobs : int) : t =
+let start ?cancel (cfg : config) : t =
   (* quarantine records carry the raising exception's backtrace; without
      this they would all be empty *)
   Printexc.record_backtrace true;
-  let s =
-    {
-      cfg;
-      clock = clock_make ();
-      slots =
-        Array.init (max 1 jobs) (fun _ ->
-            { sl_abort = Atomic.make false; sl_deadline = Atomic.make infinity });
-      cancel = (match cancel with Some c -> c | None -> Atomic.make false);
-      deaths = Atomic.make 0;
-      wd_stop = Atomic.make false;
-      wd = None;
-    }
-  in
-  s.wd <- Some (Domain.spawn (watchdog s));
-  s
-
-let stop (s : t) : unit =
-  Atomic.set s.wd_stop true;
-  Option.iter Domain.join s.wd;
-  s.wd <- None
+  {
+    cfg;
+    clock = clock_make ();
+    cancel = (match cancel with Some c -> c | None -> Atomic.make false);
+    deaths = Atomic.make 0;
+  }
 
 let cancelled (s : t) = Atomic.get s.cancel
 
@@ -163,12 +123,13 @@ let deadline (s : t) : float =
   | Some m -> Float.max s.cfg.deadline_floor (s.cfg.deadline_factor *. m)
   | None -> Float.max s.cfg.deadline_floor (s.cfg.deadline_factor *. s.cfg.deadline_floor)
 
-(* The machine-side chaos hook for one attempt at [slot], or [None].  The
-   hit counter advances on every *consultation* (i.e. every execution of
-   the slot), so tests can assert a quarantined-then-resumed slot was
-   never re-executed; one-shot specs only act on their first hit. *)
-let chaos_hook (plan : chaos_plan) ~(slot : int) ~(worker : slot) : (unit -> unit) option
-    =
+(* The chaos action for one attempt at [slot], or [None].  The hit
+   counter advances on every *consultation* (i.e. every execution of the
+   slot), so tests can assert a quarantined-then-resumed slot was never
+   re-executed; one-shot specs only act on their first hit.  [expired]
+   is the attempt's own abort condition. *)
+let chaos_action (plan : chaos_plan) ~(slot : int) ~(expired : unit -> bool) :
+    (unit -> unit) option =
   match List.find_opt (fun c -> c.ch_slot = slot) plan with
   | None -> None
   | Some c ->
@@ -181,12 +142,13 @@ let chaos_hook (plan : chaos_plan) ~(slot : int) ~(worker : slot) : (unit -> uni
           | Chaos_kill -> fun () -> raise Worker_kill
           | Chaos_slow d -> fun () -> Unix.sleepf d
           | Chaos_hang ->
-              (* stall until the watchdog flags the slot; the machine's own
-                 abort poll then raises at this same quantum boundary *)
+              (* stall until the deadline passes or cancel is set; the
+                 abort check that follows then fires at this same quantum
+                 boundary *)
               fun () ->
-               while not (Atomic.get worker.sl_abort) do
-                 Unix.sleepf 0.001
-               done)
+                while not (expired ()) do
+                  Unix.sleepf 0.001
+                done)
 
 (* ---- one supervised experiment ---- *)
 
@@ -195,13 +157,9 @@ type verdict =
   | V_quarantined of tool_error
   | V_cancelled
 
-let supervised_run (s : t) ~(wid : int) ~(round : int) ~(slot : int)
-    ~(chaos : chaos_plan) ~(max_instrs : int)
-    ~(snapshots : Cpu.Machine.snapshot array) ~(spans : Obs.Span.t)
+let supervised_run (s : t) ~(round : int) ~(slot : int) ~(chaos : chaos_plan)
+    ~(max_instrs : int) ~(snapshots : Cpu.Machine.snapshot array) ~(spans : Obs.Span.t)
     (spec : Fault.run_spec) (e : Fault.experiment) : verdict =
-  let sl = s.slots.(wid) in
-  let abort_hook () = Atomic.get sl.sl_abort in
-  let disarm () = Atomic.set sl.sl_deadline infinity in
   (* [attempts] = executions started; [timeouts]/[failures] = budget used
      per failure class.  An aborted run is retried once (a second deadline
      overrun is no longer plausible scheduling noise); a raising run is
@@ -211,21 +169,25 @@ let supervised_run (s : t) ~(wid : int) ~(round : int) ~(slot : int)
   let rec attempt ~(attempts : int) ~(timeouts : int) ~(failures : int) : verdict =
     if Atomic.get s.cancel then V_cancelled
     else begin
-      let hook = chaos_hook chaos ~slot ~worker:sl in
-      let dl = deadline s in
-      Atomic.set sl.sl_abort false;
       let t0 = Unix.gettimeofday () in
-      Atomic.set sl.sl_deadline (t0 +. dl);
-      match
-        Fault.run_experiment_from ~max_instrs ~spans ~abort:abort_hook ?chaos:hook
-          ~snapshots spec e
-      with
+      let until = t0 +. deadline s in
+      let expired () = Atomic.get s.cancel || Unix.gettimeofday () > until in
+      (* the chaos action runs on the first poll only: the first quantum
+         boundary, after [on_quantum] and before the abort check *)
+      let pending = ref (chaos_action chaos ~slot ~expired) in
+      let abort () =
+        (match !pending with
+        | Some f ->
+            pending := None;
+            f ()
+        | None -> ());
+        expired ()
+      in
+      match Fault.run_experiment_from ~max_instrs ~spans ~abort ~snapshots spec e with
       | r ->
-          disarm ();
           clock_record s.clock (Unix.gettimeofday () -. t0);
           V_ok r
       | exception Cpu.Machine.Abort ->
-          disarm ();
           if Atomic.get s.cancel then V_cancelled
           else if timeouts >= 1 then
             V_quarantined
@@ -241,13 +203,11 @@ let supervised_run (s : t) ~(wid : int) ~(round : int) ~(slot : int)
               }
           else attempt ~attempts:(attempts + 1) ~timeouts:(timeouts + 1) ~failures
       | exception Worker_kill ->
-          (* deliberate worker death (chaos): let it escape and kill the
-             domain — the pool's death detection requeues the slot *)
-          disarm ();
+          (* deliberate worker death (chaos): let it escape the worker
+             loop, whose death handler requeues the slot *)
           raise Worker_kill
       | exception exn ->
           let bt = Printexc.get_backtrace () in
-          disarm ();
           if failures >= s.cfg.retries then
             V_quarantined
               {

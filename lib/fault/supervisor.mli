@@ -10,16 +10,16 @@
       is captured with its backtrace and deterministically re-executed up
       to [retries] times; a persistent failure is quarantined into a
       {!tool_error} instead of killing the worker pool;
-    - {b wall-clock watchdog} — each run gets a deadline of
+    - {b wall-clock deadline} — each run gets a deadline of
       [deadline_factor] x the running median of executed experiment times
-      (floored at [deadline_floor]); a dedicated watchdog domain arms a
-      per-worker cancellation flag that the machine polls through the
-      cheap {!Cpu.Machine.config.abort} hook at quantum boundaries.
-      Aborted runs are retried once, then quarantined;
+      (floored at [deadline_floor]).  The run's own
+      {!Cpu.Machine.config.abort} hook, which the machine polls once per
+      quantum, checks the deadline and the cancel flag.  Aborted runs are
+      retried once, then quarantined;
     - {b chaos injection} — a test-only plan (raise / hang / slow /
-      kill-worker on chosen plan slots) compiled into the machine's
-      {!Cpu.Machine.config.chaos} hook, proving each supervision path
-      end-to-end against the real engine.
+      kill-worker on chosen plan slots) whose action runs inside the abort
+      hook on its first poll, proving each supervision path end-to-end
+      against the real engine.
 
     Quarantined experiments carry no observation: they are excluded from
     campaign statistics (supervision may shrink the sample, never skew
@@ -30,8 +30,8 @@
 (** Why an experiment was quarantined. *)
 type error_kind =
   | Host_exception  (** an exception escaped the run on every attempt *)
-  | Deadline  (** the wall-clock watchdog aborted the run twice *)
-  | Worker_death  (** the worker domain died while running the slot *)
+  | Deadline  (** the run overran its wall-clock deadline twice *)
+  | Worker_death  (** an exception killed the worker loop while running the slot *)
 
 val error_kind_to_string : error_kind -> string
 
@@ -65,9 +65,9 @@ val default : config
 
 type chaos_event =
   | Chaos_raise  (** raise {!Chaos_failure} out of the engine *)
-  | Chaos_hang  (** stall the run until the watchdog aborts it *)
+  | Chaos_hang  (** stall the run until its deadline passes or cancel is set *)
   | Chaos_slow of float  (** sleep this many seconds, then run normally *)
-  | Chaos_kill  (** raise {!Worker_kill}: the worker domain dies *)
+  | Chaos_kill  (** raise {!Worker_kill}: the worker loop dies *)
 
 type chaos_spec
 
@@ -88,24 +88,20 @@ val chaos_hits : chaos_spec -> int
 exception Chaos_failure
 
 (** What {!Chaos_kill} raises.  {!supervised_run} deliberately re-raises
-    it so the worker domain dies, exercising the pool's death-detection
-    and respawn path. *)
+    it so it escapes the worker loop, exercising the pool's worker-death
+    path (requeue or quarantine the slot, restart the loop). *)
 exception Worker_kill
 
 (** {2 Supervisor lifecycle} *)
 
 type t
 
-(** [start cfg ~jobs] builds the per-worker watchdog slots and spawns the
-    watchdog domain (one per campaign, scanning every ~10 ms).  [cancel]
-    is an external cancellation flag (Ctrl-C): once set, every in-flight
-    run is aborted and subsequent {!supervised_run} calls return
-    [V_cancelled] immediately. *)
-val start : ?cancel:bool Atomic.t -> config -> jobs:int -> t
-
-(** Stops and joins the watchdog domain.  Call exactly once, after the
-    worker pool has drained. *)
-val stop : t -> unit
+(** [start cfg] builds a supervisor: the running median the deadlines
+    derive from and a worker-death counter.  [cancel] is an external
+    cancellation flag (Ctrl-C): once set, every in-flight run is aborted
+    at its next quantum boundary and subsequent {!supervised_run} calls
+    return [V_cancelled] immediately. *)
+val start : ?cancel:bool Atomic.t -> config -> t
 
 val cancelled : t -> bool
 
@@ -113,13 +109,14 @@ val cancelled : t -> bool
     reuses [retries] as the worker-death re-execution budget). *)
 val config : t -> config
 
-(** Worker domains that died and were respawned so far. *)
+(** Worker deaths so far: exceptions that escaped a worker loop, which
+    then restarted. *)
 val worker_deaths : t -> int
 
 val note_death : t -> unit
 
 (** Folds one executed-experiment wall time into the running median the
-    watchdog derives deadlines from. *)
+    deadlines derive from. *)
 val record_sample : t -> float -> unit
 
 (** Current per-run deadline in seconds: [factor x median] of the recorded
@@ -133,15 +130,16 @@ type verdict =
   | V_quarantined of tool_error  (** gave up; exclude the slot and record *)
   | V_cancelled  (** external cancel: slot simply not executed *)
 
-(** [supervised_run s ~wid ~round ~slot ~chaos ~max_instrs ~snapshots
-    ~spans spec e] executes one experiment under worker [wid]'s watchdog
-    slot with retry/quarantine as configured.  Results of [V_ok] runs are
-    bit-identical to unsupervised execution.  @raise Worker_kill when a
-    {!Chaos_kill} fires (the caller's pool must treat it as worker
-    death). *)
+(** [supervised_run s ~round ~slot ~chaos ~max_instrs ~snapshots ~spans
+    spec e] executes one experiment on the calling domain with
+    retry/quarantine as configured.  Each attempt runs under an abort hook
+    that fires once its deadline has passed or cancel is set, and runs the
+    slot's chaos action (if any) once, on its first poll.  Results of
+    [V_ok] runs are bit-identical to a direct {!Fault.run_experiment}.
+    @raise Worker_kill when a {!Chaos_kill} fires (the caller's pool must
+    treat it as a worker death). *)
 val supervised_run :
   t ->
-  wid:int ->
   round:int ->
   slot:int ->
   chaos:chaos_plan ->

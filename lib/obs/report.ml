@@ -122,8 +122,8 @@ let campaign_results (r : Campaign.report) : J.t =
       ("avf", avf (Fault.avf_table obs));
       ("latency", latency obs);
       ("not_reached", J.Int r.Campaign.not_reached);
-      (* always rendered (0/[] when unsupervised): a supervised chaos-free
-         campaign's results block is bit-identical to an unsupervised one *)
+      (* always rendered (0/[] when nothing was quarantined), so a
+         chaos-free campaign's results block has a fixed shape *)
       ("quarantined", J.Int (List.length r.Campaign.quarantined));
       ("tool_errors", J.List (List.map tool_error r.Campaign.quarantined));
     ]

@@ -255,8 +255,7 @@ let check_deopt () =
 
 (* supervision boundary discipline under the compiled engine: the abort
    hook is polled exactly once per scheduling quantum (not once per fused
-   block), the chaos hook fires exactly once per run, and a cooperative
-   abort still cuts the run short *)
+   block), and a cooperative abort still cuts the run short *)
 let check_supervision () =
   let w = Workloads.Registry.find "hist" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
@@ -266,7 +265,7 @@ let check_supervision () =
     spec.Fault.init m;
     Cpu.Machine.run ~args:spec.Fault.args ~on_quantum m spec.Fault.entry
   in
-  let quanta = ref 0 and polls = ref 0 and chaos_fired = ref 0 in
+  let quanta = ref 0 and polls = ref 0 in
   let cfg =
     {
       Cpu.Machine.default_config with
@@ -276,7 +275,6 @@ let check_supervision () =
           (fun () ->
             incr polls;
             false);
-      chaos = Some (fun () -> incr chaos_fired);
     }
   in
   let r = run_cfg cfg ~on_quantum:(fun _ -> incr quanta) in
@@ -284,7 +282,6 @@ let check_supervision () =
     "no trap" None
     (Option.map Cpu.Machine.string_of_trap r.Cpu.Machine.trap);
   Alcotest.(check bool) "ran more than one quantum" true (!quanta > 1);
-  Alcotest.(check int) "chaos fired exactly once" 1 !chaos_fired;
   Alcotest.(check int) "abort polled once per quantum" !quanta !polls;
   let polls2 = ref 0 in
   let abort_cfg =
@@ -295,7 +292,6 @@ let check_supervision () =
           (fun () ->
             incr polls2;
             !polls2 >= 6);
-      chaos = None;
     }
   in
   match run_cfg abort_cfg ~on_quantum:(fun _ -> ()) with

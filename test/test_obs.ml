@@ -275,8 +275,7 @@ let test_resume_eta_uses_executed_rate () =
        resumed);
   List.iter
     (fun (p : Campaign.progress) ->
-      (* unsupervised resume: quarantined = 0, so executed is just
-         completed - restored *)
+      (* nothing quarantined: executed is just completed - restored *)
       let executed = p.Campaign.completed - p.Campaign.restored in
       if executed = 0 then (
         if not (Float.is_nan p.Campaign.eta) then
