@@ -213,9 +213,6 @@ type t = {
   kblocks : fblock option array array;
       (** fused superblocks, indexed by [cf_id] then starting [pc];
           [Some] only at fusable block starts.  Filled with [kcode] *)
-  mutable snap_base : Bytes.t;
-      (** memory image at the first snapshot of this run; empty until
-          [snapshot] is first called *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;
@@ -267,7 +264,6 @@ let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t
     by_tid = [||];
     kcode = Array.make nfuncs [||];
     kblocks = Array.make nfuncs [||];
-    snap_base = Bytes.empty;
     nthreads = 0;
     output = Buffer.create 256;
     alloc_sizes = Hashtbl.create 64;
@@ -493,7 +489,7 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
   | "malloc" ->
       let size = Int64.to_int args.(0) in
       let p = Memory.malloc m.mem size in
-      Hashtbl.replace m.alloc_sizes p size;
+      if p <> 0L then Hashtbl.replace m.alloc_sizes p size;
       retv := p
   | "free" -> (
       match Hashtbl.find_opt m.alloc_sizes args.(0) with
@@ -550,9 +546,7 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
   | "output_i64" | "output_f64" ->
       Buffer.add_int64_le m.output args.(0)
   | "output_bytes" ->
-      let p = args.(0) and len = Int64.to_int args.(1) in
-      Memory.check m.mem p (max len 1);
-      Buffer.add_subbytes m.output m.mem.Memory.data (Int64.to_int p) len
+      Buffer.add_string m.output (Memory.read_bytes m.mem args.(0) (Int64.to_int args.(1)))
   | "rand64" ->
       (* xorshift64* over a state cell in simulated memory *)
       let s = Memory.read m.mem ~width:8 args.(0) in
@@ -848,7 +842,10 @@ let step (m : t) (th : thread) : bool =
           th.frames <- nf :: th.frames;
           next_pc := -1
       | Code.Builtin id -> (
+          (* a builtin's access to unmapped memory (a flipped lock address,
+             a stack that would reach the heap) segfaults like a load *)
           match exec_builtin m th fr id args dst dlanes with
+          | exception Memory.Fault x -> raise (Trap (Segfault x))
           | Bdone -> ()
           | Bretry ->
               next_pc := fr.pc;
@@ -1448,6 +1445,7 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
             args.(i) <- getters.(i) regs
           done;
           (match exec_builtin m th fr id args cdst cdl with
+          | exception Memory.Fault x -> raise (Trap (Segfault x))
           | Bdone -> next
           | Bretry ->
               fr.pc <- pc;
@@ -2231,10 +2229,8 @@ let run ?(args = [||]) ?on_quantum (m : t) (entry : string) : result =
 
 (* A snapshot is a deep, self-contained copy of the architectural and
    micro-architectural state at a quantum boundary of a fault-free run.
-   Memory is captured copy-on-write style: the first snapshot copies the
-   whole image and turns on cumulative dirty-page journaling, later ones
-   store only the pages dirtied since that base — so a chain of snapshots
-   over a 64 MB address space costs one image plus the working set.
+   Memory is a [Memory.image]: it shares its pages copy-on-write with the
+   source machine, so a snapshot costs a page table, not a 64 MB copy.
    [Code.t] and undo-log spines are immutable and shared. *)
 
 type frame_snap = {
@@ -2275,9 +2271,7 @@ type thread_snap = {
 
 type snapshot = {
   sn_code : Code.t;  (** immutable, shared with the source machine *)
-  sn_base : Bytes.t;
-  sn_pages : (int * Bytes.t) array;
-  sn_meta : Memory.meta;
+  sn_mem : Memory.image;
   sn_threads : thread_snap list;  (** in [m.threads] order *)
   sn_nthreads : int;
   sn_output : string;
@@ -2299,10 +2293,6 @@ let snapshot_instrs (sn : snapshot) = sn.sn_total_instrs
 
 let snapshot (m : t) : snapshot =
   if m.injected then invalid_arg "Machine.snapshot: fault already injected";
-  if Bytes.length m.snap_base = 0 then begin
-    m.snap_base <- Bytes.copy m.mem.Memory.data;
-    Memory.journal_start m.mem
-  end;
   let snap_thread (th : thread) : thread_snap =
     let frames =
       Array.of_list
@@ -2357,9 +2347,7 @@ let snapshot (m : t) : snapshot =
   in
   {
     sn_code = m.code;
-    sn_base = m.snap_base;
-    sn_pages = Memory.journal_capture m.mem;
-    sn_meta = Memory.meta m.mem;
+    sn_mem = Memory.capture m.mem;
     sn_threads = List.map snap_thread m.threads;
     sn_nthreads = m.nthreads;
     sn_output = Buffer.contents m.output;
@@ -2380,27 +2368,8 @@ let rec list_drop n l = if n <= 0 then l else list_drop (n - 1) (List.tl l)
    Fault-site counters keep their snapshot values, so a plan drawn against
    the full golden run stays valid: site number k still fires at the same
    dynamic instruction. *)
-(* Per-domain memory pool for [restore ~reuse:true]: the last restored
-   run's memory, re-imaged in place (dirty pages reverted against the
-   shared base) instead of re-copying the whole image for every
-   experiment.  Keyed by physical identity of the base image, so a
-   snapshot chain from a different golden run falls back to a fresh
-   copy. *)
-let mem_pool : (Bytes.t * Memory.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
-  let mem =
-    let pool = Domain.DLS.get mem_pool in
-    match !pool with
-    | Some (base, pm) when reuse && base == sn.sn_base ->
-        Memory.reimage pm ~base ~pages:sn.sn_pages sn.sn_meta;
-        pm
-    | _ ->
-        let fresh = Memory.of_image ~base:sn.sn_base ~pages:sn.sn_pages sn.sn_meta in
-        if reuse then pool := Some (sn.sn_base, fresh);
-        fresh
-  in
+let restore ?(cfg = default_config) (sn : snapshot) : t =
+  let mem = Memory.of_image sn.sn_mem in
   let alloc_sizes = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace alloc_sizes k v) sn.sn_allocs;
   let m =
@@ -2411,7 +2380,6 @@ let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
       by_tid = [||];
       kcode = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
       kblocks = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
-      snap_base = Bytes.empty;
       nthreads = sn.sn_nthreads;
       output = Buffer.create (String.length sn.sn_output + 256);
       alloc_sizes;

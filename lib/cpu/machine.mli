@@ -184,7 +184,6 @@ type t = {
   kblocks : fblock option array array;
       (** fused superblocks, by [cf_id] then starting pc; filled with
           [kcode] *)
-  mutable snap_base : Bytes.t;  (** base memory image of the snapshot chain *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;
@@ -248,10 +247,11 @@ val run : ?args:int64 array -> ?on_quantum:(t -> unit) -> t -> string -> result
     to completion; same contract as {!run}. *)
 val resume : ?on_quantum:(t -> unit) -> t -> result
 
-(** Deep, self-contained copy of machine state at a quantum boundary of a
-    fault-free run.  Memory is captured copy-on-write style: the first
-    snapshot of a machine copies the image and starts cumulative
-    dirty-page journaling; later ones store only the delta. *)
+(** Self-contained copy of machine state at a quantum boundary of a
+    fault-free run.  Its memory is a {!Memory.image} that shares every
+    page with the source machine copy-on-write: taking a snapshot copies
+    the page table, and the source's next write to a page copies that
+    page, so the snapshot never changes. *)
 type snapshot
 
 (** @raise Invalid_argument if a fault was already injected (snapshots
@@ -268,13 +268,12 @@ val snapshot_instrs : snapshot -> int
 (** Rebuilds a runnable machine from a snapshot under [cfg] (typically a
     config arming an injection); continue it with {!resume}.  Site
     counters keep their snapshot values, so plans drawn against the full
-    golden run stay valid.  [reuse] (default [false]) recycles a
-    per-domain pooled memory: the previous [~reuse:true] machine restored
-    on this domain from the same snapshot chain is destructively
-    re-imaged (only its dirty pages are reverted) instead of copying the
-    whole image again — the caller must be done with that machine, which
-    is exactly the one-experiment-at-a-time pattern of campaigns. *)
-val restore : ?cfg:config -> ?reuse:bool -> snapshot -> t
+    golden run stay valid.  The machine's memory starts as a copy of the
+    snapshot's page table with no page owned: it copies a page only when
+    it first writes it, so a restore costs the table plus the pages the
+    run writes, and any number of machines (on any domains) may be
+    restored from one snapshot. *)
+val restore : ?cfg:config -> snapshot -> t
 
 (** [create] + [run]. *)
 val run_module :

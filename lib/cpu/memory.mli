@@ -1,6 +1,14 @@
-(** Flat simulated memory shared by all threads, with a static region for
+(** Simulated memory shared by all threads, with a static region for
     globals, a first-fit heap, and per-thread stacks carved from the top.
     The first page is unmapped so null dereferences trap.
+
+    Memory is a table of 4 KB pages.  A page no one has written aliases a
+    shared zero page, so {!create} costs only the table.  Pages are
+    copy-on-write: {!capture} shares every page between the memory and the
+    frozen {!image} it returns, and {!of_image} starts a memory that
+    shares every page with the image.  Either side's first write to a
+    shared page copies that page, so an image never changes and a capture
+    or a restore costs the table, not the 64 MB address space.
 
     The paper assumes memory is ECC-protected and outside the fault model
     (§III-A); the expanded taxonomy deliberately breaks that assumption:
@@ -8,35 +16,37 @@
     (bypassing any undo log), to measure what ELZAR's register-level
     replication cannot catch. *)
 
-type t = {
-  data : Bytes.t;
+type t = private {
+  pages : Bytes.t array;
+  owned : Bytes.t;
   size : int;
   mutable static_brk : int;
   mutable heap_base : int;
   mutable heap_limit : int;
   mutable free_list : (int * int) list;
   mutable stack_top : int;
-  mutable journal : Bytes.t;
-      (** dirty-page bitset for snapshot deltas; empty = tracking off *)
 }
 
 (** Access outside mapped memory. *)
 exception Fault of int64
 
-exception Out_of_memory
-
 val page : int
+
+(** All-zero memory of [size] bytes (default 64 MB). *)
 val create : ?size:int -> unit -> t
+
 val align16 : int -> int
 
-(** @raise Fault when [addr, addr+w) is not mapped. *)
-val check : t -> int64 -> int -> unit
-
 (** [read m ~width addr] returns the value zero-extended to 64 bits;
-    [width] is 1, 2, 4 or 8. *)
+    [width] is 1, 2, 4 or 8.
+    @raise Fault when [addr, addr+width) is not mapped. *)
 val read : t -> width:int -> int64 -> int64
 
 val write : t -> width:int -> int64 -> int64 -> unit
+
+(** [read_bytes m addr len] copies [addr, addr+len) out of memory.
+    @raise Fault when the range is not mapped or [len] is negative. *)
+val read_bytes : t -> int64 -> int -> string
 
 (** Globals region, allocated once at load time. *)
 val alloc_static : t -> int -> int64
@@ -46,31 +56,24 @@ val blit_string : t -> string -> int64 -> unit
 (** Sets up the heap between the globals and the stack reserve. *)
 val heap_init : t -> stack_reserve:int -> unit
 
+(** First-fit heap allocation; returns 0 (NULL) when no free chunk fits. *)
 val malloc : t -> int -> int64
+
 val free : t -> int64 -> int -> unit
+
+(** [alloc_stack m n] carves an [n]-byte stack below the previous one.
+    @raise Fault (at the would-be stack base) when it would reach the
+    heap. *)
 val alloc_stack : t -> int -> int64
 
-(** Allocator metadata captured alongside a snapshot image. *)
-type meta
+(** A frozen memory: pages and allocator state, never changed. *)
+type image
 
-val meta : t -> meta
+(** Freezes the current contents and allocator state of [m].  [m] stays
+    usable; its pages become shared with the image, so [m]'s next write
+    to each of them copies it. *)
+val capture : t -> image
 
-(** Starts cumulative dirty-page tracking (copy-on-write-style capture):
-    every subsequent store marks its page, and the set is never cleared, so
-    each later {!journal_capture} is a self-contained delta against the
-    memory image at this call. *)
-val journal_start : t -> unit
-
-(** Copies of all pages dirtied since {!journal_start}, sorted by page. *)
-val journal_capture : t -> (int * Bytes.t) array
-
-(** Rebuilds a memory from a base image plus a page delta.  Dirty-page
-    tracking stays on in the clone so {!reimage} can later reuse it. *)
-val of_image : base:Bytes.t -> pages:(int * Bytes.t) array -> meta -> t
-
-(** [reimage m ~base ~pages mt] resets a memory previously built by
-    {!of_image} from the very same [base] (physical identity — the caller
-    checks) to a fresh base+delta state, reverting only the pages known
-    dirty instead of re-copying the whole image.  The cheap path behind
-    per-experiment machine reuse in fault campaigns. *)
-val reimage : t -> base:Bytes.t -> pages:(int * Bytes.t) array -> meta -> unit
+(** A fresh memory holding [image]'s contents and allocator state,
+    sharing its pages copy-on-write. *)
+val of_image : image -> t

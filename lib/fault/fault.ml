@@ -145,8 +145,8 @@ let golden_capture ?spans (spec : run_spec) :
     | Some r -> Obs.Span.time r "golden/snapshot" (fun () -> Cpu.Machine.snapshot m)
   in
   (* first capture at the very first quantum boundary: experiments whose
-     site falls before any later snapshot then still restore a pooled
-     memory instead of paying a from-scratch machine build *)
+     site falls before any later snapshot then still restore instead of
+     paying a from-scratch machine build *)
   let next_at = ref 1 in
   let on_quantum (m : Cpu.Machine.t) =
     if m.Cpu.Machine.total_instrs >= !next_at then begin
@@ -253,14 +253,10 @@ let run_experiment_from ?max_instrs ?spans ?abort
   match pick_snapshot snapshots e with
   | None -> run_with spec cfg
   | Some sn ->
-      (* ~reuse is sound here: each worker runs one experiment at a time
-         and drops the machine before the next restore *)
       let m =
         match spans with
-        | None -> Cpu.Machine.restore ~cfg ~reuse:true sn
-        | Some r ->
-            Obs.Span.time r "exec/restore" (fun () ->
-                Cpu.Machine.restore ~cfg ~reuse:true sn)
+        | None -> Cpu.Machine.restore ~cfg sn
+        | Some r -> Obs.Span.time r "exec/restore" (fun () -> Cpu.Machine.restore ~cfg sn)
       in
       Cpu.Machine.resume m
 

@@ -233,6 +233,101 @@ let test_stack_isolated_from_heap () =
   let s = Memory.alloc_stack m 4096 in
   check_bool "stack above heap limit" true (Int64.to_int s >= m.Memory.heap_limit)
 
+(* The paged copy-on-write memory against a flat [Bytes] model: random
+   reads and writes of every width (biased to page boundaries, the
+   unmapped first page and the end of memory), interleaved with captures
+   and restores.  Afterwards every image must still hold what it held
+   when captured, even after two memories restored from it have written
+   to every one of its pages, and the shared zero page must be all
+   zero. *)
+type mem_op =
+  | Rd of int * int
+  | Wr of int * int * int64
+  | Capture
+  | Restore of int
+
+let prop_paged_memory_matches_flat =
+  let page = Memory.page in
+  let size = 16 * page in
+  let addr_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun k d -> (k * page) + d) (int_range 0 (size / page)) (int_range (-8) 8));
+          (1, int_range 0 (page - 1));
+          (1, int_range (size - 16) (size + 8));
+          (2, int_range 0 (size - 1));
+        ])
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun w a -> Rd (w, a)) (oneofl [ 1; 2; 4; 8 ]) addr_gen);
+          (4, map3 (fun w a v -> Wr (w, a, v)) (oneofl [ 1; 2; 4; 8 ]) addr_gen ui64);
+          (1, return Capture);
+          (1, map (fun i -> Restore i) small_nat);
+        ])
+  in
+  let faults w a = a < page || a + w > size in
+  let model_read b w a =
+    let v = ref 0L in
+    for i = w - 1 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bytes.get_uint8 b (a + i)))
+    done;
+    !v
+  in
+  let model_write b w a v =
+    for i = 0 to w - 1 do
+      Bytes.set_uint8 b (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+    done
+  in
+  let contents mem = Memory.read_bytes mem (Int64.of_int page) (size - page) in
+  let mapped c = Bytes.sub_string c page (size - page) in
+  QCheck.Test.make ~count:300 ~name:"paged memory agrees with a flat model"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 200) op_gen))
+    (fun ops ->
+      let m = ref (Memory.create ~size ()) and model = ref (Bytes.make size '\000') in
+      let images = ref [] in
+      let step = function
+        | Rd (w, a) -> (
+            match Memory.read !m ~width:w (Int64.of_int a) with
+            | v -> (not (faults w a)) && v = model_read !model w a
+            | exception Memory.Fault _ -> faults w a)
+        | Wr (w, a, v) -> (
+            match Memory.write !m ~width:w (Int64.of_int a) v with
+            | () -> (not (faults w a)) && (model_write !model w a v; true)
+            | exception Memory.Fault _ -> faults w a)
+        | Capture ->
+            images := (Memory.capture !m, Bytes.copy !model) :: !images;
+            true
+        | Restore i ->
+            (match !images with
+            | [] -> ()
+            | l ->
+                let img, c = List.nth l (i mod List.length l) in
+                m := Memory.of_image img;
+                model := Bytes.copy c);
+            true
+      in
+      let scribble mem byte =
+        for p = 1 to (size / page) - 1 do
+          Memory.write mem ~width:1 (Int64.of_int ((p * page) + 7)) (Int64.of_int byte)
+        done
+      in
+      let image_intact (img, c) =
+        let a = Memory.of_image img and b = Memory.of_image img in
+        scribble a 0x5A;
+        scribble b 0xA5;
+        contents (Memory.of_image img) = mapped c
+        && Memory.read a ~width:1 (Int64.of_int (page + 7)) = 0x5AL
+        && Memory.read b ~width:1 (Int64.of_int (page + 7)) = 0xA5L
+      in
+      List.for_all step ops
+      && contents !m = mapped !model
+      && List.for_all image_intact !images
+      && Array.for_all (Bytes.for_all (( = ) '\000')) (Memory.create ~size ()).Memory.pages)
+
 let tests =
   [
     Alcotest.test_case "integer widths wrap" `Quick test_int_widths;
@@ -257,4 +352,5 @@ let tests =
     Alcotest.test_case "memory: malloc/free" `Quick test_malloc_free_reuse;
     Alcotest.test_case "memory: stack isolation" `Quick test_stack_isolated_from_heap;
     QCheck_alcotest.to_alcotest prop_exec_plan_matches_exec;
+    QCheck_alcotest.to_alcotest prop_paged_memory_matches_flat;
   ]

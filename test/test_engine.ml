@@ -131,6 +131,22 @@ let check_snapshot_resume engine () =
         golden r)
     (List.sort_uniq compare picks)
 
+(* Machine memory costs the pages a run touches, not the 64 MB address
+   space: create + init + run + snapshot + restore of a tiny hardened
+   workload allocates less than 8 MB in all (most of it the simulation's
+   own), where one whole-image copy alone would be 64 MB. *)
+let check_machine_alloc () =
+  let w = Workloads.Registry.find "black" in
+  let harden = Elzar.Hardened Elzar.Harden_config.default in
+  let spec = Workloads.Workload.fi_spec w ~build:harden ~nthreads:1 () in
+  let before = Gc.allocated_bytes () in
+  let m = Cpu.Machine.create ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+  spec.Fault.init m;
+  ignore (Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry);
+  ignore (Cpu.Machine.restore (Cpu.Machine.snapshot m));
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576. in
+  if mb >= 8. then Alcotest.failf "create..restore allocated %.1f MB (limit 8)" mb
+
 (* campaign fast-forward: the full report (per-outcome stats and every
    observation, including wall cycles and detection latencies) must be
    bit-identical with fast-forward on or off, and for any worker count *)
@@ -314,6 +330,7 @@ let tests =
         (check_snapshot_resume Cpu.Machine.Reference);
       Alcotest.test_case "snapshot resume (compiled)" `Quick
         (check_snapshot_resume Cpu.Machine.Compiled);
+      Alcotest.test_case "machine memory allocation bound" `Quick check_machine_alloc;
       Alcotest.test_case "campaign fast-forward bit-identical" `Quick
         check_campaign_fast_forward;
       Alcotest.test_case "campaign compiled vs reference bit-identical" `Quick

@@ -124,6 +124,55 @@ let test_alloca_stack_discipline () =
   let r = Cpu.Machine.run_module m "main" ~args:[| 0L |] in
   check_bool "no stack overflow across 10k calls" true (r.Cpu.Machine.trap = None)
 
+(* Memory exhaustion in a simulated program is the program's outcome, not
+   a host exception, on both engines: malloc returns NULL when no chunk
+   fits (so the store through it segfaults at 0), and a spawn whose stack
+   would reach the heap segfaults, as does any builtin's access to
+   unmapped memory. *)
+let run_on engine mk =
+  let m = Builder.create_module () in
+  let open Builder in
+  let b, _ = func m "worker" [ ("x", Types.i64) ] in
+  ret b None;
+  let b, _ = func m ~hardened:false "main" [ ("n", Types.i64) ] in
+  mk b;
+  ret b None;
+  Verifier.verify_exn m;
+  let cfg = { Cpu.Machine.default_config with Cpu.Machine.engine; max_instrs = 1_000_000 } in
+  Cpu.Machine.run_module ~cfg m "main" ~args:[| 0L |]
+
+let check_segfault name (r : Cpu.Machine.result) =
+  match r.Cpu.Machine.trap with
+  | Some (Cpu.Machine.Segfault _) -> ()
+  | Some t -> Alcotest.failf "%s: unexpected trap %s" name (Cpu.Machine.string_of_trap t)
+  | None -> Alcotest.failf "%s: expected a segfault" name
+
+let test_malloc_exhaustion engine () =
+  let r =
+    run_on engine (fun b ->
+        let open Builder in
+        let p = callv b ~ret:Types.ptr "malloc" [ i64c (1 lsl 40) ] in
+        call0 b "output_i64" [ p ];
+        store b (i64c 1) p)
+  in
+  Alcotest.(check string) "malloc returned NULL" (String.make 8 '\000') r.Cpu.Machine.output_bytes;
+  Alcotest.(check (option string))
+    "store through NULL" (Some (Cpu.Machine.string_of_trap (Cpu.Machine.Segfault 0L)))
+    (Option.map Cpu.Machine.string_of_trap r.Cpu.Machine.trap)
+
+let test_stack_exhaustion engine () =
+  check_segfault "1000 spawns"
+    (run_on engine (fun b ->
+         let open Builder in
+         for_ b ~lo:(i64c 0) ~hi:(i64c 1000) (fun i ->
+             ignore (callv b ~ret:Types.i64 "spawn" [ Instr.Fref "worker"; i ]))))
+
+let test_builtin_fault engine () =
+  check_segfault "lock at 8"
+    (run_on engine (fun b -> Builder.call0 b "lock" [ Builder.ptrc 8 ]));
+  check_segfault "output_bytes at 8"
+    (run_on engine (fun b -> Builder.call0 b "output_bytes" [ Builder.ptrc 8; Builder.i64c 4 ]))
+
 let tests =
   [
     Alcotest.test_case "trap: null deref" `Quick test_trap_null_deref;
@@ -135,3 +184,14 @@ let tests =
     Alcotest.test_case "instruction trace" `Quick test_trace_capture;
     Alcotest.test_case "alloca stack discipline" `Quick test_alloca_stack_discipline;
   ]
+  @ List.concat_map
+      (fun (name, engine) ->
+        [
+          Alcotest.test_case ("malloc exhaustion returns NULL " ^ name) `Quick
+            (test_malloc_exhaustion engine);
+          Alcotest.test_case ("stack exhaustion segfaults " ^ name) `Quick
+            (test_stack_exhaustion engine);
+          Alcotest.test_case ("builtin fault segfaults " ^ name) `Quick
+            (test_builtin_fault engine);
+        ])
+      [ ("(reference)", Cpu.Machine.Reference); ("(compiled)", Cpu.Machine.Compiled) ]
