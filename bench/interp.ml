@@ -88,9 +88,10 @@ let check_identity (a : sample) (b : sample) =
    same report pipeline as campaigns and CLI runs; its own version is 3
    because removing an engine removed members (EXPERIMENTS.md stability
    promise).  [gmean_speedup] summarizes the engine pair over the
-   plain-mode cells (the census cells deliberately keep most hardened
-   instructions on their per-instruction closures, so they measure the
-   fallback, not fusion). *)
+   plain-mode cells, whose closures carry no hooks; the census cells
+   compile the site-counting hook into every hardened memory access and
+   injectable instruction, so they get a per-flavour line on stdout but
+   no [gmean_speedup] entry. *)
 let version = 3
 
 let emit_json path (samples : sample list) (pair_gmeans : (string * float) list) =

@@ -8,6 +8,42 @@
 
 open Cmdliner
 
+(* [conv] restricted to values satisfying [ok]; anything else is a usage
+   error (Cmdliner's exit 124), reported before anything runs. *)
+let restrict ~(what : string) (ok : 'a -> bool) (conv : 'a Arg.conv) : 'a Arg.conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least conv lo =
+  restrict ~what:(Printf.sprintf "at least %d" lo) (fun v -> v >= lo) conv
+
+(* One of [all], picked by [name]; an unknown name is a usage error that
+   lists the valid ones. *)
+let named_conv ~(what : string) (name : 'a -> string) (all : 'a list) : 'a Arg.conv =
+  let parse s =
+    match List.find_opt (fun v -> name v = s) all with
+    | Some v -> Ok v
+    | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown %s %S (expected one of: %s)" what s
+                (String.concat ", " (List.map name all))))
+  in
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (name v))
+
+let workload_arg =
+  let workload_conv =
+    named_conv ~what:"workload"
+      (fun w -> w.Workloads.Workload.name)
+      Workloads.Registry.(all @ extended @ micro)
+  in
+  Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
+
 let size_conv =
   let parse = function
     | "tiny" -> Ok Workloads.Workload.Tiny
@@ -48,12 +84,14 @@ let engine_conv =
 let engine_arg =
   Arg.(value & opt engine_conv Cpu.Machine.default_config.Cpu.Machine.engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: compiled (the default: per-instruction threaded code \
-                 with straight-line runs fused into superblocks) or reference (the \
-                 interpreter, kept as the executable specification). Both engines are \
-                 bit-identical; only wall time differs.")
+           ~doc:"Execution engine: compiled (the default: one pre-specialized closure \
+                 per instruction, each function compiled on its first entry) or \
+                 reference (the interpreter, kept as the executable specification). \
+                 Both engines are bit-identical; only wall time differs.")
 
-let threads_arg = Arg.(value & opt int 2 & info [ "t"; "threads" ] ~doc:"Worker threads.")
+let threads_arg =
+  Arg.(value & opt (at_least int 1) 2
+       & info [ "t"; "threads" ] ~doc:"Worker threads (at least 1).")
 
 (* ---- list ---- *)
 
@@ -75,8 +113,7 @@ let list_cmd =
 (* ---- run ---- *)
 
 let run_cmd =
-  let run name build nthreads size profile engine json =
-    let w = Workloads.Registry.find name in
+  let run w build nthreads size profile engine json =
     let prof = if profile then Some (Cpu.Profile.create ()) else None in
     let machine_cfg =
       { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
@@ -99,7 +136,7 @@ let run_cmd =
     | Some path ->
         let params =
           [
-            ("workload", Obs.Json.Str name);
+            ("workload", Obs.Json.Str w.Workloads.Workload.name);
             ("build", Obs.Json.Str (Elzar.build_name build));
             ("threads", Obs.Json.Int nthreads);
             ("size", Obs.Json.Str (Workloads.Workload.size_to_string size));
@@ -110,12 +147,11 @@ let run_cmd =
         Printf.printf "wrote %s\n" path
     | None -> ()
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
              ~doc:"Attribute simulated cycles per instruction class (compiled engine \
-                   only, with superblock fusion off) and print the table.")
+                   only) and print the table.")
   in
   let json =
     Arg.(value & opt (some string) None
@@ -125,24 +161,10 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on the simulated machine")
-    Term.(const run $ name_arg $ build_arg $ threads_arg $ size_arg $ profile
+    Term.(const run $ workload_arg $ build_arg $ threads_arg $ size_arg $ profile
           $ engine_arg $ json)
 
 (* ---- inject ---- *)
-
-(* [conv] restricted to values satisfying [ok]; anything else is a usage
-   error (Cmdliner's exit 124), reported before the campaign starts. *)
-let restrict ~(what : string) (ok : 'a -> bool) (conv : 'a Arg.conv) : 'a Arg.conv =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let at_least conv lo =
-  restrict ~what:(Printf.sprintf "at least %d" lo) (fun v -> v >= lo) conv
 
 let positive_float =
   restrict ~what:"a finite number above 0"
@@ -204,10 +226,9 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
       Format.fprintf fmt "<%d chaos specs>" (List.length l))
 
 let inject_cmd =
-  let run name build n seed jobs double same_bit model avf checkpoint quiet engine
+  let run w build n seed jobs double same_bit model avf checkpoint quiet engine
       no_fast_forward json retries deadline_factor deadline_floor max_tool_errors
       chaos =
-    let w = Workloads.Registry.find name in
     let spec = { (Workloads.Workload.fi_spec w ~build ()) with Fault.engine } in
     let fast_forward = not no_fast_forward in
     (* Ctrl-C / SIGTERM: cooperative cancellation.  The flag stops the
@@ -249,7 +270,6 @@ let inject_cmd =
     let supervise =
       { Supervisor.retries; deadline_factor; deadline_floor; max_tool_errors }
     in
-    let model = Fault.model_of_string model in
     let report =
       if double then
         Campaign.double ~seed ~n ~same_bit ?jobs ?progress ?checkpoint ~fast_forward
@@ -292,7 +312,7 @@ let inject_cmd =
     | Some path ->
         let params =
           [
-            ("workload", Obs.Json.Str name);
+            ("workload", Obs.Json.Str w.Workloads.Workload.name);
             ("build", Obs.Json.Str (Elzar.build_name build));
             ("n", Obs.Json.Int n);
             ("seed", Obs.Json.Int seed);
@@ -313,23 +333,25 @@ let inject_cmd =
       exit 3
     end
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let n =
     Arg.(value & opt (at_least int 1) 100
          & info [ "n" ] ~doc:"Number of injections (at least 1).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let jobs =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (at_least int 1)) None
          & info [ "j"; "jobs" ]
-             ~doc:"Worker domains (default: one per recommended domain). Results are \
-                   bit-identical for any value.")
+             ~doc:"Worker domains, at least 1 (default: one per recommended domain). \
+                   Results are bit-identical for any value.")
   in
   let double =
     Arg.(value & flag & info [ "double" ] ~doc:"Double-bit campaign (two flips, §III-C).")
   in
   let model =
-    Arg.(value & opt string "reg"
+    let model_conv =
+      named_conv ~what:"fault model" Fault.model_to_string Fault.all_models
+    in
+    Arg.(value & opt model_conv Fault.Reg
          & info [ "fault-model" ] ~docv:"MODEL"
              ~doc:"Fault model: reg (register SEUs, the paper's §IV-B campaign), mem \
                    (memory bit-flips), addr (effective-address faults), cf (control-flow \
@@ -401,31 +423,30 @@ let inject_cmd =
   in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
-    Term.(const run $ name_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
+    Term.(const run $ workload_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
           $ avf $ checkpoint $ quiet $ engine_arg $ no_fast_forward
           $ json $ retries $ deadline_factor $ deadline_floor $ max_tool_errors $ chaos)
 
 (* ---- show ---- *)
 
 let show_cmd =
-  let run name fname build size =
-    let w = Workloads.Registry.find name in
+  let run w fname build size =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     match Ir.Instr.find_func m fname with
     | Some f -> print_string (Ir.Printer.func_to_string f)
-    | None -> Printf.printf "no function @%s\n" fname
+    | None ->
+        Printf.eprintf "no function @%s in %s\n" fname w.Workloads.Workload.name;
+        exit 1
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let fname = Arg.(value & pos 1 string "work" & info [] ~docv:"FUNCTION") in
   Cmd.v
     (Cmd.info "show" ~doc:"Print a function's IR after the selected pass pipeline")
-    Term.(const run $ name_arg $ fname $ build_arg $ size_arg)
+    Term.(const run $ workload_arg $ fname $ build_arg $ size_arg)
 
 (* ---- trace ---- *)
 
 let trace_cmd =
-  let run name build nthreads size limit =
-    let w = Workloads.Registry.find name in
+  let run w build nthreads size limit =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     let buf = Buffer.create 4096 in
     let cfg = { Cpu.Machine.default_config with trace = Some buf } in
@@ -435,17 +456,15 @@ let trace_cmd =
     let lines = String.split_on_char '\n' (Buffer.contents buf) in
     List.iteri (fun i l -> if i < limit then print_endline l) lines
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let limit = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Lines of trace to print.") in
   Cmd.v
     (Cmd.info "trace" ~doc:"Print an instruction-level execution trace (SDE debugtrace analogue)")
-    Term.(const run $ name_arg $ build_arg $ threads_arg $ size_arg $ limit)
+    Term.(const run $ workload_arg $ build_arg $ threads_arg $ size_arg $ limit)
 
 (* ---- app ---- *)
 
 let app_cmd =
-  let run name build nthreads client =
-    let app = Apps.Registry_apps.find name in
+  let run app build nthreads client =
     let client =
       match client with
       | "A" -> Apps.App.Ycsb Apps.Ycsb.A
@@ -456,15 +475,18 @@ let app_cmd =
     (match r.Cpu.Machine.trap with
     | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
     | None -> ());
-    Printf.printf "%s %s %s %dT: %.0f req/s (%d cycles)\n" name
+    Printf.printf "%s %s %s %dT: %.0f req/s (%d cycles)\n" app.Apps.App.name
       (Apps.App.client_to_string client) (Elzar.build_name build) nthreads
       (Apps.App.throughput app r) r.Cpu.Machine.wall_cycles
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"APP") in
+  let app_arg =
+    let app_conv = named_conv ~what:"app" (fun a -> a.Apps.App.name) Apps.Registry_apps.all in
+    Arg.(required & pos 0 (some app_conv) None & info [] ~docv:"APP")
+  in
   let client = Arg.(value & opt string "A" & info [ "c"; "client" ] ~doc:"Client: A, D or ab.") in
   Cmd.v
     (Cmd.info "app" ~doc:"Run a case-study application")
-    Term.(const run $ name_arg $ build_arg $ threads_arg $ client)
+    Term.(const run $ app_arg $ build_arg $ threads_arg $ client)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -127,17 +127,14 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
 
 (* Two-tier execution engine.  [Compiled] translates each function, on
    its first entry, into pre-specialized OCaml closures — one per
-   [rinstr], with operand offsets, lane strides and the fault-injection
-   hooks of *this* config resolved once, timed by the instruction's
-   precomputed [Timing.plan] — and fuses every straight-line run of
-   hook-free instructions into a single superblock closure with bulk
-   counter updates.  Instructions that would
-   carry a compiled-in hook (armed fault sites, census, undo log, tracing,
-   profiling) keep their per-instruction closure; fusion is decided per
-   block, inside the engine.  [Reference] is the original [step]
-   interpreter, kept as the executable spec: both tiers are required to
-   produce bit-identical results (cycles, counters, output, traps), which
-   the engine-equivalence tests assert. *)
+   [rinstr], with operand offsets, lane strides and the fault-injection,
+   census, undo-log, trace and profiling hooks of *this* config resolved
+   once (a hook the config does not need is compiled out, not tested per
+   instruction), timed by the instruction's precomputed [Timing.plan].
+   [Reference] is the original [step] interpreter, kept as the executable
+   spec: both tiers are required to produce bit-identical results
+   (cycles, counters, output, traps), which the engine-equivalence tests
+   assert. *)
 type engine_kind = Reference | Compiled
 
 let engine_to_string = function Reference -> "reference" | Compiled -> "compiled"
@@ -169,8 +166,8 @@ type config = {
           capped at ~1 MB — the Intel SDE debugtrace analogue of §IV-B *)
   engine : engine_kind;
   profile : Profile.t option;
-      (** per-instruction-class cycle attribution (compiled engine, with
-          fusion off under profiling); [None] compiles no hook at all *)
+      (** per-instruction-class cycle attribution (compiled engine only);
+          [None] compiles no hook at all *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the same
           boundary [on_quantum] fires on): the first [true] raises {!Abort}
@@ -192,12 +189,6 @@ let default_config =
     abort = None;
   }
 
-(* One fused superblock of the compiled engine: [fb_len] dynamic instructions
-   (a hook-free straight-line prefix, plus the trailing block ender when
-   the run ends in a control transfer) executed by one closure.  [fb_exec]
-   follows the same return protocol as the per-instruction closures. *)
-type fblock = { fb_len : int; fb_exec : thread -> frame -> int }
-
 type t = {
   code : Code.t;
   mem : Memory.t;
@@ -210,9 +201,6 @@ type t = {
       (** per-instruction closures, indexed by [cf_id] then [pc]; a
           function's row stays empty until the [Compiled] engine first
           enters it *)
-  kblocks : fblock option array array;
-      (** fused superblocks, indexed by [cf_id] then starting [pc];
-          [Some] only at fusable block starts.  Filled with [kcode] *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;
@@ -263,7 +251,6 @@ let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t
     threads = [];
     by_tid = [||];
     kcode = Array.make nfuncs [||];
-    kblocks = Array.make nfuncs [||];
     nthreads = 0;
     output = Buffer.create 256;
     alloc_sizes = Hashtbl.create 64;
@@ -1167,7 +1154,7 @@ let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
 (* ---- operand accessors specialized at compile time ----
    [lane_fn] keeps [get_lane]'s general wrap; [get_fn ~n] additionally
    drops the [mod lanes] when the operand covers all n lanes of the
-   consumer.  Shared by the per-instruction closures and fused blocks. *)
+   consumer. *)
 
 let lane_fn (o : Code.rop) : int64 array -> int -> int64 =
   match o with
@@ -1218,19 +1205,20 @@ let ready_fn (srcs : int array) : frame -> int =
 
 (* Compiles the operational body of one instruction — semantics, memory
    effects, timing epilogue — into a closure specialized on its operands,
-   lane counts and the given hook flags: operand offsets and the
+   lane counts and this config's hook flags: operand offsets and the
    [mod lanes] stride are resolved once, and the fault-injection /
    undo-log hooks are compiled in or dropped entirely instead of being
    re-examined on every dynamic instruction.  Timing runs the
-   instruction's precompiled plan ([Timing.exec_plan]).  Per-instruction
-   closures pass this config's hook flags; fused block prefixes pass
-   all-false flags (fusion eligibility guarantees the hooks could not
-   fire).  Semantics — including timing, counter and fault-stream order —
-   mirror [step] exactly; the equivalence tests hold both engines to
-   bit-identical results. *)
-let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
-    ~(addr_faults : bool) ~(mem_faults : bool) ~(cf_faults : bool)
-    ~(reexec_on : bool) : thread -> frame -> int -> int =
+   instruction's precompiled plan ([Timing.exec_plan]).  Semantics —
+   including timing, counter and fault-stream order — mirror [step]
+   exactly; the equivalence tests hold both engines to bit-identical
+   results. *)
+let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
+    thread -> frame -> int -> int =
+  let reexec_on = m.cfg.reexec_retries > 0 in
+  let armed k = match m.cfg.inject with Some i -> i.kind = k | None -> false in
+  let addr_faults = armed Addr_flip and mem_faults = armed Mem_flip in
+  let cf_faults = armed Branch_flip in
   let plan = it.Code.plan in
   let dst = it.Code.dst in
   let cls = class_of it.Code.op in
@@ -1728,9 +1716,9 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
     | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
 (* Compiles one instruction into its per-instruction closure:
-   [compile_body] with this config's hook flags, wrapped in the
-   per-instruction bookkeeping (trace, instruction ceiling, counters,
-   fault-site streams, optional profiling). *)
+   [compile_body] wrapped in the per-instruction bookkeeping (trace,
+   instruction ceiling, counters, fault-site streams, optional
+   profiling). *)
 let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     thread -> frame -> int =
   let cfg = m.cfg in
@@ -1748,12 +1736,8 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     hardened
     && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
   in
-  let reexec_on = cfg.reexec_retries > 0 in
-  let addr_faults = match cfg.inject with Some i -> i.kind = Addr_flip | None -> false in
-  let mem_faults = match cfg.inject with Some i -> i.kind = Mem_flip | None -> false in
-  let cf_faults = match cfg.inject with Some i -> i.kind = Branch_flip | None -> false in
   let ready_of = ready_fn it.Code.srcs in
-  let body = compile_body m cf pc it ~addr_faults ~mem_faults ~cf_faults ~reexec_on in
+  let body = compile_body m cf pc it in
   (* per-instruction fault-site streams, compiled to hooks (or to nothing) *)
   let site_hook : (unit -> unit) option =
     match cfg.inject with
@@ -1857,202 +1841,12 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
         Profile.add prof cls ~cycles:(Timing.cycle th.timing - c0);
         r
 
-(* ---- superblock fusion ---- *)
-
-(* Superblock boundaries: control transfers, calls (including builtins)
-   and returns end a block. *)
-let is_ender (it : Code.citem) =
-  match it.Code.op with
-  | Code.Rcall _ | Code.Rcall_ind _ | Code.Tret _ | Code.Tbr _
-  | Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ | Code.Tunreachable ->
-      true
-  | _ -> false
-
-(* Leaders: every pc a control transfer can land on (or resume at after a
-   call) starts a block.  The array has one extra slot so the
-   past-the-last-ender mark needs no bounds check. *)
-let leaders (cf : Code.cfunc) : bool array =
-  let code = cf.Code.code in
-  let n = Array.length code in
-  let l = Array.make (n + 1) false in
-  if n > 0 then l.(0) <- true;
-  Array.iteri
-    (fun pc it ->
-      (match it.Code.op with
-      | Code.Tbr t -> l.(t) <- true
-      | Code.Tcondbr (_, t, e) ->
-          l.(t) <- true;
-          l.(e) <- true
-      | Code.Tvbr (_, t, e, r) ->
-          l.(t) <- true;
-          l.(e) <- true;
-          l.(r) <- true
-      | Code.Tvbr_u (_, t, e) ->
-          l.(t) <- true;
-          l.(e) <- true
-      | _ -> ());
-      if is_ender it then l.(pc + 1) <- true)
-    code;
-  l
-
-(* Deoptimization rules: a prefix instruction is fusable only if its
-   per-instruction closure would carry NO hook under this config, so the
-   fused (hook-free) body is bit-identical by construction.  Armed
-   mem/addr faults are applied and cleared by the very instruction whose
-   site hook armed them, so instructions that are not sites of the
-   injected kind can never observe an armed flag and fuse safely.
-   Majority-vote ops ([Rgather]/[Rscatter]) are excluded whenever a fault
-   is in flight: a recovery vote records detection latency against
-   [total_instrs], which inside a fused block is bulk-updated. *)
-let fusable (cfg : config) ~(hardened : bool) (it : Code.citem) : bool =
-  let fl = it.Code.flags in
-  let is_mem_site = hardened && fl land (Code.fl_load lor Code.fl_store) <> 0 in
-  let is_reg_site = fl land Code.fl_inject <> 0 in
-  let logs_stores =
-    match it.Code.op with
-    | Code.Rstore _ | Code.Rvstore _ | Code.Ratomic _ | Code.Rcmpxchg _
-    | Code.Rscatter _ ->
-        true
-    | _ -> false
-  in
-  let votes =
-    match it.Code.op with Code.Rgather _ | Code.Rscatter _ -> true | _ -> false
-  in
-  (match cfg.inject with
-  | Some inj -> (
-      (not votes)
-      &&
-      match inj.kind with
-      | Reg_flip -> not is_reg_site
-      | Mem_flip | Addr_flip -> not is_mem_site
-      | Branch_flip -> true)
-  | None -> (not cfg.count_inject_sites) || not (is_reg_site || is_mem_site))
-  && ((not (cfg.reexec_retries > 0)) || not logs_stores)
-
-(* Fuses the straight-line prefix [s .. s+plen-1] plus an optional
-   trailing ender into one closure.  The prefix's counter deltas — its
-   static cost summary — are precomputed and applied in bulk on entry; a
-   mid-prefix trap retracts the unexecuted suffix so [total_instrs],
-   counters and hence detection latency stay bit-identical with
-   per-instruction execution (the trapping instruction itself counts,
-   exactly as in [step]).  The ender runs through its regular
-   per-instruction closure, keeping its own hooks, timing, prediction and
-   control transfer intact.  Prefixes never contain branch instructions
-   ([fl_branch] ops are all enders), so no branch counter is needed. *)
-let compile_block (m : t) (cf : Code.cfunc)
-    (kc : (thread -> frame -> int) array) (s : int) (plen : int)
-    (ender : int option) : fblock =
-  let code = cf.Code.code in
-  (* suffix sums of the prefix's counter deltas, for trap retraction:
-     [suf_X.(i)] covers prefix steps [i .. plen-1] *)
-  let suf_uops = Array.make (plen + 1) 0 in
-  let suf_avx = Array.make (plen + 1) 0 in
-  let suf_loads = Array.make (plen + 1) 0 in
-  let suf_stores = Array.make (plen + 1) 0 in
-  for i = plen - 1 downto 0 do
-    let it = code.(s + i) in
-    let fl = it.Code.flags in
-    suf_uops.(i) <- suf_uops.(i + 1) + Array.length it.Code.uops;
-    suf_avx.(i) <- (suf_avx.(i + 1) + if fl land Code.fl_avx <> 0 then 1 else 0);
-    suf_loads.(i) <- (suf_loads.(i + 1) + if fl land Code.fl_load <> 0 then 1 else 0);
-    suf_stores.(i) <- (suf_stores.(i + 1) + if fl land Code.fl_store <> 0 then 1 else 0)
-  done;
-  let t_uops = suf_uops.(0) and t_avx = suf_avx.(0) in
-  let t_loads = suf_loads.(0) and t_stores = suf_stores.(0) in
-  (* prefix bodies with every hook compiled out: fusion eligibility
-     guarantees none could fire *)
-  let steps =
-    Array.init plen (fun i ->
-        let it = code.(s + i) in
-        ( ready_fn it.Code.srcs,
-          compile_body m cf (s + i) it ~addr_faults:false ~mem_faults:false
-            ~cf_faults:false ~reexec_on:false ))
-  in
-  (* progress through the prefix, for trap retraction; machines run
-     single-domain and blocks are never re-entered mid-flight *)
-  let progress = ref plen in
-  let tail : thread -> frame -> int =
-    match ender with
-    | Some e -> kc.(e)
-    | None ->
-        (* falls through into the next block *)
-        let nxt = s + plen in
-        fun _ _ -> nxt
-  in
-  let rec chain i (k : thread -> frame -> int) : thread -> frame -> int =
-    if i < 0 then k
-    else
-      let ready_of, body = steps.(i) in
-      chain (i - 1) (fun th fr ->
-          progress := i;
-          ignore (body th fr (ready_of fr) : int);
-          k th fr)
-  in
-  let body =
-    chain (plen - 1) (fun th fr ->
-        progress := plen;
-        tail th fr)
-  in
-  let fb_exec th fr =
-    m.total_instrs <- m.total_instrs + plen;
-    let ctr = th.ctr in
-    ctr.Counters.instrs <- ctr.Counters.instrs + plen;
-    ctr.Counters.uops <- ctr.Counters.uops + t_uops;
-    if t_avx > 0 then ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs + t_avx;
-    if t_loads > 0 then ctr.Counters.loads <- ctr.Counters.loads + t_loads;
-    if t_stores > 0 then ctr.Counters.stores <- ctr.Counters.stores + t_stores;
-    try body th fr
-    with Trap _ as ex ->
-      let p = !progress in
-      if p < plen then begin
-        m.total_instrs <- m.total_instrs - (plen - p - 1);
-        ctr.Counters.instrs <- ctr.Counters.instrs - (plen - p - 1);
-        ctr.Counters.uops <- ctr.Counters.uops - suf_uops.(p + 1);
-        ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs - suf_avx.(p + 1);
-        ctr.Counters.loads <- ctr.Counters.loads - suf_loads.(p + 1);
-        ctr.Counters.stores <- ctr.Counters.stores - suf_stores.(p + 1)
-      end;
-      raise ex
-  in
-  { fb_len = (match ender with Some _ -> plen + 1 | None -> plen); fb_exec }
-
 (* Compiles one function for the [Compiled] engine, on its first entry:
-   [kcode.(cf_id).(pc)] runs that instruction, and [kblocks.(cf_id).(pc)]
-   is [Some b] iff a fused superblock starts at [pc] under this machine's
-   config.  Tracing and profiling need per-instruction hooks everywhere,
-   so they disable fusion wholesale; otherwise each maximal straight-line
-   run whose instructions all satisfy [fusable] is fused (its ender reuses
-   the per-instruction closure).  Compiling per function rather than per
-   module keeps a restored campaign experiment from translating code it
-   never reaches. *)
+   [kcode.(cf_id).(pc)] runs that instruction.  Compiling per function
+   rather than per module keeps a restored campaign experiment from
+   translating code it never reaches. *)
 let compile_func (m : t) (cf : Code.cfunc) =
-  let cfg = m.cfg in
-  let code = cf.Code.code in
-  let n = Array.length code in
-  let kc = Array.mapi (fun pc it -> compile_item m cf pc it) code in
-  let tbl = Array.make n None in
-  if cfg.trace = None && cfg.profile = None && n > 0 then begin
-    let l = leaders cf in
-    let hardened = cf.Code.cf_hardened in
-    for s = 0 to n - 1 do
-      if l.(s) && not (is_ender code.(s)) then begin
-        let e = ref (s + 1) in
-        while !e < n && (not (is_ender code.(!e))) && not l.(!e) do
-          incr e
-        done;
-        let plen = !e - s in
-        let ok = ref true in
-        for j = s to !e - 1 do
-          if not (fusable cfg ~hardened code.(j)) then ok := false
-        done;
-        if !ok && !e < n then
-          if l.(!e) then tbl.(s) <- Some (compile_block m cf kc s plen None)
-          else tbl.(s) <- Some (compile_block m cf kc s plen (Some !e))
-      end
-    done
-  end;
-  m.kcode.(cf.Code.cf_id) <- kc;
-  m.kblocks.(cf.Code.cf_id) <- tbl
+  m.kcode.(cf.Code.cf_id) <- Array.mapi (compile_item m cf) cf.Code.code
 
 (* ---- scheduler ---- *)
 
@@ -2083,17 +1877,11 @@ let ref_quantum (m : t) (th : thread) =
    lives in a local between closures; [fr.pc] is written back only when
    the quantum budget expires mid-frame (frame switches maintain it
    inline, per the closure return protocol), and each frame switch
-   compiles the entered function if it has not run yet.  At a fused block
-   start the whole superblock runs as one closure and the budget is
-   debited once by its dynamic length; everywhere else (deoptimized
-   blocks, mid-block pcs after a budget expiry or snapshot restore, blocks
-   longer than the remaining budget, the [max_instrs] ceiling) execution
-   falls back to the per-instruction closures.  Quanta therefore end
-   after exactly the same instruction counts as the reference engine,
-   preserving snapshot/abort boundary semantics, and the ceiling
-   check guarantees [Hang] can never fire inside a fused block. *)
+   compiles the entered function if it has not run yet.  Every closure
+   retires one instruction, so quanta end after exactly the same
+   instruction counts as the reference engine, preserving snapshot/abort
+   boundary semantics. *)
 let compiled_quantum (m : t) (th : thread) =
-  let max_instrs = m.cfg.max_instrs in
   let budget = ref quantum in
   let running = ref true in
   while !running && !budget > 0 do
@@ -2101,21 +1889,11 @@ let compiled_quantum (m : t) (th : thread) =
     let cfid = fr.cf.Code.cf_id in
     if Array.length m.kcode.(cfid) = 0 then compile_func m fr.cf;
     let code = m.kcode.(cfid) in
-    let blocks = m.kblocks.(cfid) in
     let pc = ref fr.pc in
     let switched = ref false in
     while (not !switched) && !budget > 0 do
-      let r =
-        match blocks.(!pc) with
-        | Some fb
-          when fb.fb_len <= !budget
-               && m.total_instrs + fb.fb_len <= max_instrs ->
-            budget := !budget - fb.fb_len;
-            fb.fb_exec th fr
-        | _ ->
-            decr budget;
-            code.(!pc) th fr
-      in
+      decr budget;
+      let r = code.(!pc) th fr in
       if r >= 0 then pc := r
       else begin
         switched := true;
@@ -2379,7 +2157,6 @@ let restore ?(cfg = default_config) (sn : snapshot) : t =
       threads = [];
       by_tid = [||];
       kcode = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
-      kblocks = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
       nthreads = sn.sn_nthreads;
       output = Buffer.create (String.length sn.sn_output + 256);
       alloc_sizes;

@@ -110,16 +110,12 @@ val second_flip :
   dlanes:int -> lane:int -> bit:int -> lane2:int -> bit2:int -> int * int
 
 (** Execution engine selection.  [Compiled] (the default) translates each
-    function, on its first entry, into closures specialized on every
-    instruction's operands, static timing plan and the config's
-    fault/trace/recovery hooks, and fuses each straight-line run of
-    hook-free instructions into a single superblock closure with bulk
-    counter updates.  Instructions that would carry compiled-in hooks
-    (armed fault sites, site census, undo log, tracing, profiling) keep
-    their per-instruction closure, and quanta still end at exactly the
-    same instruction counts.  [Reference] is the original interpreter,
-    kept as the executable specification; both engines are required to
-    produce bit-identical results. *)
+    function, on its first entry, into one closure per instruction,
+    specialized on its operands, static timing plan and the config's
+    fault/trace/recovery/profiling hooks; a hook the config does not need
+    is compiled out.  [Reference] is the original interpreter, kept as
+    the executable specification; both engines are required to produce
+    bit-identical results. *)
 type engine_kind = Reference | Compiled
 
 (** Lower-case name, as accepted by the CLI [--engine] flag. *)
@@ -153,9 +149,8 @@ type config = {
           same class strings the AVF table uses.  [Some tbl] compiles a
           cycle-delta hook into every closure; [None] (the default)
           compiles nothing — the closures are identical to an unprofiled
-          build, so the off state costs zero.  Only [Compiled] attributes,
-          with fusion off under profiling so every instruction keeps its
-          hook; [Reference] ignores the table. *)
+          build, so the off state costs zero.  Only [Compiled]
+          attributes; [Reference] ignores the table. *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the
           boundary [on_quantum] fires on); the first [true] raises
@@ -168,11 +163,6 @@ type config = {
 
 val default_config : config
 
-(** One fused superblock of the [Compiled] engine (opaque): a hook-free
-    straight-line prefix plus optional trailing ender, run as one
-    closure. *)
-type fblock
-
 type t = {
   code : Code.t;
   mem : Memory.t;
@@ -181,9 +171,6 @@ type t = {
   kcode : (thread -> frame -> int) array array;
       (** per-instruction closures, by [cf_id] then pc; a function's row
           is empty until the [Compiled] engine first enters it *)
-  kblocks : fblock option array array;
-      (** fused superblocks, by [cf_id] then starting pc; filled with
-          [kcode] *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;

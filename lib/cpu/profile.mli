@@ -1,5 +1,4 @@
-(** Opt-in per-instruction-class cycle attribution for the compiled engine
-    (which turns superblock fusion off while profiling).
+(** Opt-in per-instruction-class cycle attribution for the compiled engine.
 
     A table keyed by the same class strings {!Machine.class_of} feeds to
     the AVF table ("alu", "cmp", "mov", "load", ...), accumulating retired

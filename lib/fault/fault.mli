@@ -30,9 +30,6 @@ type model = Reg | Mem | Addr | Cf | Mixed
 
 val model_to_string : model -> string
 
-(** @raise Invalid_argument on anything but ["reg"|"mem"|"addr"|"cf"|"mixed"]. *)
-val model_of_string : string -> model
-
 val all_models : model list
 
 (** Everything needed to run one experiment deterministically. *)
