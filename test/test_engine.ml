@@ -221,6 +221,62 @@ let check_default_engine () =
     (Cpu.Machine.engine_to_string Cpu.Machine.default_config.Cpu.Machine.engine)
     (Cpu.Machine.engine_to_string (Fault.make_spec modul "main").Fault.engine)
 
+(* lazy compilation: the compiled engine fills a function's closure row,
+   one closure per instruction, on its first entry and never before; the
+   reference interpreter compiles nothing, and a restored machine starts
+   with every row empty and recompiles on resume *)
+let check_compile_on_entry () =
+  let w = Workloads.Registry.find "hist" in
+  let harden = Elzar.Hardened Elzar.Harden_config.default in
+  let spec = Workloads.Workload.fi_spec w ~build:harden () in
+  let cfg engine = { Cpu.Machine.default_config with Cpu.Machine.engine } in
+  let make engine =
+    let m =
+      Cpu.Machine.create ~cfg:(cfg engine) ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul
+    in
+    spec.Fault.init m;
+    m
+  in
+  let compiled_rows (m : Cpu.Machine.t) =
+    Array.fold_left
+      (fun n row -> if Array.length row > 0 then n + 1 else n)
+      0 m.Cpu.Machine.kcode
+  in
+  let check_rows name (m : Cpu.Machine.t) =
+    Array.iteri
+      (fun i row ->
+        let cf = m.Cpu.Machine.code.Cpu.Code.cfuncs.(i) in
+        if Array.length row > 0 then
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s has one closure per instruction" name cf.Cpu.Code.cf_name)
+            (Array.length cf.Cpu.Code.code) (Array.length row))
+      m.Cpu.Machine.kcode
+  in
+  let entry_id (m : Cpu.Machine.t) =
+    (Cpu.Code.lookup m.Cpu.Machine.code spec.Fault.entry).Cpu.Code.cf_id
+  in
+  let m = make Cpu.Machine.Compiled in
+  Alcotest.(check int) "nothing compiled before the run" 0 (compiled_rows m);
+  let snap = ref None in
+  let _ =
+    Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry ~on_quantum:(fun mm ->
+        if !snap = None then snap := Some (Cpu.Machine.snapshot mm))
+  in
+  check_rows "compiled" m;
+  Alcotest.(check bool) "entry function compiled" true
+    (Array.length m.Cpu.Machine.kcode.(entry_id m) > 0);
+  let m_ref = make Cpu.Machine.Reference in
+  let _ = Cpu.Machine.run ~args:spec.Fault.args m_ref spec.Fault.entry in
+  Alcotest.(check int) "reference compiles nothing" 0 (compiled_rows m_ref);
+  match !snap with
+  | None -> Alcotest.fail "no snapshot captured"
+  | Some sn ->
+      let m2 = Cpu.Machine.restore ~cfg:(cfg Cpu.Machine.Compiled) sn in
+      Alcotest.(check int) "restored machine starts uncompiled" 0 (compiled_rows m2);
+      let _ = Cpu.Machine.resume m2 in
+      check_rows "resumed" m2;
+      Alcotest.(check bool) "resume recompiles" true (compiled_rows m2 > 0)
+
 (* supervision boundary discipline under the compiled engine: the abort
    hook is polled exactly once per scheduling quantum (not once per
    instruction), and a cooperative abort still cuts the run short *)
@@ -288,5 +344,6 @@ let tests =
       Alcotest.test_case "campaign compiled vs reference bit-identical" `Quick
         check_compiled_campaign;
       Alcotest.test_case "default engine has one source" `Quick check_default_engine;
+      Alcotest.test_case "compile on first entry" `Quick check_compile_on_entry;
       Alcotest.test_case "supervision quantum discipline" `Quick check_supervision;
     ]
