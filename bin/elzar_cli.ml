@@ -54,25 +54,29 @@ let size_conv =
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Workloads.Workload.size_to_string s))
 
-let build_of_string = function
-  | "native" -> Ok Elzar.Native
-  | "novec" -> Ok Elzar.Native_novec
-  | "elzar" -> Ok (Elzar.Hardened Elzar.Harden_config.default)
-  | "elzar-nochecks" -> Ok (Elzar.Hardened Elzar.Harden_config.no_checks)
-  | "elzar-floats" -> Ok (Elzar.Hardened Elzar.Harden_config.floats_only)
-  | "elzar-future" -> Ok (Elzar.Hardened Elzar.Harden_config.future_avx)
-  | "elzar-extended" -> Ok (Elzar.Hardened Elzar.Harden_config.extended)
-  | "elzar-reexec" -> Ok (Elzar.Hardened Elzar.Harden_config.reexec)
-  | "swiftr" -> Ok Elzar.Swiftr
-  | s -> Error (`Msg ("unknown build " ^ s))
+(* Build flavours by CLI name.  The six hardened flavours share one
+   [Elzar.build_name], so [run], [inject] and [app] print, and their
+   reports record, the name chosen here. *)
+let builds =
+  let h c = Elzar.Hardened c in
+  Elzar.Harden_config.
+    [
+      ("native", Elzar.Native);
+      ("novec", Elzar.Native_novec);
+      ("elzar", h default);
+      ("elzar-nochecks", h no_checks);
+      ("elzar-floats", h floats_only);
+      ("elzar-future", h future_avx);
+      ("elzar-extended", h extended);
+      ("elzar-reexec", h reexec);
+      ("swiftr", Elzar.Swiftr);
+    ]
 
-let build_conv =
-  Arg.conv
-    (build_of_string, fun fmt b -> Format.pp_print_string fmt (Elzar.build_name b))
-
+(* A (name, build) pair from [builds]; [elzar] by default. *)
 let build_arg =
-  Arg.(value & opt build_conv (Elzar.Hardened Elzar.Harden_config.default)
-       & info [ "b"; "build" ] ~doc:"Build flavour: native, novec, elzar, elzar-nochecks, elzar-floats, elzar-future, elzar-extended, elzar-reexec, swiftr.")
+  Arg.(value & opt (named_conv ~what:"build" fst builds) ("elzar", List.assoc "elzar" builds)
+       & info [ "b"; "build" ]
+           ~doc:("Build flavour: " ^ String.concat ", " (List.map fst builds) ^ "."))
 
 let size_arg =
   Arg.(value & opt size_conv Workloads.Workload.Small & info [ "s"; "size" ] ~doc:"Input size.")
@@ -113,7 +117,7 @@ let list_cmd =
 (* ---- run ---- *)
 
 let run_cmd =
-  let run w build nthreads size profile engine json =
+  let run w (bname, build) nthreads size profile engine json =
     let prof = if profile then Some (Cpu.Profile.create ()) else None in
     let machine_cfg =
       { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
@@ -123,7 +127,7 @@ let run_cmd =
     | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
     | None -> ());
     let c = r.Cpu.Machine.totals in
-    Printf.printf "build        %s\n" (Elzar.build_name build);
+    Printf.printf "build        %s\n" bname;
     Printf.printf "wall cycles  %d\n" r.Cpu.Machine.wall_cycles;
     Printf.printf "instructions %d (avx %d)\n" c.Cpu.Counters.instrs c.Cpu.Counters.avx_instrs;
     Printf.printf "loads/stores %d / %d (L1 miss %.2f%%)\n" c.Cpu.Counters.loads
@@ -137,7 +141,7 @@ let run_cmd =
         let params =
           [
             ("workload", Obs.Json.Str w.Workloads.Workload.name);
-            ("build", Obs.Json.Str (Elzar.build_name build));
+            ("build", Obs.Json.Str bname);
             ("threads", Obs.Json.Int nthreads);
             ("size", Obs.Json.Str (Workloads.Workload.size_to_string size));
             ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
@@ -226,7 +230,7 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
       Format.fprintf fmt "<%d chaos specs>" (List.length l))
 
 let inject_cmd =
-  let run w build n seed jobs double same_bit model avf checkpoint quiet engine
+  let run w (bname, build) n seed jobs double same_bit model avf checkpoint quiet engine
       no_fast_forward json retries deadline_factor deadline_floor max_tool_errors
       chaos =
     let spec = { (Workloads.Workload.fi_spec w ~build ()) with Fault.engine } in
@@ -313,7 +317,7 @@ let inject_cmd =
         let params =
           [
             ("workload", Obs.Json.Str w.Workloads.Workload.name);
-            ("build", Obs.Json.Str (Elzar.build_name build));
+            ("build", Obs.Json.Str bname);
             ("n", Obs.Json.Int n);
             ("seed", Obs.Json.Int seed);
             ("double", Obs.Json.Bool double);
@@ -430,7 +434,7 @@ let inject_cmd =
 (* ---- show ---- *)
 
 let show_cmd =
-  let run w fname build size =
+  let run w fname (_, build) size =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     match Ir.Instr.find_func m fname with
     | Some f -> print_string (Ir.Printer.func_to_string f)
@@ -446,7 +450,7 @@ let show_cmd =
 (* ---- trace ---- *)
 
 let trace_cmd =
-  let run w build nthreads size limit =
+  let run w (_, build) nthreads size limit =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     let buf = Buffer.create 4096 in
     let cfg = { Cpu.Machine.default_config with trace = Some buf } in
@@ -464,26 +468,24 @@ let trace_cmd =
 (* ---- app ---- *)
 
 let app_cmd =
-  let run app build nthreads client =
-    let client =
-      match client with
-      | "A" -> Apps.App.Ycsb Apps.Ycsb.A
-      | "D" -> Apps.App.Ycsb Apps.Ycsb.D
-      | _ -> Apps.App.Ab
-    in
+  let run app (bname, build) nthreads (_, client) =
     let r = Apps.App.execute app ~build ~client ~nthreads in
     (match r.Cpu.Machine.trap with
     | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
     | None -> ());
     Printf.printf "%s %s %s %dT: %.0f req/s (%d cycles)\n" app.Apps.App.name
-      (Apps.App.client_to_string client) (Elzar.build_name build) nthreads
+      (Apps.App.client_to_string client) bname nthreads
       (Apps.App.throughput app r) r.Cpu.Machine.wall_cycles
   in
   let app_arg =
     let app_conv = named_conv ~what:"app" (fun a -> a.Apps.App.name) Apps.Registry_apps.all in
     Arg.(required & pos 0 (some app_conv) None & info [] ~docv:"APP")
   in
-  let client = Arg.(value & opt string "A" & info [ "c"; "client" ] ~doc:"Client: A, D or ab.") in
+  let client =
+    let clients = Apps.App.[ ("A", Ycsb Apps.Ycsb.A); ("D", Ycsb Apps.Ycsb.D); ("ab", Ab) ] in
+    Arg.(value & opt (named_conv ~what:"client" fst clients) (List.hd clients)
+         & info [ "c"; "client" ] ~doc:"Client: A, D or ab.")
+  in
   Cmd.v
     (Cmd.info "app" ~doc:"Run a case-study application")
     Term.(const run $ app_arg $ build_arg $ threads_arg $ client)

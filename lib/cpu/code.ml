@@ -3,9 +3,9 @@
     Blocks are flattened into one instruction array per function, labels
     become program counters, registers become frame-slot offsets (vectors
     occupy one 64-bit cell per lane), immediates are pre-encoded into lane
-    bits, and every instruction is paired with its μop lowering from
-    {!Cost} and that lowering's static {!Timing} plan (built once per
-    module, so every machine and snapshot restore over it shares them).
+    bits, and every instruction is paired with the static {!Timing} plan
+    of its μop lowering from {!Cost} (built once per module, so every
+    machine and snapshot restore over it shares them).
     The interpreter in {!Machine} then runs a single tight dispatch loop. *)
 
 open Ir
@@ -61,8 +61,8 @@ let fl_inject = 16
 
 type citem = {
   op : rinstr;
-  uops : Cost.uop array;
-  plan : Timing.plan;  (** [uops] precompiled for {!Timing.exec_plan} *)
+  nuops : int;  (** μop count of the lowering, for the counters *)
+  plan : Timing.plan;  (** the lowering precompiled for {!Timing.exec} *)
   srcs : int array;  (** frame offsets read, for dependency tracking *)
   dst : int;  (** frame offset written, -1 if none *)
   dlanes : int;
@@ -242,7 +242,7 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
           emit
             {
               op;
-              uops;
+              nuops = Array.length uops;
               plan = Timing.plan_of_uops uops;
               srcs = srcs_of (Instr.operands i);
               dst;
@@ -268,7 +268,7 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
       emit
         {
           op = top;
-          uops;
+          nuops = Array.length uops;
           plan = Timing.plan_of_uops uops;
           srcs = srcs_of (Instr.term_operands b.term);
           dst = -1;

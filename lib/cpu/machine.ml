@@ -130,11 +130,12 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
    [rinstr], with operand offsets, lane strides and the fault-injection,
    census, undo-log, trace and profiling hooks of *this* config resolved
    once (a hook the config does not need is compiled out, not tested per
-   instruction), timed by the instruction's precomputed [Timing.plan].
-   [Reference] is the original [step] interpreter, kept as the executable
-   spec: both tiers are required to produce bit-identical results
-   (cycles, counters, output, traps), which the engine-equivalence tests
-   assert. *)
+   instruction).  [Reference] is the original [step] interpreter, kept
+   as the executable spec.  Each engine implements every instruction's
+   semantics on its own; both share one copy of the call, return and
+   builtin bookkeeping, the fault hooks and the [Timing.plan] timing
+   model.  Both are required to produce bit-identical results (cycles,
+   counters, output, traps), which the engine-equivalence tests assert. *)
 type engine_kind = Reference | Compiled
 
 let engine_to_string = function Reference -> "reference" | Compiled -> "compiled"
@@ -301,19 +302,40 @@ let new_frame (cf : Code.cfunc) ~ret_off ~sp : frame =
     saved_sp = sp;
   }
 
+(* Copies scalar [args] into the parameter slots of [fr] (a thread's
+   first frame or a re-execution restart), each over all its lanes. *)
+let fill_params (fr : frame) (args : int64 array) =
+  let poffs = fr.cf.Code.param_offs in
+  Array.iteri
+    (fun i v ->
+      if i < Array.length poffs then begin
+        let off, lanes = poffs.(i) in
+        Array.fill fr.regs off lanes v
+      end)
+    args
+
+(* A fresh checkpoint of the call of [cf] whose live frame is [fr]. *)
+let new_ckpt (cf : Code.cfunc) (args : int64 array) ~ret_off ~sp ~caller ~out_len
+    (fr : frame) : ckpt =
+  {
+    ck_cf = cf;
+    ck_args = args;
+    ck_ret_off = ret_off;
+    ck_sp = sp;
+    ck_caller = caller;
+    ck_out_len = out_len;
+    ck_frame = fr;
+    ck_log = [];
+    ck_log_len = 0;
+    ck_valid = true;
+    ck_tries = 0;
+  }
+
 let spawn_thread (m : t) (cf : Code.cfunc) (args : int64 array) ~(start_cycle : int) : thread =
   let stack_base = Memory.alloc_stack m.mem m.cfg.stack_size in
   let sp = Int64.add stack_base (Int64.of_int m.cfg.stack_size) in
   let fr = new_frame cf ~ret_off:(-1) ~sp in
-  Array.iteri
-    (fun i v ->
-      if i < Array.length cf.Code.param_offs then begin
-        let off, lanes = cf.Code.param_offs.(i) in
-        for j = 0 to lanes - 1 do
-          fr.regs.(off + j) <- v
-        done
-      end)
-    args;
+  fill_params fr args;
   let timing = Timing.create () in
   Timing.sync_to timing start_cycle;
   let th =
@@ -334,19 +356,8 @@ let spawn_thread (m : t) (cf : Code.cfunc) (args : int64 array) ~(start_cycle : 
   if m.cfg.reexec_retries > 0 && cf.Code.cf_hardened then
     th.ck <-
       Some
-        {
-          ck_cf = cf;
-          ck_args = Array.copy args;
-          ck_ret_off = -1;
-          ck_sp = sp;
-          ck_caller = [];
-          ck_out_len = Buffer.length m.output;
-          ck_frame = fr;
-          ck_log = [];
-          ck_log_len = 0;
-          ck_valid = true;
-          ck_tries = 0;
-        };
+        (new_ckpt cf (Array.copy args) ~ret_off:(-1) ~sp ~caller:[]
+           ~out_len:(Buffer.length m.output) fr);
   m.threads <- th :: m.threads;
   if m.nthreads >= Array.length m.by_tid then begin
     let grown = Array.make (max 4 (2 * Array.length m.by_tid)) th in
@@ -376,6 +387,14 @@ let finish_thread (m : t) (th : thread) =
 
 let find_thread (m : t) tid =
   if tid >= 0 && tid < m.nthreads then Some m.by_tid.(tid) else None
+
+(* The function a simulated function pointer names; anything else (a data
+   pointer, a corrupted pointer) traps. *)
+let cfunc_of_ptr (m : t) (f : int64) : Code.cfunc =
+  let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
+  if f < Code.fnptr_base || fid >= Array.length m.code.Code.cfuncs then
+    raise (Trap (Bad_callee f));
+  m.code.Code.cfuncs.(fid)
 
 (* ---- fault bookkeeping ---- *)
 
@@ -439,15 +458,7 @@ let reexec_rollback (m : t) (th : thread) : bool =
       if Buffer.length m.output > ck.ck_out_len then Buffer.truncate m.output ck.ck_out_len;
       th.sp <- ck.ck_sp;
       let nf = new_frame ck.ck_cf ~ret_off:ck.ck_ret_off ~sp:ck.ck_sp in
-      Array.iteri
-        (fun i v ->
-          if i < Array.length ck.ck_cf.Code.param_offs then begin
-            let off, lanes = ck.ck_cf.Code.param_offs.(i) in
-            for j = 0 to lanes - 1 do
-              nf.regs.(off + j) <- v
-            done
-          end)
-        ck.ck_args;
+      fill_params nf ck.ck_args;
       ck.ck_frame <- nf;
       th.frames <- nf :: ck.ck_caller;
       Timing.advance th.timing reexec_cycles;
@@ -485,12 +496,8 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
           Memory.free m.mem args.(0) size
       | None -> raise (Trap (Segfault args.(0))))
   | "spawn" ->
-      let f = args.(0) in
-      let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
-      if f < Code.fnptr_base || fid >= Array.length m.code.Code.cfuncs then
-        raise (Trap (Bad_callee f));
       let child =
-        spawn_thread m m.code.Code.cfuncs.(fid) [| args.(1) |]
+        spawn_thread m (cfunc_of_ptr m args.(0)) [| args.(1) |]
           ~start_cycle:(Timing.cycle th.timing)
       in
       retv := Int64.of_int child.tid
@@ -628,28 +635,251 @@ let class_of (op : Code.rinstr) : string =
   | Code.Tunreachable ->
       "branch"
 
+(* ---- execution helpers shared by both engines ---- *)
+
+(* Return protocol of one executed instruction ([step]'s op match and
+   every compiled closure):
+   -  [r >= 0]: next pc in the same frame; the compiled quantum loop
+      keeps the pc in a local and writes [fr.pc] back only when the
+      quantum budget expires mid-frame.
+   -  [k_switch]: the instruction changed the frame stack (call / return /
+      re-execution rollback) and already stored any resume pc; the quantum
+      loop re-fetches the innermost frame.
+   -  [k_yield]: the thread left the Running state (block, lock retry,
+      barrier, thread finished); the instruction stored the resume pc. *)
+let k_switch = -1
+let k_yield = -2
+
+let k_touch (th : thread) (addr : int64) : int =
+  let lat = Cache.access th.cache addr in
+  let ctr = th.ctr in
+  ctr.Counters.l1_refs <- ctr.Counters.l1_refs + 1;
+  if lat > Cache.hit_latency then ctr.Counters.l1_misses <- ctr.Counters.l1_misses + 1;
+  lat
+
+(* [k_touch] plus the armed memory-bit-flip check.  Armed memory fault:
+   flip one bit of a byte this access touched, right after the access —
+   the at+1-th access of the location sees the corruption.  Deliberately
+   NOT undo-logged: memory corruption persists across re-execution
+   rollback (ELZAR leaves memory to ECC, §III-A), so [Reexec] cannot mask
+   it away.  The compiled engine uses it only in Mem_flip campaigns. *)
+let k_touch_flip (m : t) (th : thread) (cls : string) (width : int) (addr : int64) : int =
+  let lat = k_touch th addr in
+  if m.mem_flip_armed then begin
+    m.mem_flip_armed <- false;
+    match m.cfg.inject with
+    | Some inj -> (
+        let a = Int64.add addr (Int64.of_int (inj.bit lsr 3 mod max width 1)) in
+        try
+          let b = Memory.read m.mem ~width:1 a in
+          Memory.write m.mem ~width:1 a
+            (Int64.logxor b (Int64.of_int (1 lsl (inj.bit land 7))));
+          mark_injected m cls
+        with Memory.Fault _ -> ())
+    | None -> ()
+  end;
+  lat
+
+(* Armed address fault: XOR one bit into the effective address of this
+   (the [at]-th) load/store.  The compiled engine uses it only in
+   Addr_flip campaigns. *)
+let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
+  if m.addr_mask = 0L then a
+  else begin
+    let a' = Int64.logxor a m.addr_mask in
+    m.addr_mask <- 0L;
+    mark_injected m cls;
+    a'
+  end
+
+(* ---- operand accessors specialized at compile time ----
+   [lane_fn] keeps [get_lane]'s general wrap; [get_fn ~n] additionally
+   drops the [mod lanes] when the operand covers all n lanes of the
+   consumer. *)
+
+let lane_fn (o : Code.rop) : int64 array -> int -> int64 =
+  match o with
+  | Code.Oconst a ->
+      if Array.length a = 1 then fun _ _ -> a.(0)
+      else
+        let la = Array.length a in
+        fun _ j -> a.(j mod la)
+  | Code.Oslot (off, 1) -> fun regs _ -> regs.(off)
+  | Code.Oslot (off, l) -> fun regs j -> regs.(off + (j mod l))
+
+let get_fn ~(n : int) (o : Code.rop) : int64 array -> int -> int64 =
+  match o with
+  | Code.Oslot (off, l) when n > 0 && l >= n -> fun regs j -> regs.(off + j)
+  | Code.Oconst a when n > 1 && Array.length a >= n -> fun _ j -> a.(j)
+  | o -> lane_fn o
+
+let scalar_fn (o : Code.rop) : int64 array -> int64 =
+  match o with
+  | Code.Oslot (off, _) -> fun regs -> regs.(off)
+  | Code.Oconst a -> fun _ -> a.(0)
+
+(* Scalar call arguments, gathered into a fresh array per call. *)
+let args_fn (argops : Code.rop array) : int64 array -> int64 array =
+  let getters = Array.map scalar_fn argops in
+  let n = Array.length getters in
+  fun regs ->
+    let args = Array.make n 0L in
+    for i = 0 to n - 1 do
+      args.(i) <- getters.(i) regs
+    done;
+    args
+
+let rop_lanes = function
+  | Code.Oslot (_, l) -> l
+  | Code.Oconst a -> Array.length a
+
+(* Readiness of an instruction's register inputs, specialized on the
+   source count. *)
+let ready_fn (srcs : int array) : frame -> int =
+  match Array.length srcs with
+  | 0 -> fun _ -> 0
+  | 1 ->
+      let s0 = srcs.(0) in
+      fun fr -> fr.ready.(s0)
+  | 2 ->
+      let s0 = srcs.(0) and s1 = srcs.(1) in
+      fun fr ->
+        let a = fr.ready.(s0) and b = fr.ready.(s1) in
+        if a > b then a else b
+  | ns ->
+      fun fr ->
+        let r = ref 0 in
+        let ra = fr.ready in
+        for i = 0 to ns - 1 do
+          if ra.(srcs.(i)) > !r then r := ra.(srcs.(i))
+        done;
+        !r
+
+(* One line of the execution trace, for the instruction at [pc] of [cf]
+   (whose [texts] must cover [pc]); the buffer is capped at ~1 MB. *)
+let trace_line (buf : Buffer.t) (th : thread) (cf : Code.cfunc) (pc : int) =
+  if Buffer.length buf < 1_000_000 then
+    Buffer.add_string buf
+      (Printf.sprintf "T%d %c@%s+%d: %s\n" th.tid
+         (if cf.Code.cf_hardened then 'H' else '.')
+         cf.Code.cf_name pc cf.Code.texts.(pc))
+
+(* Call entry: times the call instruction, builds [cf]'s frame with
+   [args] in its parameter slots, stores [resume] as the caller's pc,
+   arms a re-execution checkpoint at the outermost hardened call, and
+   pushes the frame.  The checkpoint is armed before the push, so
+   [ck_caller]/[ck_sp] capture the caller's state. *)
+let call_enter (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready : int)
+    (cf : Code.cfunc) (args : int64 array) ~(ret_off : int) ~(resume : int) : int =
+  let completion = Timing.exec th.timing ~ready ~mem_lat:Cache.hit_latency plan in
+  let nf = new_frame cf ~ret_off ~sp:th.sp in
+  let poffs = cf.Code.param_offs in
+  for i = 0 to Array.length args - 1 do
+    let off, lanes = poffs.(i) in
+    for j = 0 to lanes - 1 do
+      nf.regs.(off + j) <- args.(i)
+    done;
+    nf.ready.(off) <- completion
+  done;
+  fr.pc <- resume;
+  if m.cfg.reexec_retries > 0 && cf.Code.cf_hardened && th.ck = None then
+    th.ck <-
+      Some
+        (new_ckpt cf args ~ret_off ~sp:th.sp ~caller:th.frames
+           ~out_len:(Buffer.length m.output) nf);
+  th.frames <- nf :: th.frames;
+  k_switch
+
+(* Return from [fr], the innermost frame: times the return, commits
+   (drops) the checkpoint if [fr] is the checkpointed call, pops [fr] and
+   hands its result, read through [ret], to the caller's [ret_off]
+   slots.  [k_yield] when the thread's outermost frame returned. *)
+let call_return (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready : int)
+    (ret : (int64 array -> int -> int64) option) : int =
+  let completion = Timing.exec th.timing ~ready ~mem_lat:Cache.hit_latency plan in
+  (match th.ck with Some ck when ck.ck_frame == fr -> th.ck <- None | _ -> ());
+  th.sp <- fr.saved_sp;
+  th.frames <- List.tl th.frames;
+  match th.frames with
+  | [] ->
+      finish_thread m th;
+      k_yield
+  | caller :: _ ->
+      (match ret with
+      | Some g when fr.ret_off >= 0 ->
+          let roff = fr.ret_off in
+          for j = 0 to fr.cf.Code.ret_lanes - 1 do
+            caller.regs.(roff + j) <- g fr.regs j
+          done;
+          caller.ready.(roff) <- completion
+      | _ -> ());
+      k_switch
+
+(* Runs builtin [id] for the call instruction at [pc] of [fr] and maps
+   its action onto the return protocol.  A builtin's access to unmapped
+   memory (a flipped lock address, a stack that would reach the heap)
+   segfaults like a load. *)
+let call_builtin (m : t) (th : thread) (fr : frame) ~(pc : int) (id : int)
+    (args : int64 array) ~(dst : int) ~(dlanes : int) : int =
+  match exec_builtin m th fr id args dst dlanes with
+  | exception Memory.Fault x -> raise (Trap (Segfault x))
+  | Bdone -> pc + 1
+  | Bretry ->
+      fr.pc <- pc;
+      k_yield
+  | Bblock tid ->
+      th.status <- Waiting tid;
+      fr.pc <- pc + 1;
+      k_yield
+  | Bbarrier addr ->
+      th.status <- Waiting_barrier addr;
+      fr.pc <- pc + 1;
+      k_yield
+  | Breexec ->
+      (* no-majority vote fell through every re-vote retry: roll the
+         thread back to its checkpoint, or fail-stop *)
+      if reexec_rollback m th then k_switch else raise (Trap Elzar_fatal)
+
+(* Register SEU at the armed site: flips [inj]'s bit, and its optional
+   second bit, in the destination [dst] (of [dlanes] lanes) of [fr]. *)
+let flip_dest (m : t) (inj : inject) (fr : frame) ~(dst : int) ~(dlanes : int) (cls : string)
+    =
+  let dlanes = max dlanes 1 in
+  let flip lane bit =
+    let off = dst + (lane mod dlanes) in
+    fr.regs.(off) <- Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
+  in
+  flip inj.lane inj.bit;
+  (match inj.second with
+  | Some (l, b) ->
+      let l, b = second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b in
+      flip l b
+  | None -> ());
+  mark_injected m cls
+
+(* ---- reference interpreter ---- *)
+
 (* Trace emission, split out of [step] so the untraced quantum loop never
    touches the formatting code: when [cfg.trace = None] the per-step
    Printf work (and even the option check) is skipped entirely. *)
 let emit_trace (buf : Buffer.t) (th : thread) =
   let fr = List.hd th.frames in
-  if Buffer.length buf < 1_000_000 && Array.length fr.cf.Code.texts > fr.pc then
-    Buffer.add_string buf
-      (Printf.sprintf "T%d %c@%s+%d: %s\n" th.tid
-         (if fr.cf.Code.cf_hardened then 'H' else '.')
-         fr.cf.Code.cf_name fr.pc fr.cf.Code.texts.(fr.pc))
+  if Array.length fr.cf.Code.texts > fr.pc then trace_line buf th fr.cf fr.pc
 
 (* Executes one instruction of [th]; returns [false] when the thread left
-   the Running state or terminated.  Trace emission lives in the quantum
-   loop ([ref_quantum]), not here. *)
+   the Running state or terminated.  Calls, returns, builtins, the fault
+   hooks and the timing model are the helpers above, shared with the
+   compiled engine; the per-op semantics below are this engine's own.
+   Trace emission lives in the quantum loop ([ref_quantum]), not here. *)
 let step (m : t) (th : thread) : bool =
   let fr = List.hd th.frames in
-  let it = fr.cf.Code.code.(fr.pc) in
+  let pc = fr.pc in
+  let it = fr.cf.Code.code.(pc) in
   m.total_instrs <- m.total_instrs + 1;
   if m.total_instrs > m.cfg.max_instrs then raise (Trap Hang);
   let ctr = th.ctr in
   ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-  ctr.Counters.uops <- ctr.Counters.uops + Array.length it.Code.uops;
+  ctr.Counters.uops <- ctr.Counters.uops + it.Code.nuops;
   let fl = it.Code.flags in
   if fl land Code.fl_avx <> 0 then ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs + 1;
   if fl land Code.fl_load <> 0 then ctr.Counters.loads <- ctr.Counters.loads + 1;
@@ -694,45 +924,11 @@ let step (m : t) (th : thread) : bool =
     (fun s ->
       if fr.ready.(s) > !ready then ready := fr.ready.(s))
     it.Code.srcs;
+  let ready = !ready in
   let regs = fr.regs in
-  let mem_lat = ref 0 in
-  let touch addr width =
-    let lat = Cache.access th.cache addr in
-    ctr.Counters.l1_refs <- ctr.Counters.l1_refs + 1;
-    if lat > Cache.hit_latency then ctr.Counters.l1_misses <- ctr.Counters.l1_misses + 1;
-    if lat > !mem_lat then mem_lat := lat;
-    (* Armed memory fault: flip one bit of a byte this access touched,
-       right after the access — the at+1-th access of the location sees
-       the corruption.  Deliberately NOT undo-logged: memory corruption
-       persists across re-execution rollback (ELZAR leaves memory to ECC,
-       §III-A), so [Reexec] cannot mask it away. *)
-    if m.mem_flip_armed then begin
-      m.mem_flip_armed <- false;
-      match m.cfg.inject with
-      | Some inj -> (
-          let a = Int64.add addr (Int64.of_int (inj.bit lsr 3 mod max width 1)) in
-          try
-            let b = Memory.read m.mem ~width:1 a in
-            Memory.write m.mem ~width:1 a
-              (Int64.logxor b (Int64.of_int (1 lsl (inj.bit land 7))));
-            mark_injected m (class_of it.Code.op)
-          with Memory.Fault _ -> ())
-      | None -> ()
-    end
-  in
-  (* Armed address fault: XOR one bit into the effective address of this
-     (the [at]-th) load/store. *)
-  let fix_addr (a : int64) : int64 =
-    if m.addr_mask = 0L then a
-    else begin
-      let a' = Int64.logxor a m.addr_mask in
-      m.addr_mask <- 0L;
-      mark_injected m (class_of it.Code.op);
-      a'
-    end
-  in
-  let continue_ = ref true in
-  let next_pc = ref (fr.pc + 1) in
+  let cls = class_of it.Code.op in
+  let mem_lat = ref Cache.hit_latency in
+  let next = ref (pc + 1) in
   let branch_info = ref None in
   (* (taken, always_mispredict) *)
   (match it.Code.op with
@@ -759,136 +955,54 @@ let step (m : t) (th : thread) : bool =
         regs.(d + j) <- get_lane regs a j
       done
   | Code.Rload (d, w, a) -> (
-      let addr = fix_addr (get_scalar regs a) in
+      let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         regs.(d) <- Memory.read m.mem ~width:w addr;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rvload (d, n, w, a) -> (
-      let addr = fix_addr (get_scalar regs a) in
+      let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         for j = 0 to n - 1 do
           regs.(d + j) <-
             Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
         done;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rstore (w, v, a) -> (
-      let addr = fix_addr (get_scalar regs a) in
+      let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         ck_log_write m th ~width:w addr;
         Memory.write m.mem ~width:w addr (get_scalar regs v);
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rvstore (n, w, v, a) -> (
-      let addr = fix_addr (get_scalar regs a) in
+      let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         for j = 0 to n - 1 do
           let aj = Int64.add addr (Int64.of_int (j * w)) in
           ck_log_write m th ~width:w aj;
           Memory.write m.mem ~width:w aj (get_lane regs v j)
         done;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Ralloca (d, size) ->
       th.sp <- Int64.sub th.sp (Int64.of_int (Memory.align16 size));
       regs.(d) <- th.sp
   | Code.Rcall (callee, argops, dst, dlanes) -> (
-      let args = Array.map (fun o -> get_scalar regs o) argops in
+      let args = Array.map (get_scalar regs) argops in
       match callee with
       | Code.Direct fid ->
-          let cf = m.code.Code.cfuncs.(fid) in
-          let completion = Timing.exec th.timing ~ready:!ready ~mem_lat:4 it.Code.uops in
-          let nf = new_frame cf ~ret_off:dst ~sp:th.sp in
-          Array.iteri
-            (fun i v ->
-              let off, lanes = cf.Code.param_offs.(i) in
-              for j = 0 to lanes - 1 do
-                nf.regs.(off + j) <- v
-              done;
-              nf.ready.(off) <- completion)
-            args;
-          fr.pc <- fr.pc + 1 (* resume after the call on return *);
-          (* arm a re-execution checkpoint at the outermost hardened call *)
-          if m.cfg.reexec_retries > 0 && cf.Code.cf_hardened && th.ck = None then
-            th.ck <-
-              Some
-                {
-                  ck_cf = cf;
-                  ck_args = args;
-                  ck_ret_off = dst;
-                  ck_sp = th.sp;
-                  ck_caller = th.frames;
-                  ck_out_len = Buffer.length m.output;
-                  ck_frame = nf;
-                  ck_log = [];
-                  ck_log_len = 0;
-                  ck_valid = true;
-                  ck_tries = 0;
-                };
-          th.frames <- nf :: th.frames;
-          next_pc := -1
-      | Code.Builtin id -> (
-          (* a builtin's access to unmapped memory (a flipped lock address,
-             a stack that would reach the heap) segfaults like a load *)
-          match exec_builtin m th fr id args dst dlanes with
-          | exception Memory.Fault x -> raise (Trap (Segfault x))
-          | Bdone -> ()
-          | Bretry ->
-              next_pc := fr.pc;
-              continue_ := false
-          | Bblock tid ->
-              th.status <- Waiting tid;
-              next_pc := fr.pc + 1;
-              continue_ := false
-          | Bbarrier addr ->
-              th.status <- Waiting_barrier addr;
-              next_pc := fr.pc + 1;
-              continue_ := false
-          | Breexec ->
-              (* no-majority vote fell through every re-vote retry: roll
-                 the thread back to its checkpoint, or fail-stop *)
-              if reexec_rollback m th then next_pc := -1
-              else raise (Trap Elzar_fatal)))
-  | Code.Rcall_ind (fp, argops, dst, dlanes) ->
-      let f = get_scalar regs fp in
-      let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
-      if f < Code.fnptr_base || fid >= Array.length m.code.Code.cfuncs then
-        raise (Trap (Bad_callee f));
-      let args = Array.map (fun o -> get_scalar regs o) argops in
-      let cf = m.code.Code.cfuncs.(fid) in
-      let completion = Timing.exec th.timing ~ready:!ready ~mem_lat:4 it.Code.uops in
-      let nf = new_frame cf ~ret_off:dst ~sp:th.sp in
-      Array.iteri
-        (fun i v ->
-          let off, lanes = cf.Code.param_offs.(i) in
-          for j = 0 to lanes - 1 do
-            nf.regs.(off + j) <- v
-          done;
-          nf.ready.(off) <- completion)
-        args;
-      ignore dlanes;
-      fr.pc <- fr.pc + 1 (* resume after the call on return *);
-      if m.cfg.reexec_retries > 0 && cf.Code.cf_hardened && th.ck = None then
-        th.ck <-
-          Some
-            {
-              ck_cf = cf;
-              ck_args = args;
-              ck_ret_off = dst;
-              ck_sp = th.sp;
-              ck_caller = th.frames;
-              ck_out_len = Buffer.length m.output;
-              ck_frame = nf;
-              ck_log = [];
-              ck_log_len = 0;
-              ck_valid = true;
-              ck_tries = 0;
-            };
-      th.frames <- nf :: th.frames;
-      next_pc := -1
+          next :=
+            call_enter m th fr it.Code.plan ~ready m.code.Code.cfuncs.(fid) args ~ret_off:dst
+              ~resume:(pc + 1)
+      | Code.Builtin id -> next := call_builtin m th fr ~pc id args ~dst ~dlanes)
+  | Code.Rcall_ind (fp, argops, dst, _) ->
+      let cf = cfunc_of_ptr m (get_scalar regs fp) in
+      let args = Array.map (get_scalar regs) argops in
+      next := call_enter m th fr it.Code.plan ~ready cf args ~ret_off:dst ~resume:(pc + 1)
   | Code.Ratomic (op, d, a, x, w) -> (
-      let addr = fix_addr (get_scalar regs a) in
+      let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         let old = Memory.read m.mem ~width:w addr in
         let v = get_scalar regs x in
@@ -903,10 +1017,10 @@ let step (m : t) (th : thread) : bool =
         ck_log_write m th ~width:w addr;
         Memory.write m.mem ~width:w addr (Value.mask_of_width (w * 8) |> Int64.logand nv);
         regs.(d) <- old;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rcmpxchg (d, a, e, dv, w) -> (
-      let addr = fix_addr (get_scalar regs a) in
+      let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         let old = Memory.read m.mem ~width:w addr in
         if old = get_scalar regs e then begin
@@ -914,7 +1028,7 @@ let step (m : t) (th : thread) : bool =
           Memory.write m.mem ~width:w addr (get_scalar regs dv)
         end;
         regs.(d) <- old;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rextract (d, v, l) -> regs.(d) <- get_lane regs v l
   | Code.Rinsert (d, n, v, l, s) ->
@@ -943,24 +1057,24 @@ let step (m : t) (th : thread) : bool =
   | Code.Rgather (d, n, w, a) -> (
       (* FPGA-checked gather: majority-vote the replicated address, load
          once, replicate (closes the extract window of vulnerability) *)
-      let alanes = match a with Code.Oslot (_, l) -> l | Code.Oconst c -> Array.length c in
+      let alanes = rop_lanes a in
       let disagree = ref false in
       let a0 = get_lane regs a 0 in
       for j = 1 to alanes - 1 do
         if get_lane regs a j <> a0 then disagree := true
       done;
-      let addr = fix_addr (majority4 ~n:alanes (fun j -> get_lane regs a j)) in
+      let addr = k_fix_addr m cls (majority4 ~n:alanes (fun j -> get_lane regs a j)) in
       if !disagree then note_recovered m;
       try
         let v = Memory.read m.mem ~width:w addr in
         for j = 0 to n - 1 do
           regs.(d + j) <- v
         done;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rscatter (w, v, a) -> (
-      let alanes = match a with Code.Oslot (_, l) -> l | Code.Oconst c -> Array.length c in
-      let vlanes = match v with Code.Oslot (_, l) -> l | Code.Oconst c -> Array.length c in
+      let alanes = rop_lanes a in
+      let vlanes = rop_lanes v in
       let disagree = ref false in
       let a0 = get_lane regs a 0 and v0 = get_lane regs v 0 in
       for j = 1 to alanes - 1 do
@@ -969,39 +1083,16 @@ let step (m : t) (th : thread) : bool =
       for j = 1 to vlanes - 1 do
         if get_lane regs v j <> v0 then disagree := true
       done;
-      let addr = fix_addr (majority4 ~n:alanes (fun j -> get_lane regs a j)) in
+      let addr = k_fix_addr m cls (majority4 ~n:alanes (fun j -> get_lane regs a j)) in
       let value = majority4 ~n:vlanes (fun j -> get_lane regs v j) in
       if !disagree then note_recovered m;
       try
         ck_log_write m th ~width:w addr;
         Memory.write m.mem ~width:w addr value;
-        touch addr w
+        mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Tret o -> (
-      let completion = Timing.exec th.timing ~ready:!ready ~mem_lat:4 it.Code.uops in
-      let popped = fr in
-      (* the checkpointed call completed: commit (drop) the checkpoint *)
-      (match th.ck with
-      | Some ck when ck.ck_frame == popped -> th.ck <- None
-      | _ -> ());
-      th.sp <- popped.saved_sp;
-      th.frames <- List.tl th.frames;
-      match th.frames with
-      | [] ->
-          finish_thread m th;
-          continue_ := false;
-          next_pc := -1
-      | caller :: _ ->
-          (match o with
-          | Some v when popped.ret_off >= 0 ->
-              let lanes = popped.cf.Code.ret_lanes in
-              for j = 0 to lanes - 1 do
-                caller.regs.(popped.ret_off + j) <- get_lane popped.regs v j
-              done;
-              caller.ready.(popped.ret_off) <- completion
-          | _ -> ());
-          next_pc := -1)
-  | Code.Tbr target -> next_pc := target
+  | Code.Tret o -> next := call_return m th fr it.Code.plan ~ready (Option.map lane_fn o)
+  | Code.Tbr target -> next := target
   | Code.Tcondbr (c, t, e) ->
       let taken = get_scalar regs c <> 0L in
       let taken =
@@ -1012,24 +1103,24 @@ let step (m : t) (th : thread) : bool =
         end
         else taken
       in
-      next_pc := (if taken then t else e);
+      next := (if taken then t else e);
       branch_info := Some (taken, false)
   | Code.Tvbr (mask, t, e, r) ->
-      let lanes = match mask with Code.Oslot (_, l) -> l | Code.Oconst c -> Array.length c in
+      let lanes = rop_lanes mask in
       let all_true = ref true and all_false = ref true in
       for j = 0 to lanes - 1 do
         if get_lane regs mask j = 0L then all_true := false else all_false := false
       done;
       if !all_true then begin
-        next_pc := t;
+        next := t;
         branch_info := Some (true, false)
       end
       else if !all_false then begin
-        next_pc := e;
+        next := e;
         branch_info := Some (false, false)
       end
       else begin
-        next_pc := r;
+        next := r;
         branch_info := Some (true, true)
       end;
       (* control-flow fault: the front end retires the wrong successor —
@@ -1038,7 +1129,7 @@ let step (m : t) (th : thread) : bool =
       if m.cf_divert then begin
         m.cf_divert <- false;
         mark_injected m "branch";
-        next_pc := (if !all_true then e else t)
+        next := (if !all_true then e else t)
       end
   | Code.Tvbr_u (mask, t, e) ->
       (* unchecked AVX branch: hardware flags reflect lane 0 on a clean run;
@@ -1053,167 +1144,49 @@ let step (m : t) (th : thread) : bool =
         end
         else taken
       in
-      next_pc := (if taken then t else e);
+      next := (if taken then t else e);
       branch_info := Some (taken, false)
   | Code.Tunreachable -> raise (Trap Unreachable_executed));
-  (* timing for plain instructions (calls/returns were timed inline) *)
+  (* timing for plain instructions (calls and returns time themselves) *)
   (match it.Code.op with
   | Code.Rcall _ | Code.Rcall_ind _ | Code.Tret _ -> ()
   | _ ->
-      let completion =
-        Timing.exec th.timing ~ready:!ready
-          ~mem_lat:(if !mem_lat > 0 then !mem_lat else Cache.hit_latency)
-          it.Code.uops
-      in
+      let completion = Timing.exec th.timing ~ready ~mem_lat:!mem_lat it.Code.plan in
       if it.Code.dst >= 0 then fr.ready.(it.Code.dst) <- completion;
       (match !branch_info with
       | Some (taken, force_miss) ->
-          let miss = Branch_pred.record th.bpred ~pc:fr.pc ~taken in
+          let miss = Branch_pred.record th.bpred ~pc ~taken in
           if miss || force_miss then begin
             ctr.Counters.branch_misses <- ctr.Counters.branch_misses + 1;
             Timing.mispredict th.timing ~resolved:completion
           end
       | None -> ()));
-  (* fault injection (register-SEU stream; the other fault kinds are armed
-     before the instruction executes, above) *)
+  (* register-SEU stream; the other fault kinds are armed before the
+     instruction executes, above *)
   (if fl land Code.fl_inject <> 0 then
      match m.cfg.inject with
      | Some inj when inj.kind = Reg_flip ->
          m.inj_count <- m.inj_count + 1;
-         if m.inj_count = inj.at then begin
-           let dlanes = max it.Code.dlanes 1 in
-           let flip lane bit =
-             let off = it.Code.dst + (lane mod dlanes) in
-             fr.regs.(off) <- Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
-           in
-           flip inj.lane inj.bit;
-           (match inj.second with
-           | Some (l, b) ->
-               let l, b =
-                 second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b
-               in
-               flip l b
-           | None -> ());
-           mark_injected m (class_of it.Code.op)
-         end
+         if m.inj_count = inj.at then
+           flip_dest m inj fr ~dst:it.Code.dst ~dlanes:it.Code.dlanes cls
      | Some _ -> ()
      | None -> if m.cfg.count_inject_sites then m.inj_count <- m.inj_count + 1);
-  if !next_pc >= 0 then fr.pc <- !next_pc;
-  !continue_ && th.status = Running
+  let r = !next in
+  if r >= 0 then fr.pc <- r;
+  r <> k_yield
 
 (* ---- compiled (threaded-code) engine ---- *)
-
-(* Return protocol of a compiled instruction closure:
-   -  [r >= 0]: next pc in the same frame; the driver keeps the pc in a
-      local and writes [fr.pc] back only when the quantum budget expires
-      mid-frame.
-   -  [k_switch]: the closure changed the frame stack (call / return /
-      re-execution rollback) and already stored any resume pc; the driver
-      re-fetches the innermost frame.
-   -  [k_yield]: the thread left the Running state (block, lock retry,
-      barrier, thread finished); the closure stored the resume pc. *)
-let k_switch = -1
-let k_yield = -2
-
-let k_touch (th : thread) (addr : int64) : int =
-  let lat = Cache.access th.cache addr in
-  let ctr = th.ctr in
-  ctr.Counters.l1_refs <- ctr.Counters.l1_refs + 1;
-  if lat > Cache.hit_latency then ctr.Counters.l1_misses <- ctr.Counters.l1_misses + 1;
-  lat
-
-(* [k_touch] plus the armed memory-bit-flip check; only compiled into the
-   memory-op closures of Mem_flip campaigns (mirrors [touch] in [step]). *)
-let k_touch_flip (m : t) (th : thread) (cls : string) (width : int) (addr : int64) : int =
-  let lat = k_touch th addr in
-  if m.mem_flip_armed then begin
-    m.mem_flip_armed <- false;
-    match m.cfg.inject with
-    | Some inj -> (
-        let a = Int64.add addr (Int64.of_int (inj.bit lsr 3 mod max width 1)) in
-        try
-          let b = Memory.read m.mem ~width:1 a in
-          Memory.write m.mem ~width:1 a
-            (Int64.logxor b (Int64.of_int (1 lsl (inj.bit land 7))));
-          mark_injected m cls
-        with Memory.Fault _ -> ())
-    | None -> ()
-  end;
-  lat
-
-(* Armed address fault; only compiled into Addr_flip campaigns. *)
-let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
-  if m.addr_mask = 0L then a
-  else begin
-    let a' = Int64.logxor a m.addr_mask in
-    m.addr_mask <- 0L;
-    mark_injected m cls;
-    a'
-  end
-
-(* ---- operand accessors specialized at compile time ----
-   [lane_fn] keeps [get_lane]'s general wrap; [get_fn ~n] additionally
-   drops the [mod lanes] when the operand covers all n lanes of the
-   consumer. *)
-
-let lane_fn (o : Code.rop) : int64 array -> int -> int64 =
-  match o with
-  | Code.Oconst a ->
-      if Array.length a = 1 then fun _ _ -> a.(0)
-      else
-        let la = Array.length a in
-        fun _ j -> a.(j mod la)
-  | Code.Oslot (off, 1) -> fun regs _ -> regs.(off)
-  | Code.Oslot (off, l) -> fun regs j -> regs.(off + (j mod l))
-
-let get_fn ~(n : int) (o : Code.rop) : int64 array -> int -> int64 =
-  match o with
-  | Code.Oslot (off, l) when n > 0 && l >= n -> fun regs j -> regs.(off + j)
-  | Code.Oconst a when n > 1 && Array.length a >= n -> fun _ j -> a.(j)
-  | o -> lane_fn o
-
-let scalar_fn (o : Code.rop) : int64 array -> int64 =
-  match o with
-  | Code.Oslot (off, _) -> fun regs -> regs.(off)
-  | Code.Oconst a -> fun _ -> a.(0)
-
-let rop_lanes = function
-  | Code.Oslot (_, l) -> l
-  | Code.Oconst a -> Array.length a
-
-(* Readiness of an instruction's register inputs, specialized on the
-   source count. *)
-let ready_fn (srcs : int array) : frame -> int =
-  match Array.length srcs with
-  | 0 -> fun _ -> 0
-  | 1 ->
-      let s0 = srcs.(0) in
-      fun fr -> fr.ready.(s0)
-  | 2 ->
-      let s0 = srcs.(0) and s1 = srcs.(1) in
-      fun fr ->
-        let a = fr.ready.(s0) and b = fr.ready.(s1) in
-        if a > b then a else b
-  | ns ->
-      fun fr ->
-        let r = ref 0 in
-        let ra = fr.ready in
-        for i = 0 to ns - 1 do
-          if ra.(srcs.(i)) > !r then r := ra.(srcs.(i))
-        done;
-        !r
 
 (* Compiles the operational body of one instruction — semantics, memory
    effects, timing epilogue — into a closure specialized on its operands,
    lane counts and this config's hook flags: operand offsets and the
    [mod lanes] stride are resolved once, and the fault-injection /
    undo-log hooks are compiled in or dropped entirely instead of being
-   re-examined on every dynamic instruction.  Timing runs the
-   instruction's precompiled plan ([Timing.exec_plan]).  Semantics —
-   including timing, counter and fault-stream order — mirror [step]
-   exactly; the equivalence tests hold both engines to bit-identical
-   results. *)
-let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
+   re-examined on every dynamic instruction.  Calls, returns, builtins,
+   the fault hooks and the timing model are the helpers [step] uses too;
+   the per-op semantics are this engine's own, and the equivalence tests
+   hold both engines to bit-identical results. *)
+let compile_body (m : t) (pc : int) (it : Code.citem) :
     thread -> frame -> int -> int =
   let reexec_on = m.cfg.reexec_retries > 0 in
   let armed k = match m.cfg.inject with Some i -> i.kind = k | None -> false in
@@ -1225,36 +1198,16 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   let next = pc + 1 in
   (* timing epilogue of the plain ops (same order as [step]) *)
   let finish_plain th (fr : frame) ready mem_lat =
-    let completion = Timing.exec_plan th.timing ~ready ~mem_lat plan in
+    let completion = Timing.exec th.timing ~ready ~mem_lat plan in
     if dst >= 0 then fr.ready.(dst) <- completion
   in
   let finish_branch th ready ~taken ~force_miss =
-    let completion = Timing.exec_plan th.timing ~ready ~mem_lat:Cache.hit_latency plan in
+    let completion = Timing.exec th.timing ~ready ~mem_lat:Cache.hit_latency plan in
     let miss = Branch_pred.record th.bpred ~pc ~taken in
     if miss || force_miss then begin
       th.ctr.Counters.branch_misses <- th.ctr.Counters.branch_misses + 1;
       Timing.mispredict th.timing ~resolved:completion
     end
-  in
-  (* must run before the [th.frames] push: [ck_caller]/[ck_sp] capture the
-     caller's state *)
-  let arm_ckpt th (cfc : Code.cfunc) args cdst (nf : frame) =
-    if th.ck = None then
-      th.ck <-
-        Some
-          {
-            ck_cf = cfc;
-            ck_args = args;
-            ck_ret_off = cdst;
-            ck_sp = th.sp;
-            ck_caller = th.frames;
-            ck_out_len = Buffer.length m.output;
-            ck_frame = nf;
-            ck_log = [];
-            ck_log_len = 0;
-            ck_valid = true;
-            ck_tries = 0;
-          }
   in
   match it.Code.op with
     | Code.Rbinop (d, n, f, a, b) ->
@@ -1399,83 +1352,18 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
           finish_plain th fr ready Cache.hit_latency;
           next
     | Code.Rcall (Code.Direct fid, argops, cdst, _) ->
-        let getters = Array.map scalar_fn argops in
-        let nargs = Array.length getters in
+        let gargs = args_fn argops in
         let cfc = m.code.Code.cfuncs.(fid) in
-        let poffs = cfc.Code.param_offs in
-        let arm = reexec_on && cfc.Code.cf_hardened in
         fun th fr ready ->
-          let regs = fr.regs in
-          let args = Array.make nargs 0L in
-          for i = 0 to nargs - 1 do
-            args.(i) <- getters.(i) regs
-          done;
-          let completion = Timing.exec_plan th.timing ~ready ~mem_lat:4 plan in
-          let nf = new_frame cfc ~ret_off:cdst ~sp:th.sp in
-          for i = 0 to nargs - 1 do
-            let off, lanes = poffs.(i) in
-            for j = 0 to lanes - 1 do
-              nf.regs.(off + j) <- args.(i)
-            done;
-            nf.ready.(off) <- completion
-          done;
-          fr.pc <- next;
-          if arm then arm_ckpt th cfc args cdst nf;
-          th.frames <- nf :: th.frames;
-          k_switch
+          call_enter m th fr plan ~ready cfc (gargs fr.regs) ~ret_off:cdst ~resume:next
     | Code.Rcall (Code.Builtin id, argops, cdst, cdl) ->
-        let getters = Array.map scalar_fn argops in
-        let nargs = Array.length getters in
-        fun th fr _ready ->
-          let regs = fr.regs in
-          let args = Array.make nargs 0L in
-          for i = 0 to nargs - 1 do
-            args.(i) <- getters.(i) regs
-          done;
-          (match exec_builtin m th fr id args cdst cdl with
-          | exception Memory.Fault x -> raise (Trap (Segfault x))
-          | Bdone -> next
-          | Bretry ->
-              fr.pc <- pc;
-              k_yield
-          | Bblock tid ->
-              th.status <- Waiting tid;
-              fr.pc <- next;
-              k_yield
-          | Bbarrier addr ->
-              th.status <- Waiting_barrier addr;
-              fr.pc <- next;
-              k_yield
-          | Breexec -> if reexec_rollback m th then k_switch else raise (Trap Elzar_fatal))
+        let gargs = args_fn argops in
+        fun th fr _ready -> call_builtin m th fr ~pc id (gargs fr.regs) ~dst:cdst ~dlanes:cdl
     | Code.Rcall_ind (fp, argops, cdst, _) ->
-        let gfp = scalar_fn fp in
-        let getters = Array.map scalar_fn argops in
-        let nargs = Array.length getters in
-        let nfuncs = Array.length m.code.Code.cfuncs in
+        let gfp = scalar_fn fp and gargs = args_fn argops in
         fun th fr ready ->
-          let regs = fr.regs in
-          let f = gfp regs in
-          let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
-          if f < Code.fnptr_base || fid >= nfuncs then raise (Trap (Bad_callee f));
-          let args = Array.make nargs 0L in
-          for i = 0 to nargs - 1 do
-            args.(i) <- getters.(i) regs
-          done;
-          let cfc = m.code.Code.cfuncs.(fid) in
-          let completion = Timing.exec_plan th.timing ~ready ~mem_lat:4 plan in
-          let nf = new_frame cfc ~ret_off:cdst ~sp:th.sp in
-          let poffs = cfc.Code.param_offs in
-          for i = 0 to nargs - 1 do
-            let off, lanes = poffs.(i) in
-            for j = 0 to lanes - 1 do
-              nf.regs.(off + j) <- args.(i)
-            done;
-            nf.ready.(off) <- completion
-          done;
-          fr.pc <- next;
-          if reexec_on && cfc.Code.cf_hardened then arm_ckpt th cfc args cdst nf;
-          th.frames <- nf :: th.frames;
-          k_switch
+          let cfc = cfunc_of_ptr m (gfp fr.regs) in
+          call_enter m th fr plan ~ready cfc (gargs fr.regs) ~ret_off:cdst ~resume:next
     | Code.Ratomic (op, d, a, x, w) ->
         let ga = scalar_fn a and gx = scalar_fn x in
         let fop =
@@ -1629,31 +1517,8 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
           finish_plain th fr ready lat;
           next
     | Code.Tret o ->
-        let ret_fn = match o with Some v -> Some (lane_fn v) | None -> None in
-        let ret_lanes = cf.Code.ret_lanes in
-        fun th fr ready ->
-          let completion = Timing.exec_plan th.timing ~ready ~mem_lat:4 plan in
-          (if reexec_on then
-             (* the checkpointed call completed: commit (drop) the checkpoint *)
-             match th.ck with
-             | Some ck when ck.ck_frame == fr -> th.ck <- None
-             | _ -> ());
-          th.sp <- fr.saved_sp;
-          th.frames <- List.tl th.frames;
-          (match th.frames with
-          | [] ->
-              finish_thread m th;
-              k_yield
-          | caller :: _ ->
-              (match ret_fn with
-              | Some g when fr.ret_off >= 0 ->
-                  let roff = fr.ret_off in
-                  for j = 0 to ret_lanes - 1 do
-                    caller.regs.(roff + j) <- g fr.regs j
-                  done;
-                  caller.ready.(roff) <- completion
-              | _ -> ());
-              k_switch)
+        let ret = Option.map lane_fn o in
+        fun th fr ready -> call_return m th fr plan ~ready ret
     | Code.Tbr target ->
         fun th fr ready ->
           finish_plain th fr ready Cache.hit_latency;
@@ -1722,7 +1587,7 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
 let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     thread -> frame -> int =
   let cfg = m.cfg in
-  let nuops = Array.length it.Code.uops in
+  let nuops = it.Code.nuops in
   let dst = it.Code.dst in
   let fl = it.Code.flags in
   let cls = class_of it.Code.op in
@@ -1737,7 +1602,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
   in
   let ready_of = ready_fn it.Code.srcs in
-  let body = compile_body m cf pc it in
+  let body = compile_body m pc it in
   (* per-instruction fault-site streams, compiled to hooks (or to nothing) *)
   let site_hook : (unit -> unit) option =
     match cfg.inject with
@@ -1773,26 +1638,11 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     else
       match cfg.inject with
       | Some inj when inj.kind = Reg_flip ->
-          let dlanes = max it.Code.dlanes 1 in
+          let dlanes = it.Code.dlanes in
           Some
             (fun fr ->
               m.inj_count <- m.inj_count + 1;
-              if m.inj_count = inj.at then begin
-                let flip lane bit =
-                  let off = dst + (lane mod dlanes) in
-                  fr.regs.(off) <-
-                    Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
-                in
-                flip inj.lane inj.bit;
-                (match inj.second with
-                | Some (l, b) ->
-                    let l, b =
-                      second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b
-                    in
-                    flip l b
-                | None -> ());
-                mark_injected m cls
-              end)
+              if m.inj_count = inj.at then flip_dest m inj fr ~dst ~dlanes cls)
       | Some _ -> None
       | None ->
           if cfg.count_inject_sites then Some (fun _ -> m.inj_count <- m.inj_count + 1)
@@ -1800,14 +1650,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   in
   let trace_hook : (thread -> unit) option =
     match cfg.trace with
-    | Some buf when Array.length cf.Code.texts > pc ->
-        let text = cf.Code.texts.(pc) in
-        let tag = if hardened then 'H' else '.' in
-        let name = cf.Code.cf_name in
-        Some
-          (fun th ->
-            if Buffer.length buf < 1_000_000 then
-              Buffer.add_string buf (Printf.sprintf "T%d %c@%s+%d: %s\n" th.tid tag name pc text))
+    | Some buf when Array.length cf.Code.texts > pc -> Some (fun th -> trace_line buf th cf pc)
     | _ -> None
   in
   let max_instrs = cfg.max_instrs in
@@ -2197,15 +2040,14 @@ let restore ?(cfg = default_config) (sn : snapshot) : t =
       match ts.t_ck with
       | None -> None
       | Some k ->
+          let ck =
+            new_ckpt k.k_cf (Array.copy k.k_args) ~ret_off:k.k_ret_off ~sp:k.k_sp
+              ~caller:(list_drop (k.k_frame_idx + 1) frames)
+              ~out_len:k.k_out_len (List.nth frames k.k_frame_idx)
+          in
           Some
             {
-              ck_cf = k.k_cf;
-              ck_args = Array.copy k.k_args;
-              ck_ret_off = k.k_ret_off;
-              ck_sp = k.k_sp;
-              ck_caller = list_drop (k.k_frame_idx + 1) frames;
-              ck_out_len = k.k_out_len;
-              ck_frame = List.nth frames k.k_frame_idx;
+              ck with
               ck_log = k.k_log;
               ck_log_len = k.k_log_len;
               ck_valid = k.k_valid;

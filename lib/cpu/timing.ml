@@ -6,7 +6,14 @@
     allowed execution ports is free, and completes after its latency.  Load
     latencies arrive from the cache model; branch mispredictions flush
     dispatch.  Wall-clock cycles and the resulting ILP are what the paper's
-    Tables II/III and all normalized-runtime figures are built from. *)
+    Tables II/III and all normalized-runtime figures are built from.
+
+    The static half of the model — each instruction's μop count, the
+    decoded port set of every μop, whether it chains on the previous μop
+    and whether it touches memory — is compiled once per instruction into
+    a [plan] by [Code.compile]; [exec] then evaluates only the dynamic
+    residue (dispatch window, port contention, L1 hit/miss latency, the
+    miss pipe).  Both execution engines time every instruction this way. *)
 
 type t = {
   port_free : int array;
@@ -64,65 +71,7 @@ let dispatch_one (t : t) =
   t.dispatch_used <- t.dispatch_used + 1;
   t.dispatch_cycle
 
-(* Issues the μop sequence of one instruction whose inputs are ready at
-   [ready]; returns the cycle at which its result is available.  [mem_lat]
-   substitutes the latency of μops flagged [Mload]. *)
-let exec (t : t) ~(ready : int) ~(mem_lat : int) (uops : Cost.uop array) : int =
-  let n = Array.length uops in
-  if n = 0 then ready
-  else begin
-    let last = ref ready and result = ref ready in
-    for k = 0 to n - 1 do
-      let u = uops.(k) in
-      let dispatched = dispatch_one t in
-      let dep = if u.Cost.chain then !last else ready in
-      let earliest = max dep dispatched in
-      (* pick the allowed port that frees up first *)
-      let best_port = ref (-1) and best_time = ref max_int in
-      for p = 0 to Cost.nports - 1 do
-        if u.Cost.ports land (1 lsl p) <> 0 then begin
-          let at = max t.port_free.(p) earliest in
-          if at < !best_time then begin
-            best_time := at;
-            best_port := p
-          end
-        end
-      done;
-      let issue = ref !best_time in
-      t.port_free.(!best_port) <- !issue + u.Cost.rt;
-      (* an L1 miss additionally serializes on the per-core memory pipe *)
-      let missed = mem_lat > Cache.hit_latency in
-      (match u.Cost.mem with
-      | Cost.Mload | Cost.Mstore when missed ->
-          if t.bus_free > !issue then issue := t.bus_free;
-          t.bus_free <- !issue + Cost.membus_rt
-      | _ -> ());
-      let issue = !issue in
-      let lat = match u.Cost.mem with Cost.Mload -> mem_lat | _ -> u.Cost.lat in
-      let completion = issue + lat in
-      t.rob.(t.rob_pos) <- completion;
-      t.rob_pos <- (t.rob_pos + 1) mod rob_size;
-      if completion > t.horizon then t.horizon <- completion;
-      last := completion;
-      if completion > !result then result := completion
-    done;
-    !result
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Precompiled μop plans — the static half of the timing model.        *)
-(*                                                                     *)
-(* [exec] re-derives, for every dynamic instance of an instruction,    *)
-(* facts that are fixed at compile time: the μop count, the decoded    *)
-(* port set of each μop, whether it chains on the previous μop, and    *)
-(* whether it touches memory.  [Code.compile] turns each              *)
-(* instruction's μop sequence into a [plan] once; [exec_plan] then     *)
-(* only evaluates the dynamic residue (port contention, the dispatch   *)
-(* window, L1 hit/miss latency, the miss pipe) and is bit-identical    *)
-(* to [exec] on the same sequence of calls.  The compiled engine times *)
-(* every instruction this way; [exec] is the reference interpreter's.  *)
-(* ------------------------------------------------------------------ *)
-
+(* Precompiled form of one [Cost.uop]. *)
 type uplan = {
   up_lat : int;
   up_ports : int array;  (** port indices decoded from the mask, ascending *)
@@ -164,9 +113,9 @@ let plan_of_uops (uops : Cost.uop array) : plan =
   | _ -> Pseq (Array.map uplan_of uops)
 
 (* Port pick over a decoded ascending port list: issues the μop (updates
-   the chosen port's free time by [rt]) and returns its issue cycle.
-   Equivalent to [exec]'s mask scan: same ascending order, same strict
-   [<], so ties resolve to the same (lowest-numbered) port. *)
+   the chosen port's free time by [rt]) and returns its issue cycle.  The
+   strict [<] over ascending ports resolves ties to the lowest-numbered
+   free port. *)
 let[@inline] pick_port (t : t) (ports : int array) (rt : int) (earliest : int) :
     int =
   if Array.length ports = 1 then begin
@@ -199,8 +148,11 @@ let[@inline] finish_uop (t : t) (completion : int) =
   t.rob_pos <- (t.rob_pos + 1) mod rob_size;
   if completion > t.horizon then t.horizon <- completion
 
-(* Bit-identical replay of [exec] over a precompiled plan. *)
-let exec_plan (t : t) ~(ready : int) ~(mem_lat : int) (p : plan) : int =
+(* Issues the μops of one instruction whose inputs are ready at [ready];
+   returns the cycle at which its result is available.  [mem_lat]
+   substitutes the latency of load μops; an L1 miss ([mem_lat] above the
+   hit latency) also serializes every memory μop on the per-core pipe. *)
+let exec (t : t) ~(ready : int) ~(mem_lat : int) (p : plan) : int =
   match p with
   | Pempty -> ready
   | Palu1 u ->

@@ -3,7 +3,9 @@
     with latencies and reciprocal throughputs from {!Cost}, a per-core
     memory pipe serializing L1 misses, and branch-mispredict flushes.
     Wall-clock cycles from this model underlie every normalized-runtime
-    figure of the paper. *)
+    figure of the paper.  Each instruction is timed from a [plan] compiled
+    once from its μop lowering, so only the dynamic residue of the model
+    runs per dynamic instruction. *)
 
 type t = {
   port_free : int array;
@@ -27,14 +29,9 @@ val reset : t -> unit
 (** Current core clock. *)
 val cycle : t -> int
 
-(** Issues one instruction's μop sequence; [ready] is when its register
-    inputs are available, [mem_lat] substitutes the latency of load μops.
-    Returns the cycle its result is ready.  The reference interpreter's
-    entry point; the compiled engine uses {!exec_plan}. *)
-val exec : t -> ready:int -> mem_lat:int -> Cost.uop array -> int
-
-(** Precompiled form of one μop: the static facts [exec] would re-derive
-    per dynamic instance (decoded port set, chaining, memory class). *)
+(** Precompiled form of one μop: the static facts of a [Cost.uop]
+    (decoded port set, chaining, memory class) that no dynamic instance
+    needs to re-derive. *)
 type uplan = {
   up_lat : int;
   up_ports : int array;  (** port indices decoded from the mask, ascending *)
@@ -53,10 +50,11 @@ type plan =
 
 val plan_of_uops : Cost.uop array -> plan
 
-(** Bit-identical replay of [exec] over a precompiled plan: only the
-    dynamic residue (dispatch window, port contention, hit/miss latency,
-    miss-pipe serialization) is evaluated at run time. *)
-val exec_plan : t -> ready:int -> mem_lat:int -> plan -> int
+(** Issues one instruction's μops; [ready] is when its register inputs
+    are available, [mem_lat] substitutes the latency of load μops.
+    Returns the cycle its result is ready.  The timing entry point of
+    both execution engines. *)
+val exec : t -> ready:int -> mem_lat:int -> plan -> int
 
 (** Branch misprediction: the front end restarts after the branch
     resolves, plus the flush penalty. *)

@@ -663,49 +663,48 @@ let plan ~(n : int) (draw : unit -> Fault.experiment) : Fault.experiment array =
   done;
   exps
 
-(* Golden run of a campaign: with fast-forward on, also capture the
-   snapshot chain every injection run will restore from.  Timed under the
-   "golden" span (snapshot captures additionally under "golden/snapshot"),
-   with the golden run's simulated cycles attributed to it. *)
-let campaign_golden ?spans ~(fast_forward : bool) (spec : Fault.run_spec) :
-    Cpu.Machine.result * Cpu.Machine.snapshot array =
-  let timed f = match spans with None -> f () | Some r -> Obs.Span.time r "golden" f in
+(* The sequence every whole campaign follows: the golden run — with
+   fast-forward on, also capturing the snapshot chain every injection run
+   will restore from, timed under the "golden" span (snapshot captures
+   additionally under "golden/snapshot") with the golden run's simulated
+   cycles attributed to it — then a plan of [n] draws, then the run.
+   [drawer] sees the golden result, rejects site streams it cannot draw
+   from, and returns the experiment drawer (also used for redraws). *)
+let golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel
+    ~(n : int) (spec : Fault.run_spec) (drawer : Cpu.Machine.result -> unit -> Fault.experiment)
+    : report =
+  let recorder = Obs.Span.make () in
   let g, snapshots =
-    timed (fun () ->
-        if fast_forward then Fault.golden_capture ?spans spec
+    Obs.Span.time recorder "golden" (fun () ->
+        if fast_forward then Fault.golden_capture ~spans:recorder spec
         else (Fault.golden spec, [||]))
   in
-  (match spans with
-  | Some r -> Obs.Span.add_cycles r "golden" g.Cpu.Machine.wall_cycles
-  | None -> ());
-  (g, snapshots)
+  Obs.Span.add_cycles recorder "golden" g.Cpu.Machine.wall_cycles;
+  let draw = drawer g in
+  let exps = Obs.Span.time recorder "plan" (fun () -> plan ~n draw) in
+  run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~snapshots ~recorder
+    ~redraw:draw ~spec ~golden:g exps
 
 (* A full campaign of [n] independent single-bit injections. *)
 let single ?(seed = 42) ?(n = 300) ?jobs ?progress ?checkpoint ?(fast_forward = true)
     ?supervise ?chaos ?cancel (spec : Fault.run_spec) : report =
-  let recorder = Obs.Span.make () in
-  let g, snapshots = campaign_golden ~spans:recorder ~fast_forward spec in
-  let sites = g.Cpu.Machine.inject_sites in
-  if sites = 0 then invalid_arg "Campaign.single: no hardened code to inject into";
-  let rng = Random.State.make [| seed |] in
-  let draw () = draw_single rng ~sites in
-  let exps = Obs.Span.time recorder "plan" (fun () -> plan ~n draw) in
-  run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~snapshots ~recorder
-    ~redraw:draw ~spec ~golden:g exps
+  golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel ~n spec
+    (fun g ->
+      let sites = g.Cpu.Machine.inject_sites in
+      if sites = 0 then invalid_arg "Campaign.single: no hardened code to inject into";
+      let rng = Random.State.make [| seed |] in
+      fun () -> draw_single rng ~sites)
 
 (* Campaign of double-bit faults; [same_bit] flips the same bit in two
    different lanes (two replicas agreeing on a wrong value). *)
 let double ?(seed = 43) ?(n = 150) ?(same_bit = true) ?jobs ?progress ?checkpoint
     ?(fast_forward = true) ?supervise ?chaos ?cancel (spec : Fault.run_spec) : report =
-  let recorder = Obs.Span.make () in
-  let g, snapshots = campaign_golden ~spans:recorder ~fast_forward spec in
-  let sites = g.Cpu.Machine.inject_sites in
-  if sites = 0 then invalid_arg "Campaign.double: no hardened code to inject into";
-  let rng = Random.State.make [| seed |] in
-  let draw () = draw_double ~same_bit rng ~sites in
-  let exps = Obs.Span.time recorder "plan" (fun () -> plan ~n draw) in
-  run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~snapshots ~recorder
-    ~redraw:draw ~spec ~golden:g exps
+  golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel ~n spec
+    (fun g ->
+      let sites = g.Cpu.Machine.inject_sites in
+      if sites = 0 then invalid_arg "Campaign.double: no hardened code to inject into";
+      let rng = Random.State.make [| seed |] in
+      fun () -> draw_double ~same_bit rng ~sites)
 
 (* Campaign under a fault-model axis: reg (same as {!single}), mem, addr,
    cf, or mixed.  The site streams come from the golden run's counters;
@@ -714,26 +713,23 @@ let double ?(seed = 43) ?(n = 150) ?(same_bit = true) ?jobs ?progress ?checkpoin
 let model_campaign ?(seed = 44) ?(n = 300) ?jobs ?progress ?checkpoint
     ?(fast_forward = true) ?supervise ?chaos ?cancel ~(model : Fault.model)
     (spec : Fault.run_spec) : report =
-  let recorder = Obs.Span.make () in
-  let g, snapshots = campaign_golden ~spans:recorder ~fast_forward spec in
-  let sites = g.Cpu.Machine.inject_sites in
-  let mem_sites = g.Cpu.Machine.mem_sites in
-  let branch_sites = g.Cpu.Machine.branch_sites in
-  (match model with
-  | Fault.Reg | Fault.Mixed ->
-      if sites = 0 then
-        invalid_arg "Campaign.model_campaign: no hardened code to inject into"
-  | Fault.Mem | Fault.Addr ->
-      if mem_sites = 0 then
-        invalid_arg "Campaign.model_campaign: no hardened memory accesses"
-  | Fault.Cf ->
-      if branch_sites = 0 then
-        invalid_arg "Campaign.model_campaign: no hardened conditional branches");
-  let rng = Random.State.make [| seed; Hashtbl.hash (Fault.model_to_string model) |] in
-  let draw () = draw_model rng ~model ~sites ~mem_sites ~branch_sites in
-  let exps = Obs.Span.time recorder "plan" (fun () -> plan ~n draw) in
-  run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~snapshots ~recorder
-    ~redraw:draw ~spec ~golden:g exps
+  golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel ~n spec
+    (fun g ->
+      let sites = g.Cpu.Machine.inject_sites in
+      let mem_sites = g.Cpu.Machine.mem_sites in
+      let branch_sites = g.Cpu.Machine.branch_sites in
+      (match model with
+      | Fault.Reg | Fault.Mixed ->
+          if sites = 0 then
+            invalid_arg "Campaign.model_campaign: no hardened code to inject into"
+      | Fault.Mem | Fault.Addr ->
+          if mem_sites = 0 then
+            invalid_arg "Campaign.model_campaign: no hardened memory accesses"
+      | Fault.Cf ->
+          if branch_sites = 0 then
+            invalid_arg "Campaign.model_campaign: no hardened conditional branches");
+      let rng = Random.State.make [| seed; Hashtbl.hash (Fault.model_to_string model) |] in
+      fun () -> draw_model rng ~model ~sites ~mem_sites ~branch_sites)
 
 (* One-line observability summary for bench tables. *)
 let pp_totals fmt (r : report) =

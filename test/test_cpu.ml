@@ -114,13 +114,16 @@ let test_predictor_alternation_costs () =
 
 (* ---- timing engine ---- *)
 
+(* Times one instruction given as its μop lowering, through the plan
+   entry point both engines use. *)
+let exec_uops t ~ready ~mem_lat uops = Timing.exec t ~ready ~mem_lat (Timing.plan_of_uops uops)
 let alu_uops n = Array.make n Cost.alu
 
 let test_timing_ilp () =
   let t = Timing.create () in
   (* 100 independent single-cycle ALU ops on 4 ports: ~4 per cycle *)
   for _ = 1 to 100 do
-    ignore (Timing.exec t ~ready:0 ~mem_lat:4 (alu_uops 1))
+    ignore (exec_uops t ~ready:0 ~mem_lat:4 (alu_uops 1))
   done;
   let c = Timing.cycle t in
   check_bool "4-wide ILP" true (c >= 24 && c <= 35)
@@ -129,7 +132,7 @@ let test_timing_dependency_chain () =
   let t = Timing.create () in
   let ready = ref 0 in
   for _ = 1 to 100 do
-    ready := Timing.exec t ~ready:!ready ~mem_lat:4 [| Cost.imul |]
+    ready := exec_uops t ~ready:!ready ~mem_lat:4 [| Cost.imul |]
   done;
   (* dependent multiplies serialize at 3 cycles each *)
   check_bool "latency-bound chain" true (!ready >= 300)
@@ -138,7 +141,7 @@ let test_timing_port_contention () =
   let t = Timing.create () in
   (* fdiv is port-0 only with rt 8: 20 independent divides still serialize *)
   for _ = 1 to 20 do
-    ignore (Timing.exec t ~ready:0 ~mem_lat:4 [| Cost.fdiv_u |])
+    ignore (exec_uops t ~ready:0 ~mem_lat:4 [| Cost.fdiv_u |])
   done;
   check_bool "port-0 throughput bound" true (Timing.cycle t >= 8 * 19)
 
@@ -146,7 +149,7 @@ let test_timing_membus () =
   let t = Timing.create () in
   (* independent missing loads are bandwidth-limited by the memory pipe *)
   for _ = 1 to 50 do
-    ignore (Timing.exec t ~ready:0 ~mem_lat:Cache.miss_latency [| Cost.load_u |])
+    ignore (exec_uops t ~ready:0 ~mem_lat:Cache.miss_latency [| Cost.load_u |])
   done;
   check_bool "bus-bound misses" true (Timing.cycle t >= Cost.membus_rt * 49)
 
@@ -157,11 +160,64 @@ let test_timing_mispredict () =
   check_bool "flush advances dispatch" true
     (Timing.cycle t >= before + 10 + Cost.mispredict_penalty)
 
-(* The compiled engine times every instruction with [exec_plan] over its
-   precompiled plan, the reference interpreter with [exec]: over any
-   instruction stream — μop mixes, dependences, hits and misses — both
-   must return the same completion cycles and leave the same pipe state. *)
-let prop_exec_plan_matches_exec =
+(* The timing model stated directly over a μop array, as it was before
+   plans: every dynamic instruction re-decodes each μop's port mask and
+   memory class.  It is the oracle [Timing.exec] over a precompiled plan
+   is checked against. *)
+let oracle_dispatch (t : Timing.t) =
+  if t.dispatch_used >= Timing.width then begin
+    t.dispatch_cycle <- t.dispatch_cycle + 1;
+    t.dispatch_used <- 0
+  end;
+  let oldest = t.rob.(t.rob_pos) in
+  if oldest > t.dispatch_cycle then begin
+    t.dispatch_cycle <- oldest;
+    t.dispatch_used <- 0
+  end;
+  t.dispatch_used <- t.dispatch_used + 1;
+  t.dispatch_cycle
+
+let oracle_exec (t : Timing.t) ~(ready : int) ~(mem_lat : int) (uops : Cost.uop array) : int =
+  let last = ref ready and result = ref ready in
+  Array.iter
+    (fun (u : Cost.uop) ->
+      let dispatched = oracle_dispatch t in
+      let dep = if u.chain then !last else ready in
+      let earliest = max dep dispatched in
+      (* the allowed port that frees up first, lowest-numbered on ties *)
+      let best_port = ref (-1) and best_time = ref max_int in
+      for p = 0 to Cost.nports - 1 do
+        if u.ports land (1 lsl p) <> 0 then begin
+          let at = max t.port_free.(p) earliest in
+          if at < !best_time then begin
+            best_time := at;
+            best_port := p
+          end
+        end
+      done;
+      let issue = ref !best_time in
+      t.port_free.(!best_port) <- !issue + u.rt;
+      (* an L1 miss additionally serializes on the per-core memory pipe *)
+      (match u.mem with
+      | Cost.Mload | Cost.Mstore when mem_lat > Cache.hit_latency ->
+          if t.bus_free > !issue then issue := t.bus_free;
+          t.bus_free <- !issue + Cost.membus_rt
+      | _ -> ());
+      let lat = match u.mem with Cost.Mload -> mem_lat | _ -> u.lat in
+      let completion = !issue + lat in
+      t.rob.(t.rob_pos) <- completion;
+      t.rob_pos <- (t.rob_pos + 1) mod Timing.rob_size;
+      if completion > t.horizon then t.horizon <- completion;
+      last := completion;
+      if completion > !result then result := completion)
+    uops;
+  !result
+
+(* Both engines time every instruction with [Timing.exec] over its
+   precompiled plan: over any instruction stream — μop mixes,
+   dependences, hits and misses — it must return the oracle's completion
+   cycles and leave the same pipe state. *)
+let prop_plan_matches_oracle =
   let uop_gen =
     QCheck.Gen.(
       map
@@ -179,15 +235,15 @@ let prop_exec_plan_matches_exec =
       triple (array_size (int_range 0 4) uop_gen) (int_range 0 30)
         (oneofl [ Cache.hit_latency; Cache.miss_latency ]))
   in
-  QCheck.Test.make ~count:300 ~name:"exec_plan replays exec bit-identically"
+  QCheck.Test.make ~count:300 ~name:"plan timing replays the uop-array model"
     (QCheck.make QCheck.Gen.(list_size (int_range 1 300) instr_gen))
     (fun stream ->
       let a = Timing.create () and b = Timing.create () in
       List.for_all
         (fun (uops, dready, mem_lat) ->
           let ready = Timing.cycle a + dready - 15 in
-          let ra = Timing.exec a ~ready ~mem_lat uops in
-          let rb = Timing.exec_plan b ~ready ~mem_lat (Timing.plan_of_uops uops) in
+          let ra = oracle_exec a ~ready ~mem_lat uops in
+          let rb = exec_uops b ~ready ~mem_lat uops in
           ra = rb && a = b)
         stream)
 
@@ -351,6 +407,6 @@ let tests =
     Alcotest.test_case "memory: faults" `Quick test_memory_null_faults;
     Alcotest.test_case "memory: malloc/free" `Quick test_malloc_free_reuse;
     Alcotest.test_case "memory: stack isolation" `Quick test_stack_isolated_from_heap;
-    QCheck_alcotest.to_alcotest prop_exec_plan_matches_exec;
+    QCheck_alcotest.to_alcotest prop_plan_matches_oracle;
     QCheck_alcotest.to_alcotest prop_paged_memory_matches_flat;
   ]

@@ -323,6 +323,34 @@ let check_supervision () =
   | exception Cpu.Machine.Abort ->
       Alcotest.(check int) "aborted at the sixth boundary" 6 !polls2
 
+(* The execution trace (one line per retired instruction, formatted by
+   one shared helper) must be byte-identical under both engines, across
+   both threads and the hardened/unhardened boundary. *)
+let check_trace_engines () =
+  let w = Workloads.Registry.find "hist" in
+  let trace engine =
+    let buf = Buffer.create 4096 in
+    let cfg = { (cfg_with engine) with Cpu.Machine.trace = Some buf } in
+    let r =
+      Workloads.Workload.execute ~machine_cfg:cfg w
+        ~build:(Elzar.Hardened Elzar.Harden_config.default) ~nthreads:2
+        ~size:Workloads.Workload.Tiny
+    in
+    (r, Buffer.contents buf)
+  in
+  let rr, tr = trace Cpu.Machine.Reference and rc, tc = trace Cpu.Machine.Compiled in
+  check_result "traced run" rr rc;
+  let contains needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length tr && (String.sub tr i n = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "second thread traced" true (contains "\nT1 ");
+  Alcotest.(check bool) "hardened code traced" true (contains " H@");
+  Alcotest.(check bool) "unhardened code traced" true (contains " .@");
+  Alcotest.(check int) "trace length" (String.length tr) (String.length tc);
+  Alcotest.(check bool) "trace byte-identical" true (String.equal tr tc)
+
 let workload_cases =
   List.map
     (fun w ->
@@ -334,6 +362,7 @@ let tests =
   @ [
       Alcotest.test_case "equiv under injection" `Quick check_inject_engines;
       Alcotest.test_case "equiv site census" `Quick check_count_sites;
+      Alcotest.test_case "equiv trace" `Quick check_trace_engines;
       Alcotest.test_case "snapshot resume (reference)" `Quick
         (check_snapshot_resume Cpu.Machine.Reference);
       Alcotest.test_case "snapshot resume (compiled)" `Quick
