@@ -31,21 +31,21 @@ let fold_instr (i : t) : t option =
       let* _, x = imm_of a in
       let* _, y = imm_of b in
       let s = Types.elem r.rty in
-      Some (Mov (r, Imm (r.rty, Cpu.Value.binop_fn s op x y)))
+      Some (Mov (r, Imm (r.rty, Cpu.Value.binop (Cpu.Value.binop_desc s op) x y)))
   | Fbinop (r, op, a, b) when not (Types.is_vector r.rty) ->
       let* _, x = imm_of a in
       let* _, y = imm_of b in
       let s = Types.elem r.rty in
-      Some (Mov (r, Fimm (r.rty, Cpu.Value.fdecode s (Cpu.Value.fbinop_fn s op x y))))
+      Some (Mov (r, Fimm (r.rty, Cpu.Value.fdecode s (Cpu.Value.fbinop (Cpu.Value.fbinop_desc s op) x y))))
   | Icmp (r, cc, a, b) when not (Types.is_vector r.rty) ->
       let* ta, x = imm_of a in
       let* _, y = imm_of b in
       let s = Types.elem ta in
-      Some (Mov (r, Imm (Types.i1, if Cpu.Value.icmp_fn s cc x y then 1L else 0L)))
+      Some (Mov (r, Imm (Types.i1, if Cpu.Value.icmp (Cpu.Value.icmp_desc s cc) x y then 1L else 0L)))
   | Cast (r, k, a) when not (Types.is_vector r.rty) ->
       let* ta, x = imm_of a in
       let from = Types.elem ta and dst = Types.elem r.rty in
-      let bits = Cpu.Value.cast_fn k ~from ~dst x in
+      let bits = Cpu.Value.cast (Cpu.Value.cast_desc k ~from ~dst) x in
       if Types.is_float dst then Some (Mov (r, Fimm (r.rty, Cpu.Value.fdecode dst bits)))
       else Some (Mov (r, Imm (r.rty, bits)))
   | Select (r, c, a, b) -> (

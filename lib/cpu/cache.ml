@@ -16,9 +16,15 @@ type t = {
 
 let line_bits = 6
 
+(* The set count must be a power of two: the set index is the line
+   number masked by [sets - 1]. *)
 let create ?(size_kb = 32) ?(ways = 8) () =
   let lines = size_kb * 1024 / 64 in
-  let sets = lines / ways in
+  let sets = if ways > 0 then lines / ways else 0 in
+  if sets <= 0 || sets land (sets - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d KB over %d ways gives %d sets, not a power of two"
+         size_kb ways sets);
   {
     ways;
     sets;
@@ -37,7 +43,7 @@ let hit_latency = 4
 let miss_latency = 44
 
 let insert (c : t) (line : int) =
-  let set = line mod c.sets in
+  let set = line land (c.sets - 1) in
   let base = set * c.ways in
   let rec find i = if i = c.ways then -1 else if c.tags.(base + i) = line then i else find (i + 1) in
   match find 0 with
@@ -58,7 +64,7 @@ let access (c : t) (addr : int64) : int =
   c.tick <- c.tick + 1;
   c.refs <- c.refs + 1;
   let line = Int64.to_int (Int64.shift_right_logical addr line_bits) in
-  let set = line mod c.sets in
+  let set = line land (c.sets - 1) in
   let base = set * c.ways in
   let rec find i = if i = c.ways then -1 else if c.tags.(base + i) = line then i else find (i + 1) in
   match find 0 with

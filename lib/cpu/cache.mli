@@ -13,6 +13,9 @@ type t = {
   mutable misses : int;
 }
 
+(** Defaults: 32 KB, 8 ways (64 sets).
+    @raise Invalid_argument unless the geometry gives a power-of-two
+    number of sets. *)
 val create : ?size_kb:int -> ?ways:int -> unit -> t
 
 (** Independent deep copy (for machine snapshots). *)

@@ -3,10 +3,14 @@
     Blocks are flattened into one instruction array per function, labels
     become program counters, registers become frame-slot offsets (vectors
     occupy one 64-bit cell per lane), immediates are pre-encoded into lane
-    bits, and every instruction is paired with the static {!Timing} plan
-    of its μop lowering from {!Cost} (built once per module, so every
-    machine and snapshot restore over it shares them).
-    The interpreter in {!Machine} then runs a single tight dispatch loop. *)
+    bits, every arithmetic, comparison and cast carries its {!Value} op
+    descriptor (op kind, width mask, sign shift — data, not closures),
+    and every instruction is paired with the static {!Timing} plan of its
+    μop lowering from {!Cost} (built once per module, so every machine and
+    snapshot restore over it shares them).  Both engines in {!Machine}
+    run this form: the reference interpreter evaluates the descriptors
+    through {!Value}, the compiled engine through its own inline
+    evaluator. *)
 
 open Ir
 
@@ -18,16 +22,18 @@ let fnptr_base = 0x4000_0000_0000L
 
 type rop =
   | Oslot of int * int  (** frame offset, lanes *)
-  | Oconst of int64 array
+  | Oconst of int64  (** lane bits, the same in every lane *)
 
 type callee = Direct of int | Builtin of int
 
 type rinstr =
-  | Rbinop of int * int * (int64 -> int64 -> int64) * rop * rop
-  | Ricmp of int * int * (int64 -> int64 -> bool) * int64 * rop * rop
-      (** dest, lanes, predicate, per-lane true mask *)
+  | Rbinop of int * int * Value.binop * rop * rop  (** dest, lanes, op, operands *)
+  | Rfbinop of int * int * Value.fbinop * rop * rop
+  | Ricmp of int * int * Value.icmp * int64 * rop * rop
+      (** dest, lanes, predicate, per-lane true mask, operands *)
+  | Rfcmp of int * int * Value.fcmp * int64 * rop * rop
   | Rselect of int * int * rop * rop * rop
-  | Rcast of int * int * (int64 -> int64) * rop
+  | Rcast of int * int * Value.cast * rop
   | Rmov of int * int * rop
   | Rload of int * int * rop  (** dest, byte width, address *)
   | Rvload of int * int * int * rop  (** dest, lanes, elem width, address *)
@@ -121,15 +127,15 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
   let rop (o : Instr.operand) : rop =
     match o with
     | Instr.Reg r -> Oslot (offs.(r.rid), lanes.(r.rid))
-    | Instr.Imm (t, v) -> Oconst (Value.encode_imm t v)
-    | Instr.Fimm (t, v) -> Oconst (Value.encode_fimm t v)
+    | Instr.Imm (t, v) -> Oconst (Value.canon (Types.elem t) v)
+    | Instr.Fimm (t, v) -> Oconst (Value.fencode (Types.elem t) v)
     | Instr.Glob g -> (
         match Hashtbl.find_opt globals g with
-        | Some a -> Oconst [| a |]
+        | Some a -> Oconst a
         | None -> raise (Unknown_function ("global " ^ g)))
     | Instr.Fref name -> (
         match Hashtbl.find_opt fids name with
-        | Some id -> Oconst [| Int64.add fnptr_base (Int64.of_int id) |]
+        | Some id -> Oconst (Int64.add fnptr_base (Int64.of_int id))
         | None -> raise (Unknown_function name))
   in
   let srcs_of (ops : Instr.operand list) =
@@ -164,26 +170,26 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
     match i with
     | Instr.Binop (r, op, a, b) ->
         let s = Types.elem r.rty in
-        (Rbinop (offs.(r.rid), lanes.(r.rid), Value.binop_fn s op, rop a, rop b), 0)
+        (Rbinop (offs.(r.rid), lanes.(r.rid), Value.binop_desc s op, rop a, rop b), 0)
     | Instr.Fbinop (r, op, a, b) ->
         let s = Types.elem r.rty in
-        (Rbinop (offs.(r.rid), lanes.(r.rid), Value.fbinop_fn s op, rop a, rop b), 0)
+        (Rfbinop (offs.(r.rid), lanes.(r.rid), Value.fbinop_desc s op, rop a, rop b), 0)
     | Instr.Icmp (r, cc, a, b) ->
         let s = Types.elem (oty a) in
         ( Ricmp
             ( offs.(r.rid),
               lanes.(r.rid),
-              Value.icmp_fn s cc,
+              Value.icmp_desc s cc,
               (if Types.is_vector r.rty then Value.true_mask (Types.elem r.rty) else 1L),
               rop a,
               rop b ),
           0 )
     | Instr.Fcmp (r, cc, a, b) ->
         let s = Types.elem (oty a) in
-        ( Ricmp
+        ( Rfcmp
             ( offs.(r.rid),
               lanes.(r.rid),
-              Value.fcmp_fn s cc,
+              Value.fcmp_desc s cc,
               (if Types.is_vector r.rty then Value.true_mask (Types.elem r.rty) else 1L),
               rop a,
               rop b ),
@@ -191,7 +197,7 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
     | Instr.Select (r, c, a, b) -> (Rselect (offs.(r.rid), lanes.(r.rid), rop c, rop a, rop b), 0)
     | Instr.Cast (r, k, o) ->
         let from = Types.elem (oty o) and dst = Types.elem r.rty in
-        (Rcast (offs.(r.rid), lanes.(r.rid), Value.cast_fn k ~from ~dst, rop o), 0)
+        (Rcast (offs.(r.rid), lanes.(r.rid), Value.cast_desc k ~from ~dst, rop o), 0)
     | Instr.Mov (r, o) -> (Rmov (offs.(r.rid), lanes.(r.rid), rop o), 0)
     | Instr.Load (r, a) ->
         if Types.is_vector r.rty then

@@ -1,12 +1,19 @@
 (** The simulated multicore machine.
 
-    Executes compiled code functionally (bit-exact lane semantics from
-    {!Value}) while driving one {!Timing} engine, {!Cache} and
-    {!Branch_pred} per core.  Threads map 1:1 onto cores, as in the paper's
-    testbed; the scheduler always advances the thread whose core clock is
-    furthest behind, which makes lock contention and join edges show up in
-    wall-clock cycles.  Also hosts the native builtins (OS/pthreads/IO —
-    unhardened, §IV-A) and the single-bit fault-injection hook (§IV-B). *)
+    Executes compiled code functionally (bit-exact lane semantics) while
+    driving one {!Timing} engine, {!Cache} and {!Branch_pred} per core.
+    Threads map 1:1 onto cores, as in the paper's testbed; the scheduler
+    always advances the thread whose core clock is furthest behind, which
+    makes lock contention and join edges show up in wall-clock cycles.
+    Also hosts the native builtins (OS/pthreads/IO — unhardened, §IV-A)
+    and the single-bit fault-injection hook (§IV-B).
+
+    Two engines run the code (see [engine_kind]).  Both keep a frame's
+    registers in one unboxed [Bytes.t], 8 bytes per lane.  The reference
+    interpreter evaluates each op descriptor through the boxed {!Value}
+    evaluators; the compiled engine has its own inline evaluator and
+    operand reader in this module, so its per-instruction path calls no
+    closure per lane and allocates nothing. *)
 
 type trap_reason =
   | Segfault of int64
@@ -30,9 +37,13 @@ let string_of_trap = function
   | Unreachable_executed -> "unreachable executed"
   | Hang -> "instruction budget exhausted"
 
+(* A frame's register file is unboxed: 8 bytes per lane, slot [i] at
+   byte [8 * i], read and written through [.%{}] below.  An [int64 array]
+   would box every written lane on the major heap and pay the write
+   barrier for it. *)
 type frame = {
   cf : Code.cfunc;
-  regs : int64 array;
+  regs : Bytes.t;
   ready : int array;
   mutable pc : int;
   ret_off : int;  (** slot in the caller frame for the return value; -1 *)
@@ -280,22 +291,30 @@ let global_addr (m : t) name =
   | Some a -> a
   | None -> invalid_arg ("Machine.global_addr: unknown global " ^ name)
 
-(* ---- operand access ---- *)
+(* ---- register file ---- *)
 
-let get_lane (regs : int64 array) (o : Code.rop) (j : int) : int64 =
+let[@inline] ( .%{} ) (regs : Bytes.t) (slot : int) : int64 =
+  Bytes.get_int64_ne regs (slot lsl 3)
+
+let[@inline] ( .%{}<- ) (regs : Bytes.t) (slot : int) (v : int64) : unit =
+  Bytes.set_int64_ne regs (slot lsl 3) v
+
+(* ---- operand access (reference interpreter and shared helpers) ---- *)
+
+let get_lane (regs : Bytes.t) (o : Code.rop) (j : int) : int64 =
   match o with
-  | Code.Oslot (off, lanes) -> regs.(off + if lanes = 1 then 0 else j mod lanes)
-  | Code.Oconst a -> a.(if Array.length a = 1 then 0 else j mod Array.length a)
+  | Code.Oslot (off, lanes) -> regs.%{off + if lanes = 1 then 0 else j mod lanes}
+  | Code.Oconst x -> x
 
-let get_scalar (regs : int64 array) (o : Code.rop) : int64 =
-  match o with Code.Oslot (off, _) -> regs.(off) | Code.Oconst a -> a.(0)
+let get_scalar (regs : Bytes.t) (o : Code.rop) : int64 =
+  match o with Code.Oslot (off, _) -> regs.%{off} | Code.Oconst x -> x
 
 (* ---- threads ---- *)
 
 let new_frame (cf : Code.cfunc) ~ret_off ~sp : frame =
   {
     cf;
-    regs = Array.make (max cf.Code.nslots 1) 0L;
+    regs = Bytes.make (8 * max cf.Code.nslots 1) '\000';
     ready = Array.make (max cf.Code.nslots 1) 0;
     pc = 0;
     ret_off;
@@ -310,7 +329,9 @@ let fill_params (fr : frame) (args : int64 array) =
     (fun i v ->
       if i < Array.length poffs then begin
         let off, lanes = poffs.(i) in
-        Array.fill fr.regs off lanes v
+        for j = 0 to lanes - 1 do
+          fr.regs.%{off + j} <- v
+        done
       end)
     args
 
@@ -564,7 +585,7 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
     Timing.advance th.timing spec.Builtins.cycles;
     if dst >= 0 then
       for j = 0 to dlanes - 1 do
-        fr.regs.(dst + j) <- !retv;
+        fr.regs.%{dst + j} <- !retv;
         fr.ready.(dst + j) <- Timing.cycle th.timing
       done
   end;
@@ -618,8 +639,8 @@ let majority4 ~(n : int) (get : int -> int64) : int64 =
    vulnerability table. *)
 let class_of (op : Code.rinstr) : string =
   match op with
-  | Code.Rbinop _ -> "alu"
-  | Code.Ricmp _ -> "cmp"
+  | Code.Rbinop _ | Code.Rfbinop _ -> "alu"
+  | Code.Ricmp _ | Code.Rfcmp _ -> "cmp"
   | Code.Rselect _ -> "select"
   | Code.Rcast _ -> "cast"
   | Code.Rmov _ -> "mov"
@@ -692,46 +713,7 @@ let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
     a'
   end
 
-(* ---- operand accessors specialized at compile time ----
-   [lane_fn] keeps [get_lane]'s general wrap; [get_fn ~n] additionally
-   drops the [mod lanes] when the operand covers all n lanes of the
-   consumer. *)
-
-let lane_fn (o : Code.rop) : int64 array -> int -> int64 =
-  match o with
-  | Code.Oconst a ->
-      if Array.length a = 1 then fun _ _ -> a.(0)
-      else
-        let la = Array.length a in
-        fun _ j -> a.(j mod la)
-  | Code.Oslot (off, 1) -> fun regs _ -> regs.(off)
-  | Code.Oslot (off, l) -> fun regs j -> regs.(off + (j mod l))
-
-let get_fn ~(n : int) (o : Code.rop) : int64 array -> int -> int64 =
-  match o with
-  | Code.Oslot (off, l) when n > 0 && l >= n -> fun regs j -> regs.(off + j)
-  | Code.Oconst a when n > 1 && Array.length a >= n -> fun _ j -> a.(j)
-  | o -> lane_fn o
-
-let scalar_fn (o : Code.rop) : int64 array -> int64 =
-  match o with
-  | Code.Oslot (off, _) -> fun regs -> regs.(off)
-  | Code.Oconst a -> fun _ -> a.(0)
-
-(* Scalar call arguments, gathered into a fresh array per call. *)
-let args_fn (argops : Code.rop array) : int64 array -> int64 array =
-  let getters = Array.map scalar_fn argops in
-  let n = Array.length getters in
-  fun regs ->
-    let args = Array.make n 0L in
-    for i = 0 to n - 1 do
-      args.(i) <- getters.(i) regs
-    done;
-    args
-
-let rop_lanes = function
-  | Code.Oslot (_, l) -> l
-  | Code.Oconst a -> Array.length a
+let rop_lanes = function Code.Oslot (_, l) -> l | Code.Oconst _ -> 1
 
 (* Readiness of an instruction's register inputs, specialized on the
    source count. *)
@@ -777,7 +759,7 @@ let call_enter (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready :
   for i = 0 to Array.length args - 1 do
     let off, lanes = poffs.(i) in
     for j = 0 to lanes - 1 do
-      nf.regs.(off + j) <- args.(i)
+      nf.regs.%{off + j} <- args.(i)
     done;
     nf.ready.(off) <- completion
   done;
@@ -792,10 +774,10 @@ let call_enter (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready :
 
 (* Return from [fr], the innermost frame: times the return, commits
    (drops) the checkpoint if [fr] is the checkpointed call, pops [fr] and
-   hands its result, read through [ret], to the caller's [ret_off]
+   hands its result, the operand [ret], to the caller's [ret_off]
    slots.  [k_yield] when the thread's outermost frame returned. *)
 let call_return (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready : int)
-    (ret : (int64 array -> int -> int64) option) : int =
+    (ret : Code.rop option) : int =
   let completion = Timing.exec th.timing ~ready ~mem_lat:Cache.hit_latency plan in
   (match th.ck with Some ck when ck.ck_frame == fr -> th.ck <- None | _ -> ());
   th.sp <- fr.saved_sp;
@@ -806,10 +788,10 @@ let call_return (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready 
       k_yield
   | caller :: _ ->
       (match ret with
-      | Some g when fr.ret_off >= 0 ->
+      | Some o when fr.ret_off >= 0 ->
           let roff = fr.ret_off in
           for j = 0 to fr.cf.Code.ret_lanes - 1 do
-            caller.regs.(roff + j) <- g fr.regs j
+            caller.regs.%{roff + j} <- get_lane fr.regs o j
           done;
           caller.ready.(roff) <- completion
       | _ -> ());
@@ -847,7 +829,7 @@ let flip_dest (m : t) (inj : inject) (fr : frame) ~(dst : int) ~(dlanes : int) (
   let dlanes = max dlanes 1 in
   let flip lane bit =
     let off = dst + (lane mod dlanes) in
-    fr.regs.(off) <- Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
+    fr.regs.%{off} <- Int64.logxor fr.regs.%{off} (Int64.shift_left 1L (bit land 63))
   in
   flip inj.lane inj.bit;
   (match inj.second with
@@ -932,39 +914,49 @@ let step (m : t) (th : thread) : bool =
   let branch_info = ref None in
   (* (taken, always_mispredict) *)
   (match it.Code.op with
-  | Code.Rbinop (d, n, f, a, b) -> (
+  | Code.Rbinop (d, n, op, a, b) -> (
       try
         for j = 0 to n - 1 do
-          regs.(d + j) <- f (get_lane regs a j) (get_lane regs b j)
+          regs.%{d + j} <- Value.binop op (get_lane regs a j) (get_lane regs b j)
         done
       with Value.Division_by_zero -> raise (Trap Div_by_zero))
-  | Code.Ricmp (d, n, p, tmask, a, b) ->
+  | Code.Rfbinop (d, n, op, a, b) ->
       for j = 0 to n - 1 do
-        regs.(d + j) <- (if p (get_lane regs a j) (get_lane regs b j) then tmask else 0L)
+        regs.%{d + j} <- Value.fbinop op (get_lane regs a j) (get_lane regs b j)
+      done
+  | Code.Ricmp (d, n, cc, tmask, a, b) ->
+      for j = 0 to n - 1 do
+        regs.%{d + j} <-
+          (if Value.icmp cc (get_lane regs a j) (get_lane regs b j) then tmask else 0L)
+      done
+  | Code.Rfcmp (d, n, cc, tmask, a, b) ->
+      for j = 0 to n - 1 do
+        regs.%{d + j} <-
+          (if Value.fcmp cc (get_lane regs a j) (get_lane regs b j) then tmask else 0L)
       done
   | Code.Rselect (d, n, c, a, b) ->
       for j = 0 to n - 1 do
-        regs.(d + j) <- (if get_lane regs c j <> 0L then get_lane regs a j else get_lane regs b j)
+        regs.%{d + j} <- (if get_lane regs c j <> 0L then get_lane regs a j else get_lane regs b j)
       done
-  | Code.Rcast (d, n, f, a) ->
+  | Code.Rcast (d, n, k, a) ->
       for j = 0 to n - 1 do
-        regs.(d + j) <- f (get_lane regs a j)
+        regs.%{d + j} <- Value.cast k (get_lane regs a j)
       done
   | Code.Rmov (d, n, a) ->
       for j = 0 to n - 1 do
-        regs.(d + j) <- get_lane regs a j
+        regs.%{d + j} <- get_lane regs a j
       done
   | Code.Rload (d, w, a) -> (
       let addr = k_fix_addr m cls (get_scalar regs a) in
       try
-        regs.(d) <- Memory.read m.mem ~width:w addr;
+        regs.%{d} <- Memory.read m.mem ~width:w addr;
         mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rvload (d, n, w, a) -> (
       let addr = k_fix_addr m cls (get_scalar regs a) in
       try
         for j = 0 to n - 1 do
-          regs.(d + j) <-
+          regs.%{d + j} <-
             Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
         done;
         mem_lat := k_touch_flip m th cls w addr
@@ -988,7 +980,7 @@ let step (m : t) (th : thread) : bool =
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Ralloca (d, size) ->
       th.sp <- Int64.sub th.sp (Int64.of_int (Memory.align16 size));
-      regs.(d) <- th.sp
+      regs.%{d} <- th.sp
   | Code.Rcall (callee, argops, dst, dlanes) -> (
       let args = Array.map (get_scalar regs) argops in
       match callee with
@@ -1016,7 +1008,7 @@ let step (m : t) (th : thread) : bool =
         in
         ck_log_write m th ~width:w addr;
         Memory.write m.mem ~width:w addr (Value.mask_of_width (w * 8) |> Int64.logand nv);
-        regs.(d) <- old;
+        regs.%{d} <- old;
         mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
   | Code.Rcmpxchg (d, a, e, dv, w) -> (
@@ -1027,33 +1019,33 @@ let step (m : t) (th : thread) : bool =
           ck_log_write m th ~width:w addr;
           Memory.write m.mem ~width:w addr (get_scalar regs dv)
         end;
-        regs.(d) <- old;
+        regs.%{d} <- old;
         mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Rextract (d, v, l) -> regs.(d) <- get_lane regs v l
+  | Code.Rextract (d, v, l) -> regs.%{d} <- get_lane regs v l
   | Code.Rinsert (d, n, v, l, s) ->
       for j = 0 to n - 1 do
-        regs.(d + j) <- (if j = l then get_scalar regs s else get_lane regs v j)
+        regs.%{d + j} <- (if j = l then get_scalar regs s else get_lane regs v j)
       done
   | Code.Rbroadcast (d, n, s) ->
       let x = get_scalar regs s in
       for j = 0 to n - 1 do
-        regs.(d + j) <- x
+        regs.%{d + j} <- x
       done
   | Code.Rshuffle (d, n, v, perm) ->
       let tmp = Array.init n (fun j -> get_lane regs v j) in
       for j = 0 to n - 1 do
-        regs.(d + j) <- tmp.(perm.(j))
+        regs.%{d + j} <- tmp.(perm.(j))
       done
   | Code.Rptestz (d, v) ->
       let all_zero = ref true in
       (match v with
       | Code.Oslot (off, lanes) ->
           for j = 0 to lanes - 1 do
-            if regs.(off + j) <> 0L then all_zero := false
+            if regs.%{off + j} <> 0L then all_zero := false
           done
-      | Code.Oconst a -> Array.iter (fun x -> if x <> 0L then all_zero := false) a);
-      regs.(d) <- (if !all_zero then 1L else 0L)
+      | Code.Oconst x -> if x <> 0L then all_zero := false);
+      regs.%{d} <- (if !all_zero then 1L else 0L)
   | Code.Rgather (d, n, w, a) -> (
       (* FPGA-checked gather: majority-vote the replicated address, load
          once, replicate (closes the extract window of vulnerability) *)
@@ -1068,7 +1060,7 @@ let step (m : t) (th : thread) : bool =
       try
         let v = Memory.read m.mem ~width:w addr in
         for j = 0 to n - 1 do
-          regs.(d + j) <- v
+          regs.%{d + j} <- v
         done;
         mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
@@ -1091,7 +1083,7 @@ let step (m : t) (th : thread) : bool =
         Memory.write m.mem ~width:w addr value;
         mem_lat := k_touch_flip m th cls w addr
       with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Tret o -> next := call_return m th fr it.Code.plan ~ready (Option.map lane_fn o)
+  | Code.Tret o -> next := call_return m th fr it.Code.plan ~ready o
   | Code.Tbr target -> next := target
   | Code.Tcondbr (c, t, e) ->
       let taken = get_scalar regs c <> 0L in
@@ -1177,12 +1169,157 @@ let step (m : t) (th : thread) : bool =
 
 (* ---- compiled (threaded-code) engine ---- *)
 
+(* Lane-normalised operand: [compile_body] resolves every operand of an
+   instruction against the lane count [n] of its consumer once, so the
+   per-lane read [rd] below is one match with no [mod] on the common
+   paths. *)
+type lop =
+  | Lslot of int * int
+      (** frame offset, stride: 1 walks the lanes of an operand at least
+          [n] wide, 0 repeats a scalar's single lane *)
+  | Lwrap of int * int
+      (** frame offset, lanes: lane [j mod lanes] of an operand narrower
+          than its consumer (rare) *)
+  | Lconst of int64
+
+let lop ~(n : int) (o : Code.rop) : lop =
+  match o with
+  | Code.Oconst x -> Lconst x
+  | Code.Oslot (off, 1) -> Lslot (off, 0)
+  | Code.Oslot (off, l) when l >= n -> Lslot (off, 1)
+  | Code.Oslot (off, l) -> Lwrap (off, l)
+
+(* The compiled engine's one operand reader.  Without flambda an
+   [@inline] reader stays unboxed only when its result is let-bound
+   before use ([let x = rd regs a j in ...]); passed straight as an
+   argument to another inlined function it is boxed. *)
+let[@inline] rd (regs : Bytes.t) (o : lop) (j : int) : int64 =
+  match o with
+  | Lslot (off, stride) -> regs.%{off + (j * stride)}
+  | Lwrap (off, lanes) -> regs.%{off + (j mod lanes)}
+  | Lconst x -> x
+
+(* ---- the compiled engine's lane semantics ----
+   Its own implementation of the {!Value} evaluators over the same op
+   descriptors, a [match] inlined into each closure's lane loop: no
+   closure call, no boxed argument or result.  It lives in this module
+   because the dev profile compiles with -opaque, which stops inlining
+   across modules.  The engine-equivalence tests and the single-op
+   differential property hold it to [Value]'s results bit for bit. *)
+
+let[@inline] sx sh x = Int64.shift_right (Int64.shift_left x sh) sh
+
+let[@inline] fdec single x =
+  if single then Int32.float_of_bits (Int64.to_int32 x) else Int64.float_of_bits x
+
+let[@inline] fenc single f =
+  if single then Int64.logand (Int64.of_int32 (Int32.bits_of_float f)) 0xFFFF_FFFFL
+  else Int64.bits_of_float f
+
+(* unsigned order of two bit patterns: flip both sign bits *)
+let[@inline] ult a b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+let[@inline] udiv n d =
+  if d < 0L then if ult n d then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    let r = Int64.sub n (Int64.mul q d) in
+    if ult r d then q else Int64.succ q
+
+let[@inline] ibinop (d : Value.binop) (a : int64) (b : int64) : int64 =
+  let mask = d.Value.bmask and sh = d.Value.bsh in
+  match d.Value.bop with
+  | Ir.Instr.Add -> Int64.logand (Int64.add a b) mask
+  | Ir.Instr.Sub -> Int64.logand (Int64.sub a b) mask
+  | Ir.Instr.Mul -> Int64.logand (Int64.mul a b) mask
+  | Ir.Instr.Sdiv ->
+      let b = sx sh b in
+      if b = 0L then raise (Trap Div_by_zero);
+      Int64.logand (Int64.div (sx sh a) b) mask
+  | Ir.Instr.Udiv ->
+      if b = 0L then raise (Trap Div_by_zero);
+      Int64.logand (udiv a b) mask
+  | Ir.Instr.Srem ->
+      let b = sx sh b in
+      if b = 0L then raise (Trap Div_by_zero);
+      Int64.logand (Int64.rem (sx sh a) b) mask
+  | Ir.Instr.Urem ->
+      if b = 0L then raise (Trap Div_by_zero);
+      Int64.logand (Int64.sub a (Int64.mul (udiv a b) b)) mask
+  | Ir.Instr.And -> Int64.logand a b
+  | Ir.Instr.Or -> Int64.logor a b
+  | Ir.Instr.Xor -> Int64.logxor a b
+  | Ir.Instr.Shl -> Int64.logand (Int64.shift_left a (Int64.to_int b land 63)) mask
+  | Ir.Instr.Lshr -> Int64.shift_right_logical a (Int64.to_int b land 63)
+  | Ir.Instr.Ashr -> Int64.logand (Int64.shift_right (sx sh a) (Int64.to_int b land 63)) mask
+
+let[@inline] fbinop (d : Value.fbinop) (a : int64) (b : int64) : int64 =
+  let single = d.Value.fsingle in
+  let x = fdec single a in
+  let y = fdec single b in
+  match d.Value.fop with
+  | Ir.Instr.Fadd -> fenc single (x +. y)
+  | Ir.Instr.Fsub -> fenc single (x -. y)
+  | Ir.Instr.Fmul -> fenc single (x *. y)
+  | Ir.Instr.Fdiv -> fenc single (x /. y)
+
+let[@inline] icmp (d : Value.icmp) (a : int64) (b : int64) : bool =
+  let sh = d.Value.csh in
+  match d.Value.icc with
+  | Ir.Instr.Ieq -> a = b
+  | Ir.Instr.Ine -> a <> b
+  | Ir.Instr.Islt -> sx sh a < sx sh b
+  | Ir.Instr.Isle -> sx sh a <= sx sh b
+  | Ir.Instr.Isgt -> sx sh a > sx sh b
+  | Ir.Instr.Isge -> sx sh a >= sx sh b
+  | Ir.Instr.Iult -> ult a b
+  | Ir.Instr.Iule -> not (ult b a)
+  | Ir.Instr.Iugt -> ult b a
+  | Ir.Instr.Iuge -> not (ult a b)
+
+let[@inline] fcmp (d : Value.fcmp) (a : int64) (b : int64) : bool =
+  let single = d.Value.csingle in
+  let x = fdec single a in
+  let y = fdec single b in
+  match d.Value.fcc with
+  | Ir.Instr.Foeq -> x = y
+  | Ir.Instr.Fone -> x <> y && x = x && y = y
+  | Ir.Instr.Folt -> x < y
+  | Ir.Instr.Fole -> x <= y
+  | Ir.Instr.Fogt -> x > y
+  | Ir.Instr.Foge -> x >= y
+
+let[@inline] cast (d : Value.cast) (x : int64) : int64 =
+  match d.Value.ck with
+  | Ir.Instr.Trunc | Ir.Instr.Bitcast -> Int64.logand x d.Value.to_mask
+  | Ir.Instr.Zext -> x
+  | Ir.Instr.Sext -> Int64.logand (sx d.Value.from_sh x) d.Value.to_mask
+  | Ir.Instr.Fptosi ->
+      let f = fdec d.Value.from_single x in
+      if f <> f then 0L else Int64.logand (Int64.of_float f) d.Value.to_mask
+  | Ir.Instr.Sitofp -> fenc d.Value.to_single (Int64.to_float (sx d.Value.from_sh x))
+  | Ir.Instr.Fpext -> fenc false (fdec true x)
+  | Ir.Instr.Fptrunc -> fenc true (fdec false x)
+
+(* Scalar call arguments, gathered into a fresh array per call. *)
+let args_fn (argops : Code.rop array) : Bytes.t -> int64 array =
+  let ops = Array.map (lop ~n:1) argops in
+  let n = Array.length ops in
+  fun regs ->
+    let args = Array.make n 0L in
+    for i = 0 to n - 1 do
+      let x = rd regs ops.(i) 0 in
+      args.(i) <- x
+    done;
+    args
+
 (* Compiles the operational body of one instruction — semantics, memory
    effects, timing epilogue — into a closure specialized on its operands,
-   lane counts and this config's hook flags: operand offsets and the
-   [mod lanes] stride are resolved once, and the fault-injection /
-   undo-log hooks are compiled in or dropped entirely instead of being
-   re-examined on every dynamic instruction.  Calls, returns, builtins,
+   lane counts and this config's hook flags: operands are lane-normalised
+   once, and the fault-injection / undo-log hooks are compiled in or
+   dropped entirely instead of being re-examined on every dynamic
+   instruction.  Every operand is read through [rd] and every lane
+   computed by the inline evaluators above.  Calls, returns, builtins,
    the fault hooks and the timing model are the helpers [step] uses too;
    the per-op semantics are this engine's own, and the equivalence tests
    hold both engines to bit-identical results. *)
@@ -1209,376 +1346,368 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
       Timing.mispredict th.timing ~resolved:completion
     end
   in
+  (* the effective address of a load/store, with the armed address fault *)
+  let addr_of (a : lop) regs =
+    let x = rd regs a 0 in
+    if addr_faults then k_fix_addr m cls x else x
+  in
+  let touch th w addr = if mem_faults then k_touch_flip m th cls w addr else k_touch th addr in
+  (* true once, at the conditional branch an armed control-flow fault
+     diverts *)
+  let diverted () =
+    cf_faults && m.cf_divert
+    && begin
+         m.cf_divert <- false;
+         mark_injected m "branch";
+         true
+       end
+  in
   match it.Code.op with
-    | Code.Rbinop (d, n, f, a, b) ->
-        let ga = get_fn ~n a and gb = get_fn ~n b in
-        if n = 1 then
-          fun th fr ready ->
-            (try fr.regs.(d) <- f (ga fr.regs 0) (gb fr.regs 0)
-             with Value.Division_by_zero -> raise (Trap Div_by_zero));
-            finish_plain th fr ready Cache.hit_latency;
-            next
-        else
-          fun th fr ready ->
-            let regs = fr.regs in
-            (try
-               for j = 0 to n - 1 do
-                 regs.(d + j) <- f (ga regs j) (gb regs j)
-               done
-             with Value.Division_by_zero -> raise (Trap Div_by_zero));
-            finish_plain th fr ready Cache.hit_latency;
-            next
-    | Code.Ricmp (d, n, p, tmask, a, b) ->
-        let ga = get_fn ~n a and gb = get_fn ~n b in
-        if n = 1 then
-          fun th fr ready ->
-            fr.regs.(d) <- (if p (ga fr.regs 0) (gb fr.regs 0) then tmask else 0L);
-            finish_plain th fr ready Cache.hit_latency;
-            next
-        else
-          fun th fr ready ->
-            let regs = fr.regs in
-            for j = 0 to n - 1 do
-              regs.(d + j) <- (if p (ga regs j) (gb regs j) then tmask else 0L)
-            done;
-            finish_plain th fr ready Cache.hit_latency;
-            next
-    | Code.Rselect (d, n, c, a, b) ->
-        let gc = get_fn ~n c and ga = get_fn ~n a and gb = get_fn ~n b in
-        fun th fr ready ->
-          let regs = fr.regs in
-          for j = 0 to n - 1 do
-            regs.(d + j) <- (if gc regs j <> 0L then ga regs j else gb regs j)
-          done;
-          finish_plain th fr ready Cache.hit_latency;
-          next
-    | Code.Rcast (d, n, f, a) ->
-        let ga = get_fn ~n a in
-        if n = 1 then
-          fun th fr ready ->
-            fr.regs.(d) <- f (ga fr.regs 0);
-            finish_plain th fr ready Cache.hit_latency;
-            next
-        else
-          fun th fr ready ->
-            let regs = fr.regs in
-            for j = 0 to n - 1 do
-              regs.(d + j) <- f (ga regs j)
-            done;
-            finish_plain th fr ready Cache.hit_latency;
-            next
-    | Code.Rmov (d, n, a) ->
-        let ga = get_fn ~n a in
-        if n = 1 then
-          fun th fr ready ->
-            fr.regs.(d) <- ga fr.regs 0;
-            finish_plain th fr ready Cache.hit_latency;
-            next
-        else
-          fun th fr ready ->
-            let regs = fr.regs in
-            for j = 0 to n - 1 do
-              regs.(d + j) <- ga regs j
-            done;
-            finish_plain th fr ready Cache.hit_latency;
-            next
-    | Code.Rload (d, w, a) ->
-        let ga = scalar_fn a in
-        fun th fr ready ->
-          let addr = ga fr.regs in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let lat =
-            try
-              fr.regs.(d) <- Memory.read m.mem ~width:w addr;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Rvload (d, n, w, a) ->
-        let ga = scalar_fn a in
-        fun th fr ready ->
-          let addr = ga fr.regs in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let lat =
-            try
-              let regs = fr.regs in
-              for j = 0 to n - 1 do
-                regs.(d + j) <-
-                  Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
-              done;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Rstore (w, v, a) ->
-        let ga = scalar_fn a and gv = scalar_fn v in
-        fun th fr ready ->
-          let addr = ga fr.regs in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let lat =
-            try
-              if reexec_on then ck_log_write m th ~width:w addr;
-              Memory.write m.mem ~width:w addr (gv fr.regs);
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Rvstore (n, w, v, a) ->
-        let ga = scalar_fn a and gv = get_fn ~n v in
-        fun th fr ready ->
-          let addr = ga fr.regs in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let lat =
-            try
-              let regs = fr.regs in
-              for j = 0 to n - 1 do
-                let aj = Int64.add addr (Int64.of_int (j * w)) in
-                if reexec_on then ck_log_write m th ~width:w aj;
-                Memory.write m.mem ~width:w aj (gv regs j)
-              done;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Ralloca (d, size) ->
-        let sz = Int64.of_int (Memory.align16 size) in
-        fun th fr ready ->
-          th.sp <- Int64.sub th.sp sz;
-          fr.regs.(d) <- th.sp;
-          finish_plain th fr ready Cache.hit_latency;
-          next
-    | Code.Rcall (Code.Direct fid, argops, cdst, _) ->
-        let gargs = args_fn argops in
-        let cfc = m.code.Code.cfuncs.(fid) in
-        fun th fr ready ->
-          call_enter m th fr plan ~ready cfc (gargs fr.regs) ~ret_off:cdst ~resume:next
-    | Code.Rcall (Code.Builtin id, argops, cdst, cdl) ->
-        let gargs = args_fn argops in
-        fun th fr _ready -> call_builtin m th fr ~pc id (gargs fr.regs) ~dst:cdst ~dlanes:cdl
-    | Code.Rcall_ind (fp, argops, cdst, _) ->
-        let gfp = scalar_fn fp and gargs = args_fn argops in
-        fun th fr ready ->
-          let cfc = cfunc_of_ptr m (gfp fr.regs) in
-          call_enter m th fr plan ~ready cfc (gargs fr.regs) ~ret_off:cdst ~resume:next
-    | Code.Ratomic (op, d, a, x, w) ->
-        let ga = scalar_fn a and gx = scalar_fn x in
-        let fop =
-          match op with
-          | Ir.Instr.Rmw_add -> Int64.add
-          | Ir.Instr.Rmw_sub -> Int64.sub
-          | Ir.Instr.Rmw_xchg -> fun _ v -> v
-          | Ir.Instr.Rmw_and -> Int64.logand
-          | Ir.Instr.Rmw_or -> Int64.logor
+  | Code.Rbinop (d, n, op, a, b) ->
+      let a = lop ~n a and b = lop ~n b in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs a j in
+          let y = rd regs b j in
+          regs.%{d + j} <- ibinop op x y
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rfbinop (d, n, op, a, b) ->
+      let a = lop ~n a and b = lop ~n b in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs a j in
+          let y = rd regs b j in
+          regs.%{d + j} <- fbinop op x y
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Ricmp (d, n, cc, tmask, a, b) ->
+      let a = lop ~n a and b = lop ~n b in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs a j in
+          let y = rd regs b j in
+          regs.%{d + j} <- (if icmp cc x y then tmask else 0L)
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rfcmp (d, n, cc, tmask, a, b) ->
+      let a = lop ~n a and b = lop ~n b in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs a j in
+          let y = rd regs b j in
+          regs.%{d + j} <- (if fcmp cc x y then tmask else 0L)
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rselect (d, n, c, a, b) ->
+      let c = lop ~n c and a = lop ~n a and b = lop ~n b in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = if rd regs c j <> 0L then rd regs a j else rd regs b j in
+          regs.%{d + j} <- x
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rcast (d, n, k, a) ->
+      let a = lop ~n a in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs a j in
+          regs.%{d + j} <- cast k x
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rmov (d, n, a) ->
+      let a = lop ~n a in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs a j in
+          regs.%{d + j} <- x
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rload (d, w, a) ->
+      let a = lop ~n:1 a in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let addr = addr_of a regs in
+        let lat =
+          try
+            regs.%{d} <- Memory.read m.mem ~width:w addr;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
         in
-        let wmask = Value.mask_of_width (w * 8) in
-        fun th fr ready ->
-          let addr = ga fr.regs in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let lat =
-            try
-              let old = Memory.read m.mem ~width:w addr in
-              let nv = fop old (gx fr.regs) in
-              if reexec_on then ck_log_write m th ~width:w addr;
-              Memory.write m.mem ~width:w addr (Int64.logand nv wmask);
-              fr.regs.(d) <- old;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Rcmpxchg (d, a, e, dv, w) ->
-        let ga = scalar_fn a and ge = scalar_fn e and gd = scalar_fn dv in
-        fun th fr ready ->
-          let addr = ga fr.regs in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let lat =
-            try
-              let old = Memory.read m.mem ~width:w addr in
-              if old = ge fr.regs then begin
-                if reexec_on then ck_log_write m th ~width:w addr;
-                Memory.write m.mem ~width:w addr (gd fr.regs)
-              end;
-              fr.regs.(d) <- old;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Rextract (d, v, l) ->
-        let gv = lane_fn v in
-        fun th fr ready ->
-          fr.regs.(d) <- gv fr.regs l;
-          finish_plain th fr ready Cache.hit_latency;
-          next
-    | Code.Rinsert (d, n, v, l, s) ->
-        let gv = get_fn ~n v and gs = scalar_fn s in
-        fun th fr ready ->
-          let regs = fr.regs in
-          for j = 0 to n - 1 do
-            regs.(d + j) <- (if j = l then gs regs else gv regs j)
-          done;
-          finish_plain th fr ready Cache.hit_latency;
-          next
-    | Code.Rbroadcast (d, n, s) ->
-        let gs = scalar_fn s in
-        fun th fr ready ->
-          let regs = fr.regs in
-          let x = gs regs in
-          for j = 0 to n - 1 do
-            regs.(d + j) <- x
-          done;
-          finish_plain th fr ready Cache.hit_latency;
-          next
-    | Code.Rshuffle (d, n, v, perm) ->
-        let gv = get_fn ~n v in
-        (* scratch reused across executions: machines run single-domain,
-           and no closure is re-entered mid-instruction *)
-        let tmp = Array.make n 0L in
-        fun th fr ready ->
-          let regs = fr.regs in
-          for j = 0 to n - 1 do
-            tmp.(j) <- gv regs j
-          done;
-          for j = 0 to n - 1 do
-            regs.(d + j) <- tmp.(perm.(j))
-          done;
-          finish_plain th fr ready Cache.hit_latency;
-          next
-    | Code.Rptestz (d, v) -> (
-        match v with
-        | Code.Oslot (off, lanes) ->
-            fun th fr ready ->
-              let regs = fr.regs in
-              let all_zero = ref true in
-              for j = 0 to lanes - 1 do
-                if regs.(off + j) <> 0L then all_zero := false
-              done;
-              regs.(d) <- (if !all_zero then 1L else 0L);
-              finish_plain th fr ready Cache.hit_latency;
-              next
-        | Code.Oconst a ->
-            let r = if Array.for_all (fun x -> x = 0L) a then 1L else 0L in
-            fun th fr ready ->
-              fr.regs.(d) <- r;
-              finish_plain th fr ready Cache.hit_latency;
-              next)
-    | Code.Rgather (d, n, w, a) ->
-        let alanes = rop_lanes a in
-        let ga = lane_fn a in
-        fun th fr ready ->
-          let regs = fr.regs in
-          let a0 = ga regs 0 in
-          let disagree = ref false in
-          for j = 1 to alanes - 1 do
-            if ga regs j <> a0 then disagree := true
-          done;
-          let addr = if !disagree then majority4 ~n:alanes (fun j -> ga regs j) else a0 in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          if !disagree then note_recovered m;
-          let lat =
-            try
-              let v = Memory.read m.mem ~width:w addr in
-              for j = 0 to n - 1 do
-                regs.(d + j) <- v
-              done;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Rscatter (w, v, a) ->
-        let alanes = rop_lanes a and vlanes = rop_lanes v in
-        let ga = lane_fn a and gv = lane_fn v in
-        fun th fr ready ->
-          let regs = fr.regs in
-          let a0 = ga regs 0 and v0 = gv regs 0 in
-          let disagree = ref false in
-          for j = 1 to alanes - 1 do
-            if ga regs j <> a0 then disagree := true
-          done;
-          for j = 1 to vlanes - 1 do
-            if gv regs j <> v0 then disagree := true
-          done;
-          let addr = if !disagree then majority4 ~n:alanes (fun j -> ga regs j) else a0 in
-          let addr = if addr_faults then k_fix_addr m cls addr else addr in
-          let value = if !disagree then majority4 ~n:vlanes (fun j -> gv regs j) else v0 in
-          if !disagree then note_recovered m;
-          let lat =
-            try
-              if reexec_on then ck_log_write m th ~width:w addr;
-              Memory.write m.mem ~width:w addr value;
-              if mem_faults then k_touch_flip m th cls w addr else k_touch th addr
-            with Memory.Fault x -> raise (Trap (Segfault x))
-          in
-          finish_plain th fr ready lat;
-          next
-    | Code.Tret o ->
-        let ret = Option.map lane_fn o in
-        fun th fr ready -> call_return m th fr plan ~ready ret
-    | Code.Tbr target ->
-        fun th fr ready ->
-          finish_plain th fr ready Cache.hit_latency;
-          target
-    | Code.Tcondbr (c, t, e) ->
-        let gc = scalar_fn c in
-        if cf_faults then
-          fun th fr ready ->
-            let taken = gc fr.regs <> 0L in
-            let taken =
-              if m.cf_divert then begin
-                m.cf_divert <- false;
-                mark_injected m "branch";
-                not taken
-              end
-              else taken
+        finish_plain th fr ready lat;
+        next
+  | Code.Rvload (d, n, w, a) ->
+      let a = lop ~n:1 a in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let addr = addr_of a regs in
+        let lat =
+          try
+            for j = 0 to n - 1 do
+              regs.%{d + j} <- Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
+            done;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Rstore (w, v, a) ->
+      let a = lop ~n:1 a and v = lop ~n:1 v in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let addr = addr_of a regs in
+        let lat =
+          try
+            if reexec_on then ck_log_write m th ~width:w addr;
+            let x = rd regs v 0 in
+            Memory.write m.mem ~width:w addr x;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Rvstore (n, w, v, a) ->
+      let a = lop ~n:1 a and v = lop ~n v in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let addr = addr_of a regs in
+        let lat =
+          try
+            for j = 0 to n - 1 do
+              let aj = Int64.add addr (Int64.of_int (j * w)) in
+              if reexec_on then ck_log_write m th ~width:w aj;
+              let x = rd regs v j in
+              Memory.write m.mem ~width:w aj x
+            done;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Ralloca (d, size) ->
+      let sz = Int64.of_int (Memory.align16 size) in
+      fun th fr ready ->
+        th.sp <- Int64.sub th.sp sz;
+        fr.regs.%{d} <- th.sp;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rcall (Code.Direct fid, argops, cdst, _) ->
+      let gargs = args_fn argops in
+      let cfc = m.code.Code.cfuncs.(fid) in
+      fun th fr ready ->
+        call_enter m th fr plan ~ready cfc (gargs fr.regs) ~ret_off:cdst ~resume:next
+  | Code.Rcall (Code.Builtin id, argops, cdst, cdl) ->
+      let gargs = args_fn argops in
+      fun th fr _ready -> call_builtin m th fr ~pc id (gargs fr.regs) ~dst:cdst ~dlanes:cdl
+  | Code.Rcall_ind (fp, argops, cdst, _) ->
+      let fp = lop ~n:1 fp and gargs = args_fn argops in
+      fun th fr ready ->
+        let cfc = cfunc_of_ptr m (rd fr.regs fp 0) in
+        call_enter m th fr plan ~ready cfc (gargs fr.regs) ~ret_off:cdst ~resume:next
+  | Code.Ratomic (op, d, a, x, w) ->
+      let a = lop ~n:1 a and x = lop ~n:1 x in
+      let wmask = Value.mask_of_width (w * 8) in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let addr = addr_of a regs in
+        let lat =
+          try
+            let old = Memory.read m.mem ~width:w addr in
+            let v = rd regs x 0 in
+            let nv =
+              match op with
+              | Ir.Instr.Rmw_add -> Int64.add old v
+              | Ir.Instr.Rmw_sub -> Int64.sub old v
+              | Ir.Instr.Rmw_xchg -> v
+              | Ir.Instr.Rmw_and -> Int64.logand old v
+              | Ir.Instr.Rmw_or -> Int64.logor old v
             in
-            finish_branch th ready ~taken ~force_miss:false;
-            if taken then t else e
-        else
-          fun th fr ready ->
-            let taken = gc fr.regs <> 0L in
-            finish_branch th ready ~taken ~force_miss:false;
-            if taken then t else e
-    | Code.Tvbr (mask, t, e, r) ->
-        let lanes = rop_lanes mask in
-        let gm = get_fn ~n:lanes mask in
-        fun th fr ready ->
-          let regs = fr.regs in
-          let all_true = ref true and all_false = ref true in
-          for j = 0 to lanes - 1 do
-            if gm regs j = 0L then all_true := false else all_false := false
-          done;
-          let at = !all_true and af = !all_false in
-          let npc = if at then t else if af then e else r in
-          let npc =
-            if cf_faults && m.cf_divert then begin
-              m.cf_divert <- false;
-              mark_injected m "branch";
-              if at then e else t
-            end
-            else npc
-          in
-          finish_branch th ready ~taken:(not af) ~force_miss:((not at) && not af);
-          npc
-    | Code.Tvbr_u (mask, t, e) ->
-        let gm = lane_fn mask in
-        fun th fr ready ->
-          let taken = gm fr.regs 0 <> 0L in
-          let taken =
-            if cf_faults && m.cf_divert then begin
-              m.cf_divert <- false;
-              mark_injected m "branch";
-              not taken
-            end
-            else taken
-          in
-          finish_branch th ready ~taken ~force_miss:false;
-          if taken then t else e
-    | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
+            if reexec_on then ck_log_write m th ~width:w addr;
+            Memory.write m.mem ~width:w addr (Int64.logand nv wmask);
+            regs.%{d} <- old;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Rcmpxchg (d, a, e, dv, w) ->
+      let a = lop ~n:1 a and e = lop ~n:1 e and dv = lop ~n:1 dv in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let addr = addr_of a regs in
+        let lat =
+          try
+            let old = Memory.read m.mem ~width:w addr in
+            let expected = rd regs e 0 in
+            if old = expected then begin
+              if reexec_on then ck_log_write m th ~width:w addr;
+              let x = rd regs dv 0 in
+              Memory.write m.mem ~width:w addr x
+            end;
+            regs.%{d} <- old;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Rextract (d, v, l) ->
+      let v = lop ~n:(l + 1) v in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let x = rd regs v l in
+        regs.%{d} <- x;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rinsert (d, n, v, l, s) ->
+      let v = lop ~n v and s = lop ~n:1 s in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = if j = l then rd regs s 0 else rd regs v j in
+          regs.%{d + j} <- x
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rbroadcast (d, n, s) ->
+      let s = lop ~n:1 s in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let x = rd regs s 0 in
+        for j = 0 to n - 1 do
+          regs.%{d + j} <- x
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rshuffle (d, n, v, perm) ->
+      let v = lop ~n v in
+      (* scratch reused across executions: machines run single-domain,
+         and no closure is re-entered mid-instruction *)
+      let tmp = Bytes.create (8 * n) in
+      fun th fr ready ->
+        let regs = fr.regs in
+        for j = 0 to n - 1 do
+          let x = rd regs v j in
+          tmp.%{j} <- x
+        done;
+        for j = 0 to n - 1 do
+          regs.%{d + j} <- tmp.%{perm.(j)}
+        done;
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rptestz (d, v) ->
+      let lanes = rop_lanes v in
+      let v = lop ~n:lanes v in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let all_zero = ref true in
+        for j = 0 to lanes - 1 do
+          if rd regs v j <> 0L then all_zero := false
+        done;
+        regs.%{d} <- (if !all_zero then 1L else 0L);
+        finish_plain th fr ready Cache.hit_latency;
+        next
+  | Code.Rgather (d, n, w, a) ->
+      let alanes = rop_lanes a in
+      let a = lop ~n:alanes a in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let a0 = rd regs a 0 in
+        let disagree = ref false in
+        for j = 1 to alanes - 1 do
+          if rd regs a j <> a0 then disagree := true
+        done;
+        let addr = if !disagree then majority4 ~n:alanes (fun j -> rd regs a j) else a0 in
+        let addr = if addr_faults then k_fix_addr m cls addr else addr in
+        if !disagree then note_recovered m;
+        let lat =
+          try
+            let v = Memory.read m.mem ~width:w addr in
+            for j = 0 to n - 1 do
+              regs.%{d + j} <- v
+            done;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Rscatter (w, v, a) ->
+      let alanes = rop_lanes a and vlanes = rop_lanes v in
+      let a = lop ~n:alanes a and v = lop ~n:vlanes v in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let a0 = rd regs a 0 in
+        let v0 = rd regs v 0 in
+        let disagree = ref false in
+        for j = 1 to alanes - 1 do
+          if rd regs a j <> a0 then disagree := true
+        done;
+        for j = 1 to vlanes - 1 do
+          if rd regs v j <> v0 then disagree := true
+        done;
+        let addr = if !disagree then majority4 ~n:alanes (fun j -> rd regs a j) else a0 in
+        let addr = if addr_faults then k_fix_addr m cls addr else addr in
+        let value = if !disagree then majority4 ~n:vlanes (fun j -> rd regs v j) else v0 in
+        if !disagree then note_recovered m;
+        let lat =
+          try
+            if reexec_on then ck_log_write m th ~width:w addr;
+            Memory.write m.mem ~width:w addr value;
+            touch th w addr
+          with Memory.Fault x -> raise (Trap (Segfault x))
+        in
+        finish_plain th fr ready lat;
+        next
+  | Code.Tret o -> fun th fr ready -> call_return m th fr plan ~ready o
+  | Code.Tbr target ->
+      fun th fr ready ->
+        finish_plain th fr ready Cache.hit_latency;
+        target
+  | Code.Tcondbr (c, t, e) ->
+      let c = lop ~n:1 c in
+      fun th fr ready ->
+        let taken = rd fr.regs c 0 <> 0L in
+        let taken = if diverted () then not taken else taken in
+        finish_branch th ready ~taken ~force_miss:false;
+        if taken then t else e
+  | Code.Tvbr (mask, t, e, r) ->
+      let lanes = rop_lanes mask in
+      let mask = lop ~n:lanes mask in
+      fun th fr ready ->
+        let regs = fr.regs in
+        let all_true = ref true and all_false = ref true in
+        for j = 0 to lanes - 1 do
+          if rd regs mask j = 0L then all_true := false else all_false := false
+        done;
+        let at = !all_true and af = !all_false in
+        (* a diverted vector branch: a unanimous mask goes the wrong way,
+           a mixed one skips the recovery edge *)
+        let npc =
+          if diverted () then if at then e else t else if at then t else if af then e else r
+        in
+        finish_branch th ready ~taken:(not af) ~force_miss:((not at) && not af);
+        npc
+  | Code.Tvbr_u (mask, t, e) ->
+      let mask = lop ~n:1 mask in
+      fun th fr ready ->
+        let taken = rd fr.regs mask 0 <> 0L in
+        let taken = if diverted () then not taken else taken in
+        finish_branch th ready ~taken ~force_miss:false;
+        if taken then t else e
+  | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
 (* Compiles one instruction into its per-instruction closure:
    [compile_body] wrapped in the per-instruction bookkeeping (trace,
@@ -1856,7 +1985,7 @@ let run ?(args = [||]) ?on_quantum (m : t) (entry : string) : result =
 
 type frame_snap = {
   f_cf : Code.cfunc;
-  f_regs : int64 array;
+  f_regs : Bytes.t;
   f_ready : int array;
   f_pc : int;
   f_ret_off : int;
@@ -1921,7 +2050,7 @@ let snapshot (m : t) : snapshot =
            (fun (fr : frame) ->
              {
                f_cf = fr.cf;
-               f_regs = Array.copy fr.regs;
+               f_regs = Bytes.copy fr.regs;
                f_ready = Array.copy fr.ready;
                f_pc = fr.pc;
                f_ret_off = fr.ret_off;
@@ -2028,7 +2157,7 @@ let restore ?(cfg = default_config) (sn : snapshot) : t =
            (fun fs ->
              {
                cf = fs.f_cf;
-               regs = Array.copy fs.f_regs;
+               regs = Bytes.copy fs.f_regs;
                ready = Array.copy fs.f_ready;
                pc = fs.f_pc;
                ret_off = fs.f_ret_off;

@@ -28,7 +28,7 @@ val string_of_trap : trap_reason -> string
 
 type frame = {
   cf : Code.cfunc;
-  regs : int64 array;
+  regs : Bytes.t;  (** 8 bytes per lane: slot [i] at byte [8 * i] *)
   ready : int array;  (** per-slot result-ready cycle, for the timing model *)
   mutable pc : int;
   ret_off : int;

@@ -50,9 +50,12 @@ let create ?(size = 1 lsl 26) () =
 
 let align16 n = (n + 15) land lnot 15
 
+(* [addr, addr + w) must lie in mapped memory.  Compared as [addr >
+   size - w], not [addr + w > size]: the sum overflows for an address
+   within [w] bytes of the top of the address space, and such an address
+   must fault, not reach the page table. *)
 let check (m : t) (addr : int64) (w : int) =
-  let a = Int64.to_int addr in
-  if addr < Int64.of_int page || a + w > m.size || a < 0 then raise (Fault addr)
+  if addr < Int64.of_int page || addr > Int64.of_int (m.size - w) then raise (Fault addr)
 
 (* Gives [m] a private copy of page [p]. *)
 let unshare (m : t) (p : int) : Bytes.t =

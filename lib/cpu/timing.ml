@@ -57,7 +57,9 @@ let reset (t : t) =
    ahead of it forever. *)
 let cycle (t : t) = max t.dispatch_cycle t.horizon
 
-let dispatch_one (t : t) =
+(* Inlined into [exec]: as a call it spilled the caller's live registers
+   around every μop. *)
+let[@inline] dispatch_one (t : t) =
   if t.dispatch_used >= width then begin
     t.dispatch_cycle <- t.dispatch_cycle + 1;
     t.dispatch_used <- 0

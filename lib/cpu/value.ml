@@ -4,19 +4,28 @@
     vectors one lane per element.  Lanes hold the value's raw bits in
     canonical zero-extended form (floats as their IEEE-754 encoding), which
     makes single-bit-flip fault injection a plain [lxor] and keeps integer
-    overflow semantics exact for every width. *)
+    overflow semantics exact for every width.
+
+    Each arithmetic, comparison and cast instruction is described by an
+    op descriptor: its op kind plus what its element widths fix once —
+    the width mask that canonicalises a result, the shift that
+    sign-extends an operand, and whether a float is single precision.
+    {!Code.compile} builds one descriptor per instruction.  The boxed
+    evaluators here ([binop], [fbinop], [icmp], [fcmp], [cast]) define
+    the semantics for the reference interpreter and constant folding;
+    the compiled engine in {!Machine} implements the same semantics on
+    its own, inline over unboxed lanes, and the engine-equivalence tests
+    hold the two to bit-identical results. *)
 
 open Ir
 
 let mask_of_width w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
 
+(* Shift that sign-extends the low [w] bits: [(x lsl sh) asr sh]. *)
+let sign_shift w = 64 - min w 64
+
 (* Canonical form: the low [w] bits of the value, zero-extended. *)
 let canon (s : Types.scalar) (x : int64) = Int64.logand x (mask_of_width (Types.bits s))
-
-(* Read back as a signed value. *)
-let signed (s : Types.scalar) (x : int64) =
-  let w = Types.bits s in
-  if w >= 64 then x else Int64.shift_right (Int64.shift_left x (64 - w)) (64 - w)
 
 (* All-ones mask lane of the element's width (what AVX compares produce). *)
 let true_mask (s : Types.scalar) = mask_of_width (Types.bits s)
@@ -42,110 +51,121 @@ let fencode (s : Types.scalar) f =
 
 exception Division_by_zero
 
-(* ---- integer binary operations ---- *)
+(* ---- op descriptors ---- *)
 
-let ucmp a b =
-  (* unsigned comparison of int64 bit patterns *)
-  Int64.unsigned_compare a b
+type binop = {
+  bop : Instr.binop;
+  bmask : int64;  (** result width mask *)
+  bsh : int;  (** operand sign shift *)
+}
 
-let binop_fn (s : Types.scalar) (op : Instr.binop) : int64 -> int64 -> int64 =
-  let c = canon s in
-  let sg = signed s in
-  match op with
-  | Instr.Add -> fun a b -> c (Int64.add a b)
-  | Instr.Sub -> fun a b -> c (Int64.sub a b)
-  | Instr.Mul -> fun a b -> c (Int64.mul a b)
+type fbinop = { fop : Instr.fbinop; fsingle : bool  (** f32 operands and result *) }
+type icmp = { icc : Instr.icmp; csh : int  (** operand sign shift *) }
+type fcmp = { fcc : Instr.fcmp; csingle : bool  (** f32 operands *) }
+
+type cast = {
+  ck : Instr.cast;
+  from_sh : int;  (** source sign shift *)
+  from_single : bool;  (** f32 source (float casts) *)
+  to_mask : int64;  (** destination width mask *)
+  to_single : bool;  (** f32 destination (float casts) *)
+}
+
+let binop_desc (s : Types.scalar) (op : Instr.binop) : binop =
+  { bop = op; bmask = mask_of_width (Types.bits s); bsh = sign_shift (Types.bits s) }
+
+let fbinop_desc (s : Types.scalar) (op : Instr.fbinop) : fbinop =
+  { fop = op; fsingle = s = Types.F32 }
+
+let icmp_desc (s : Types.scalar) (cc : Instr.icmp) : icmp =
+  { icc = cc; csh = sign_shift (Types.bits s) }
+
+let fcmp_desc (s : Types.scalar) (cc : Instr.fcmp) : fcmp = { fcc = cc; csingle = s = Types.F32 }
+
+let cast_desc (k : Instr.cast) ~(from : Types.scalar) ~(dst : Types.scalar) : cast =
+  {
+    ck = k;
+    from_sh = sign_shift (Types.bits from);
+    from_single = from = Types.F32;
+    to_mask = mask_of_width (Types.bits dst);
+    to_single = dst = Types.F32;
+  }
+
+(* ---- the evaluators ---- *)
+
+let sext sh x = Int64.shift_right (Int64.shift_left x sh) sh
+let fdec single x = if single then f32_decode x else f64_decode x
+let fenc single f = if single then f32_encode f else f64_encode f
+
+(* A signed divisor is zero after sign extension: a flipped bit above
+   the operand's width does not make it non-zero. *)
+let binop (d : binop) (a : int64) (b : int64) : int64 =
+  let c x = Int64.logand x d.bmask in
+  match d.bop with
+  | Instr.Add -> c (Int64.add a b)
+  | Instr.Sub -> c (Int64.sub a b)
+  | Instr.Mul -> c (Int64.mul a b)
   | Instr.Sdiv ->
-      fun a b ->
-        if b = 0L then raise Division_by_zero;
-        c (Int64.div (sg a) (sg b))
+      let b = sext d.bsh b in
+      if b = 0L then raise Division_by_zero;
+      c (Int64.div (sext d.bsh a) b)
   | Instr.Udiv ->
-      fun a b ->
-        if b = 0L then raise Division_by_zero;
-        c (Int64.unsigned_div a b)
+      if b = 0L then raise Division_by_zero;
+      c (Int64.unsigned_div a b)
   | Instr.Srem ->
-      fun a b ->
-        if b = 0L then raise Division_by_zero;
-        c (Int64.rem (sg a) (sg b))
+      let b = sext d.bsh b in
+      if b = 0L then raise Division_by_zero;
+      c (Int64.rem (sext d.bsh a) b)
   | Instr.Urem ->
-      fun a b ->
-        if b = 0L then raise Division_by_zero;
-        c (Int64.unsigned_rem a b)
-  | Instr.And -> fun a b -> Int64.logand a b
-  | Instr.Or -> fun a b -> Int64.logor a b
-  | Instr.Xor -> fun a b -> Int64.logxor a b
-  | Instr.Shl ->
-      fun a b ->
-        let sh = Int64.to_int b land 63 in
-        c (Int64.shift_left a sh)
-  | Instr.Lshr ->
-      fun a b ->
-        let sh = Int64.to_int b land 63 in
-        Int64.shift_right_logical a sh
-  | Instr.Ashr ->
-      fun a b ->
-        let sh = Int64.to_int b land 63 in
-        c (Int64.shift_right (sg a) sh)
+      if b = 0L then raise Division_by_zero;
+      c (Int64.unsigned_rem a b)
+  | Instr.And -> Int64.logand a b
+  | Instr.Or -> Int64.logor a b
+  | Instr.Xor -> Int64.logxor a b
+  | Instr.Shl -> c (Int64.shift_left a (Int64.to_int b land 63))
+  | Instr.Lshr -> Int64.shift_right_logical a (Int64.to_int b land 63)
+  | Instr.Ashr -> c (Int64.shift_right (sext d.bsh a) (Int64.to_int b land 63))
 
-let fbinop_fn (s : Types.scalar) (op : Instr.fbinop) : int64 -> int64 -> int64 =
-  let dec = fdecode s and enc = fencode s in
-  let f =
-    match op with
-    | Instr.Fadd -> ( +. )
-    | Instr.Fsub -> ( -. )
-    | Instr.Fmul -> ( *. )
-    | Instr.Fdiv -> ( /. )
-  in
-  fun a b -> enc (f (dec a) (dec b))
+let fbinop (d : fbinop) (a : int64) (b : int64) : int64 =
+  let x = fdec d.fsingle a and y = fdec d.fsingle b in
+  fenc d.fsingle
+    (match d.fop with
+    | Instr.Fadd -> x +. y
+    | Instr.Fsub -> x -. y
+    | Instr.Fmul -> x *. y
+    | Instr.Fdiv -> x /. y)
 
-let icmp_fn (s : Types.scalar) (cc : Instr.icmp) : int64 -> int64 -> bool =
-  let sg = signed s in
-  match cc with
-  | Instr.Ieq -> ( = )
-  | Instr.Ine -> ( <> )
-  | Instr.Islt -> fun a b -> sg a < sg b
-  | Instr.Isle -> fun a b -> sg a <= sg b
-  | Instr.Isgt -> fun a b -> sg a > sg b
-  | Instr.Isge -> fun a b -> sg a >= sg b
-  | Instr.Iult -> fun a b -> ucmp a b < 0
-  | Instr.Iule -> fun a b -> ucmp a b <= 0
-  | Instr.Iugt -> fun a b -> ucmp a b > 0
-  | Instr.Iuge -> fun a b -> ucmp a b >= 0
+let icmp (d : icmp) (a : int64) (b : int64) : bool =
+  match d.icc with
+  | Instr.Ieq -> a = b
+  | Instr.Ine -> a <> b
+  | Instr.Islt -> sext d.csh a < sext d.csh b
+  | Instr.Isle -> sext d.csh a <= sext d.csh b
+  | Instr.Isgt -> sext d.csh a > sext d.csh b
+  | Instr.Isge -> sext d.csh a >= sext d.csh b
+  | Instr.Iult -> Int64.unsigned_compare a b < 0
+  | Instr.Iule -> Int64.unsigned_compare a b <= 0
+  | Instr.Iugt -> Int64.unsigned_compare a b > 0
+  | Instr.Iuge -> Int64.unsigned_compare a b >= 0
 
-let fcmp_fn (s : Types.scalar) (cc : Instr.fcmp) : int64 -> int64 -> bool =
-  let dec = fdecode s in
-  let f =
-    match cc with
-    | Instr.Foeq -> fun a b -> a = b
-    | Instr.Fone -> fun a b -> a <> b && not (Float.is_nan a || Float.is_nan b)
-    | Instr.Folt -> fun a b -> a < b
-    | Instr.Fole -> fun a b -> a <= b
-    | Instr.Fogt -> fun a b -> a > b
-    | Instr.Foge -> fun a b -> a >= b
-  in
-  fun a b -> f (dec a) (dec b)
+let fcmp (d : fcmp) (a : int64) (b : int64) : bool =
+  let x = fdec d.csingle a and y = fdec d.csingle b in
+  match d.fcc with
+  | Instr.Foeq -> x = y
+  | Instr.Fone -> x <> y && not (Float.is_nan x || Float.is_nan y)
+  | Instr.Folt -> x < y
+  | Instr.Fole -> x <= y
+  | Instr.Fogt -> x > y
+  | Instr.Foge -> x >= y
 
-let cast_fn (k : Instr.cast) ~(from : Types.scalar) ~(dst : Types.scalar) :
-    int64 -> int64 =
-  match k with
-  | Instr.Trunc -> canon dst
-  | Instr.Zext -> fun x -> x (* canonical form is already zero-extended *)
-  | Instr.Sext -> fun x -> canon dst (signed from x)
+let cast (d : cast) (x : int64) : int64 =
+  match d.ck with
+  | Instr.Trunc | Instr.Bitcast -> Int64.logand x d.to_mask
+  | Instr.Zext -> x (* canonical form is already zero-extended *)
+  | Instr.Sext -> Int64.logand (sext d.from_sh x) d.to_mask
   | Instr.Fptosi ->
-      fun x ->
-        let f = fdecode from x in
-        let i = if Float.is_nan f then 0L else Int64.of_float f in
-        canon dst i
-  | Instr.Sitofp -> fun x -> fencode dst (Int64.to_float (signed from x))
-  | Instr.Fpext -> fun x -> f64_encode (f32_decode x)
-  | Instr.Fptrunc -> fun x -> f32_encode (f64_decode x)
-  | Instr.Bitcast -> fun x -> canon dst x
-
-(* Encode an IR immediate operand into lane bits. *)
-let encode_imm (t : Types.t) (v : int64) : int64 array =
-  let s = Types.elem t in
-  Array.make (Types.lanes t) (canon s v)
-
-let encode_fimm (t : Types.t) (v : float) : int64 array =
-  let s = Types.elem t in
-  Array.make (Types.lanes t) (fencode s v)
+      let f = fdec d.from_single x in
+      Int64.logand (if Float.is_nan f then 0L else Int64.of_float f) d.to_mask
+  | Instr.Sitofp -> fenc d.to_single (Int64.to_float (sext d.from_sh x))
+  | Instr.Fpext -> f64_encode (f32_decode x)
+  | Instr.Fptrunc -> f32_encode (f64_decode x)

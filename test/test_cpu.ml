@@ -10,24 +10,24 @@ let check_i64 = Alcotest.(check int64)
 (* ---- value semantics ---- *)
 
 let test_int_widths () =
-  let add8 = Value.binop_fn Ir.Types.I8 Ir.Instr.Add in
+  let add8 = Value.binop (Value.binop_desc Ir.Types.I8 Ir.Instr.Add) in
   check_i64 "i8 wraps" 0L (add8 255L 1L);
-  let mul32 = Value.binop_fn Ir.Types.I32 Ir.Instr.Mul in
+  let mul32 = Value.binop (Value.binop_desc Ir.Types.I32 Ir.Instr.Mul) in
   check_i64 "i32 wraps" 0L (mul32 0x10000L 0x10000L);
-  let sub16 = Value.binop_fn Ir.Types.I16 Ir.Instr.Sub in
+  let sub16 = Value.binop (Value.binop_desc Ir.Types.I16 Ir.Instr.Sub) in
   check_i64 "i16 canonical zero-extended" 0xFFFFL (sub16 0L 1L)
 
 let test_signed_ops () =
-  let sdiv = Value.binop_fn Ir.Types.I32 Ir.Instr.Sdiv in
+  let sdiv = Value.binop (Value.binop_desc Ir.Types.I32 Ir.Instr.Sdiv) in
   check_i64 "sdiv negative" (Value.canon Ir.Types.I32 (-3L)) (sdiv (Value.canon Ir.Types.I32 (-7L)) 2L);
-  let ashr = Value.binop_fn Ir.Types.I32 Ir.Instr.Ashr in
+  let ashr = Value.binop (Value.binop_desc Ir.Types.I32 Ir.Instr.Ashr) in
   check_i64 "ashr sign extends" (Value.canon Ir.Types.I32 (-1L))
     (ashr (Value.canon Ir.Types.I32 (-1L)) 5L);
-  let lshr = Value.binop_fn Ir.Types.I32 Ir.Instr.Lshr in
+  let lshr = Value.binop (Value.binop_desc Ir.Types.I32 Ir.Instr.Lshr) in
   check_i64 "lshr is logical" 0x7FFFFFFFL (lshr 0xFFFFFFFFL 1L)
 
 let test_div_by_zero () =
-  let sdiv = Value.binop_fn Ir.Types.I64 Ir.Instr.Sdiv in
+  let sdiv = Value.binop (Value.binop_desc Ir.Types.I64 Ir.Instr.Sdiv) in
   check_bool "raises" true
     (try
        ignore (sdiv 1L 0L);
@@ -39,26 +39,26 @@ let test_float_roundtrip () =
   check_bool "f64 bits roundtrip" true (Value.f64_decode (Value.f64_encode v) = v);
   let v32 = Value.f32_decode (Value.f32_encode 1.5) in
   check_bool "f32 exact for 1.5" true (v32 = 1.5);
-  let fadd32 = Value.fbinop_fn Ir.Types.F32 Ir.Instr.Fadd in
+  let fadd32 = Value.fbinop (Value.fbinop_desc Ir.Types.F32 Ir.Instr.Fadd) in
   (* single-precision rounding actually happens *)
   let one_third = Value.f32_encode (1.0 /. 3.0) in
   check_bool "f32 is not f64" true
     (Value.f32_decode (fadd32 one_third one_third) <> 2.0 /. 3.0)
 
 let test_casts () =
-  let sext = Value.cast_fn Ir.Instr.Sext ~from:Ir.Types.I8 ~dst:Ir.Types.I64 in
+  let sext = Value.cast (Value.cast_desc Ir.Instr.Sext ~from:Ir.Types.I8 ~dst:Ir.Types.I64) in
   check_i64 "sext i8" (-1L) (sext 0xFFL);
-  let zext = Value.cast_fn Ir.Instr.Zext ~from:Ir.Types.I8 ~dst:Ir.Types.I64 in
+  let zext = Value.cast (Value.cast_desc Ir.Instr.Zext ~from:Ir.Types.I8 ~dst:Ir.Types.I64) in
   check_i64 "zext i8" 255L (zext 0xFFL);
-  let fptosi = Value.cast_fn Ir.Instr.Fptosi ~from:Ir.Types.F64 ~dst:Ir.Types.I32 in
+  let fptosi = Value.cast (Value.cast_desc Ir.Instr.Fptosi ~from:Ir.Types.F64 ~dst:Ir.Types.I32) in
   check_i64 "fptosi truncates toward zero" (Value.canon Ir.Types.I32 (-3L))
     (fptosi (Value.f64_encode (-3.7)));
   check_i64 "fptosi of nan is 0" 0L (fptosi (Value.f64_encode Float.nan))
 
 let test_icmp_unsigned () =
-  let ult = Value.icmp_fn Ir.Types.I64 Ir.Instr.Iult in
+  let ult = Value.icmp (Value.icmp_desc Ir.Types.I64 Ir.Instr.Iult) in
   check_bool "unsigned compare" true (ult 1L (-1L));
-  let slt = Value.icmp_fn Ir.Types.I64 Ir.Instr.Islt in
+  let slt = Value.icmp (Value.icmp_desc Ir.Types.I64 Ir.Instr.Islt) in
   check_bool "signed compare" false (slt 1L (-1L))
 
 (* ---- cache ---- *)
@@ -92,6 +92,20 @@ let test_cache_lru () =
   (* line 2 is LRU (line 0 was re-touched); inserting line 4 evicts 2 *)
   ignore (Cache.access c (addr 4));
   check_int "line 0 retained" Cache.hit_latency (Cache.access c (addr 0))
+
+(* the set index is a mask, so only power-of-two set counts are valid *)
+let test_cache_geometry () =
+  check_int "default geometry: 64 sets" 64 (Cache.create ()).Cache.sets;
+  check_int "1 KB / 2 ways: 8 sets" 8 (Cache.create ~size_kb:1 ~ways:2 ()).Cache.sets;
+  List.iter
+    (fun (size_kb, ways) ->
+      check_bool
+        (Printf.sprintf "%d KB / %d ways rejected" size_kb ways)
+        true
+        (match Cache.create ~size_kb ~ways () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (32, 3); (32, 6); (24, 8); (32, 0); (1, 32) ]
 
 (* ---- branch predictor ---- *)
 
@@ -384,6 +398,25 @@ let prop_paged_memory_matches_flat =
       && List.for_all image_intact !images
       && Array.for_all (Bytes.for_all (( = ) '\000')) (Memory.create ~size ()).Memory.pages)
 
+(* An access within [width] bytes of the top of the 63-bit address
+   space must fault like any other unmapped access: [addr + width]
+   overflows there, so a check written as a sum lets it through to the
+   page table, which raises a host exception instead. *)
+let test_memory_top_of_address_space () =
+  let m = Memory.create () in
+  let faults name f =
+    check_bool name true (match f () with _ -> false | exception Memory.Fault _ -> true)
+  in
+  faults "read 8 at 2^62 - 4" (fun () -> Memory.read m ~width:8 0x3FFF_FFFF_FFFF_FFFCL);
+  faults "write 4 at 2^62 - 2" (fun () -> Memory.write m ~width:4 0x3FFF_FFFF_FFFF_FFFEL 1L);
+  faults "read_bytes 32 at 2^62 - 16" (fun () ->
+      Memory.read_bytes m 0x3FFF_FFFF_FFFF_FFF0L 32);
+  faults "read 8 at max_int64" (fun () -> Memory.read m ~width:8 Int64.max_int);
+  faults "read_bytes of max_int bytes" (fun () ->
+      Memory.read_bytes m (Int64.of_int Memory.page) max_int);
+  (* the last mapped word still reads *)
+  check_i64 "last word" 0L (Memory.read m ~width:8 (Int64.of_int (m.Memory.size - 8)))
+
 let tests =
   [
     Alcotest.test_case "integer widths wrap" `Quick test_int_widths;
@@ -396,6 +429,7 @@ let tests =
     Alcotest.test_case "cache: next-line prefetch" `Quick test_cache_prefetch_next_line;
     Alcotest.test_case "cache: capacity eviction" `Quick test_cache_capacity_eviction;
     Alcotest.test_case "cache: LRU" `Quick test_cache_lru;
+    Alcotest.test_case "cache: power-of-two sets" `Quick test_cache_geometry;
     Alcotest.test_case "predictor learns loops" `Quick test_predictor_learns;
     Alcotest.test_case "predictor vs noise" `Quick test_predictor_alternation_costs;
     Alcotest.test_case "timing: 4-wide ILP" `Quick test_timing_ilp;
@@ -405,6 +439,8 @@ let tests =
     Alcotest.test_case "timing: mispredict flush" `Quick test_timing_mispredict;
     Alcotest.test_case "memory: read/write" `Quick test_memory_rw;
     Alcotest.test_case "memory: faults" `Quick test_memory_null_faults;
+    Alcotest.test_case "memory: top of address space faults" `Quick
+      test_memory_top_of_address_space;
     Alcotest.test_case "memory: malloc/free" `Quick test_malloc_free_reuse;
     Alcotest.test_case "memory: stack isolation" `Quick test_stack_isolated_from_heap;
     QCheck_alcotest.to_alcotest prop_plan_matches_oracle;

@@ -149,6 +149,29 @@ let check_machine_alloc () =
   let mb = (Gc.allocated_bytes () -. before) /. 1048576. in
   if mb >= 8. then Alcotest.failf "create..restore allocated %.1f MB (limit 8)" mb
 
+(* The compiled engine's per-instruction path allocates nothing: the
+   register file is unboxed bytes and lane semantics run inline.  What
+   is left is per function (its closures, compiled on first entry), per
+   call (frame, arguments), per builtin and per memory access (the boxed
+   address and value handed to [Memory] and [Cache]).  Minor words per
+   retired instruction over a whole run are deterministic, so this bound
+   guards the allocation-free path without timing noise. *)
+let check_run_alloc () =
+  let w = Workloads.Registry.find "km" in
+  List.iter
+    (fun (build, bound) ->
+      let spec = Workloads.Workload.fi_spec w ~build ~nthreads:2 ~size:Workloads.Workload.Tiny () in
+      let m = Cpu.Machine.create ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+      spec.Fault.init m;
+      let before = Gc.minor_words () in
+      let r = Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry in
+      let words = Gc.minor_words () -. before in
+      let per_instr = words /. float_of_int r.Cpu.Machine.totals.Cpu.Counters.instrs in
+      if per_instr > bound then
+        Alcotest.failf "km/%s: %.2f minor words per instruction (limit %.1f)"
+          (Elzar.build_name build) per_instr bound)
+    [ (Elzar.Hardened Elzar.Harden_config.default, 3.0); (Elzar.Native, 1.5) ]
+
 (* campaign fast-forward: the full report (per-outcome stats and every
    observation, including wall cycles and detection latencies) must be
    bit-identical with fast-forward on or off, and for any worker count *)
@@ -351,6 +374,180 @@ let check_trace_engines () =
   Alcotest.(check int) "trace length" (String.length tr) (String.length tc);
   Alcotest.(check bool) "trace byte-identical" true (String.equal tr tc)
 
+(* ---- single-op differential ----
+   One instruction at a time, on both engines: every binop, fbinop,
+   icmp, fcmp and cast descriptor over every element width, scalar and
+   4-lane, with its operands as full-width registers, constants, scalar
+   registers broadcast over the lanes and 2-lane registers wrapped over
+   4.  The workloads reach only some of these (op, width, shape)
+   combinations.  The instruction is built directly, not through the
+   verifier, so it also covers raw lanes above the element's width (what
+   a flipped bit leaves behind). *)
+
+type op =
+  | Op_bin of Ir.Instr.binop
+  | Op_fbin of Ir.Instr.fbinop
+  | Op_icmp of Ir.Instr.icmp
+  | Op_fcmp of Ir.Instr.fcmp
+  | Op_cast of Ir.Instr.cast * Ir.Types.scalar  (** to this element type *)
+
+type shape = Slot | Const | Bcast | Wrap
+
+let elems = Ir.Types.[ I1; I8; I16; I32; I64; F32; F64 ]
+
+(* every (op, operand element) pair *)
+let all_ops =
+  let open Ir.Instr in
+  let over es ops = List.concat_map (fun op -> List.map (fun e -> (op, e)) es) ops in
+  let floats = Ir.Types.[ F32; F64 ] in
+  over elems
+    (List.map (fun o -> Op_bin o) [ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; And; Or; Xor; Shl; Lshr; Ashr ])
+  @ over floats (List.map (fun o -> Op_fbin o) [ Fadd; Fsub; Fmul; Fdiv ])
+  @ over elems (List.map (fun c -> Op_icmp c) [ Ieq; Ine; Islt; Isle; Isgt; Isge; Iult; Iule; Iugt; Iuge ])
+  @ over floats (List.map (fun c -> Op_fcmp c) [ Foeq; Fone; Folt; Fole; Fogt; Foge ])
+  @ over elems
+      (List.concat_map
+         (fun k -> List.map (fun d -> Op_cast (k, d)) elems)
+         [ Trunc; Zext; Sext; Fptosi; Sitofp; Fpext; Fptrunc; Bitcast ])
+
+(* lane values biased to the edges of element type [e]: zero, one, the
+   sign bit and its neighbours, all-ones, shift counts, float specials
+   and out-of-range [fptosi] inputs; now and then a raw 64-bit pattern *)
+let edge_values (e : Ir.Types.scalar) =
+  let w = Ir.Types.bits e in
+  let mask = Cpu.Value.mask_of_width w in
+  let sign = Int64.shift_left 1L (min w 64 - 1) in
+  let ints =
+    [ 0L; 1L; 2L; 7L; 63L; 64L; mask; Int64.sub mask 1L; sign; Int64.pred sign; Int64.succ sign ]
+  in
+  let specials =
+    [ 0.; -0.; 1.; -1.5; 0.1; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 1e30; -1e30;
+      2147483648.; -3e9; 9.3e18; -9.3e18; 1e300; 5e-324 ]
+  in
+  match e with
+  | Ir.Types.F32 -> ints @ List.map Cpu.Value.f32_encode specials @ [ 0x7FC0_0001L; 0x0000_0001L ]
+  | Ir.Types.F64 -> ints @ List.map Cpu.Value.f64_encode specials @ [ 0x7FF0_0000_0000_0001L ]
+  | _ -> ints
+
+let draw_lane st e =
+  match Random.State.int st 10 with
+  | 0 -> Random.State.bits64 st
+  | 1 | 2 -> Cpu.Value.canon e (Random.State.bits64 st)
+  | _ ->
+      let vs = edge_values e in
+      List.nth vs (Random.State.int st (List.length vs))
+
+(* A module whose [main] sets up the operands, runs the one instruction
+   and outputs every lane of its result. *)
+let single_op_module (op, e) ~lanes ~(shapes : shape list) ~(values : int64 array list) =
+  let open Ir in
+  let m = Builder.create_module () in
+  let b, _ = Builder.func m ~hardened:false "main" [] in
+  let vty e n = if n = 1 then Types.Scalar e else Types.Vector (e, n) in
+  let raw v = Instr.Imm (Types.i64, v) in
+  let fill n vs =
+    let r = Builder.fresh b (vty e n) in
+    if n = 1 then Builder.emit b (Instr.Mov (r, raw vs.(0)))
+    else
+      for j = 0 to n - 1 do
+        Builder.emit b (Instr.Insertlane (r, Instr.Reg r, j, raw vs.(j)))
+      done;
+    Instr.Reg r
+  in
+  let operand shape vs =
+    match shape with
+    | Const -> Instr.Imm (vty e lanes, vs.(0))
+    | Slot -> fill lanes vs
+    | Bcast -> fill 1 vs
+    | Wrap -> fill 2 vs
+  in
+  let args = List.map2 operand shapes values in
+  let dty =
+    match op with
+    | Op_bin _ | Op_fbin _ -> vty e lanes
+    | Op_icmp _ | Op_fcmp _ -> if lanes = 1 then Types.i1 else vty (Types.mask_elem e) lanes
+    | Op_cast (_, d) -> vty d lanes
+  in
+  let d = Builder.fresh b dty in
+  Builder.emit b
+    (match (op, args) with
+    | Op_bin o, [ x; y ] -> Instr.Binop (d, o, x, y)
+    | Op_fbin o, [ x; y ] -> Instr.Fbinop (d, o, x, y)
+    | Op_icmp c, [ x; y ] -> Instr.Icmp (d, c, x, y)
+    | Op_fcmp c, [ x; y ] -> Instr.Fcmp (d, c, x, y)
+    | Op_cast (k, _), [ x ] -> Instr.Cast (d, k, x)
+    | _ -> assert false);
+  for j = 0 to lanes - 1 do
+    let lane =
+      if lanes = 1 then Instr.Reg d
+      else begin
+        let x = Builder.fresh b Types.i64 in
+        Builder.emit b (Instr.Extractlane (x, Instr.Reg d, j));
+        Instr.Reg x
+      end
+    in
+    Builder.call0 b "output_i64" [ lane ]
+  done;
+  Builder.ret b None;
+  m
+
+let run_single engine modul =
+  Cpu.Machine.run (Cpu.Machine.create ~cfg:(cfg_with engine) modul) "main"
+
+let describe (op, e) ~lanes shapes values =
+  let op_name =
+    match op with
+    | Op_bin o -> Ir.Printer.string_of_binop o
+    | Op_fbin o -> Ir.Printer.string_of_fbinop o
+    | Op_icmp c -> "icmp " ^ Ir.Printer.string_of_icmp c
+    | Op_fcmp c -> "fcmp " ^ Ir.Printer.string_of_fcmp c
+    | Op_cast (k, d) -> Ir.Printer.string_of_cast k ^ " to " ^ Ir.Types.scalar_to_string d
+  in
+  Printf.sprintf "%s %s x%d [%s]" op_name (Ir.Types.scalar_to_string e) lanes
+    (String.concat "; "
+       (List.map2
+          (fun sh vs ->
+            let vs = if sh = Const then [| vs.(0) |] else vs in
+            Printf.sprintf "%s %s"
+              (match sh with Slot -> "slot" | Const -> "const" | Bcast -> "bcast" | Wrap -> "wrap")
+              (String.concat "," (Array.to_list (Array.map (Printf.sprintf "0x%Lx") vs))))
+          shapes values))
+
+let check_single_op st ((op, e) as oe) ~lanes =
+  let arity = match op with Op_cast _ -> 1 | _ -> 2 in
+  let shape () =
+    if lanes = 1 then if Random.State.bool st then Slot else Const
+    else [| Slot; Slot; Const; Bcast; Wrap |].(Random.State.int st 5)
+  in
+  let shapes = List.init arity (fun _ -> shape ()) in
+  let values = List.init arity (fun _ -> Array.init lanes (fun _ -> draw_lane st e)) in
+  let same shapes values =
+    let modul = single_op_module oe ~lanes ~shapes ~values in
+    let r = run_single Cpu.Machine.Reference modul in
+    if r <> run_single Cpu.Machine.Compiled modul then
+      QCheck.Test.fail_reportf "engines differ on %s" (describe oe ~lanes shapes values);
+    r
+  in
+  ignore (same shapes values);
+  (* a zero divisor must trap, alike, under both engines *)
+  match op with
+  | Op_bin Ir.Instr.(Sdiv | Udiv | Srem | Urem) ->
+      let values = [ List.hd values; Array.make lanes 0L ] in
+      let r = same [ List.hd shapes; Const ] values in
+      if r.Cpu.Machine.trap <> Some Cpu.Machine.Div_by_zero then
+        QCheck.Test.fail_reportf "%s: no division trap" (describe oe ~lanes shapes values)
+  | _ -> ()
+
+let prop_single_op =
+  QCheck.Test.make ~count:6 ~name:"single-op differential: reference = compiled"
+    QCheck.(make Gen.int ~print:string_of_int)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.iter
+        (fun oe -> List.iter (fun lanes -> check_single_op st oe ~lanes) [ 1; 4 ])
+        all_ops;
+      true)
+
 let workload_cases =
   List.map
     (fun w ->
@@ -368,6 +565,7 @@ let tests =
       Alcotest.test_case "snapshot resume (compiled)" `Quick
         (check_snapshot_resume Cpu.Machine.Compiled);
       Alcotest.test_case "machine memory allocation bound" `Quick check_machine_alloc;
+      Alcotest.test_case "run allocation per instruction" `Quick check_run_alloc;
       Alcotest.test_case "campaign fast-forward bit-identical" `Quick
         check_campaign_fast_forward;
       Alcotest.test_case "campaign compiled vs reference bit-identical" `Quick
@@ -375,4 +573,5 @@ let tests =
       Alcotest.test_case "default engine has one source" `Quick check_default_engine;
       Alcotest.test_case "compile on first entry" `Quick check_compile_on_entry;
       Alcotest.test_case "supervision quantum discipline" `Quick check_supervision;
+      QCheck_alcotest.to_alcotest prop_single_op;
     ]
