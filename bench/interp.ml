@@ -5,7 +5,7 @@
     retired instructions, wall cycles and the output digest, or the
     benchmark fails.  This is the direct measure of the compiled tier's
     win (EXPERIMENTS.md §interp); campaign-level wall time is measured by
-    [campaign_speed].
+    perfbench's fi-mixed workload.
 
     With [--json], emits BENCH_interp.json in the working directory so CI
     can track the MIPS of both tiers over time. *)

@@ -16,7 +16,6 @@ let experiments =
     ("fig13", Fig13.run);
     ("fig13x", Fig13x.run);
     ("interp", Interp.run);
-    ("campaign", Campaign_speed.run);
     ("fig14", Fig14.run);
     ("floatonly", Floatonly.run);
     ("fig15", Fig15.run);
@@ -24,7 +23,6 @@ let experiments =
     ("fig17", Fig17.run);
     ("ablate", Ablate.run);
     ("ext", Ext.run);
-    ("bechamel", Bechamel_suite.run);
   ]
 
 let usage () =

@@ -231,10 +231,8 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
 
 let inject_cmd =
   let run w (bname, build) n seed jobs double same_bit model avf checkpoint quiet engine
-      no_fast_forward json retries deadline_factor deadline_floor max_tool_errors
-      chaos =
+      json retries deadline_factor deadline_floor max_tool_errors chaos =
     let spec = { (Workloads.Workload.fi_spec w ~build ()) with Fault.engine } in
-    let fast_forward = not no_fast_forward in
     (* Ctrl-C / SIGTERM: cooperative cancellation.  The flag stops the
        campaign at the next experiment boundary; the engine flushes and
        closes the checkpoint on the way out, so the partial campaign can
@@ -276,16 +274,16 @@ let inject_cmd =
     in
     let report =
       if double then
-        Campaign.double ~seed ~n ~same_bit ?jobs ?progress ?checkpoint ~fast_forward
-          ~supervise ~chaos ~cancel spec
+        Campaign.double ~seed ~n ~same_bit ?jobs ?progress ?checkpoint ~supervise ~chaos
+          ~cancel spec
       else
         match model with
         | Fault.Reg ->
-            Campaign.single ~seed ~n ?jobs ?progress ?checkpoint ~fast_forward
-              ~supervise ~chaos ~cancel spec
+            Campaign.single ~seed ~n ?jobs ?progress ?checkpoint ~supervise ~chaos ~cancel
+              spec
         | m ->
-            Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~fast_forward
-              ~supervise ~chaos ~cancel ~model:m spec
+            Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~supervise ~chaos
+              ~cancel ~model:m spec
     in
     Format.printf "%a@." Fault.pp_stats report.Campaign.stats;
     let obs = Array.map snd report.Campaign.outcomes in
@@ -323,7 +321,6 @@ let inject_cmd =
             ("double", Obs.Json.Bool double);
             ("fault_model", Obs.Json.Str (Fault.model_to_string model));
             ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
-            ("fast_forward", Obs.Json.Bool fast_forward);
           ]
         in
         Report.write path (Report.campaign ~params report);
@@ -379,12 +376,6 @@ let inject_cmd =
                    the same parameters resumes from it instead of restarting.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the progress meter.") in
-  let no_fast_forward =
-    Arg.(value & flag
-         & info [ "no-fast-forward" ]
-             ~doc:"Disable snapshot fast-forward: every injection run replays the whole \
-                   fault-free prefix. Results are bit-identical; only wall time differs.")
-  in
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -428,8 +419,8 @@ let inject_cmd =
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
     Term.(const run $ workload_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
-          $ avf $ checkpoint $ quiet $ engine_arg $ no_fast_forward
-          $ json $ retries $ deadline_factor $ deadline_floor $ max_tool_errors $ chaos)
+          $ avf $ checkpoint $ quiet $ engine_arg $ json $ retries $ deadline_factor
+          $ deadline_floor $ max_tool_errors $ chaos)
 
 (* ---- show ---- *)
 

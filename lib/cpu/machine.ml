@@ -253,16 +253,15 @@ type result = {
           activation or trap; [None] if never detected *)
 }
 
-let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t =
-  let mem = Memory.create () in
-  let code = Code.compile ~debug:(cfg.trace <> None) ~flags_cmp m mem in
-  let nfuncs = Array.length code.Code.cfuncs in
+(* A machine with no threads over [code] and [mem]: what [create] and
+   [restore] start from. *)
+let make ~cfg (code : Code.t) (mem : Memory.t) : t =
   {
     code;
     mem;
     threads = [];
     by_tid = [||];
-    kcode = Array.make nfuncs [||];
+    kcode = Array.make (Array.length code.Code.cfuncs) [||];
     nthreads = 0;
     output = Buffer.create 256;
     alloc_sizes = Hashtbl.create 64;
@@ -282,6 +281,10 @@ let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t
     detect_instr = -1;
     inject_class = "";
   }
+
+let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t =
+  let mem = Memory.create () in
+  make ~cfg (Code.compile ~debug:(cfg.trace <> None) ~flags_cmp m mem) mem
 
 (* Address of a named global, for host-side input preparation (the moral
    equivalent of the benchmark reading its input file — unhardened I/O that
@@ -1981,48 +1984,13 @@ let run ?(args = [||]) ?on_quantum (m : t) (entry : string) : result =
    micro-architectural state at a quantum boundary of a fault-free run.
    Memory is a [Memory.image]: it shares its pages copy-on-write with the
    source machine, so a snapshot costs a page table, not a 64 MB copy.
-   [Code.t] and undo-log spines are immutable and shared. *)
-
-type frame_snap = {
-  f_cf : Code.cfunc;
-  f_regs : Bytes.t;
-  f_ready : int array;
-  f_pc : int;
-  f_ret_off : int;
-  f_saved_sp : int64;
-}
-
-type ckpt_snap = {
-  k_frame_idx : int;  (** position of [ck_frame] in the thread's frame list *)
-  k_cf : Code.cfunc;
-  k_args : int64 array;
-  k_ret_off : int;
-  k_sp : int64;
-  k_out_len : int;
-  k_log : (int64 * int * int64) list;
-  k_log_len : int;
-  k_valid : bool;
-  k_tries : int;
-}
-
-type thread_snap = {
-  t_tid : int;
-  t_frames : frame_snap array;  (** innermost first *)
-  t_timing : Timing.t;
-  t_cache : Cache.t;
-  t_bpred : Branch_pred.t;
-  t_ctr : Counters.t;
-  t_status : status;
-  t_sp : int64;
-  t_start_cycle : int;
-  t_final_cycle : int;
-  t_ck : ckpt_snap option;
-}
-
+   Its threads are [copy_thread] copies that never run: [restore] copies
+   them again.  Checkpoint arguments and undo-log spines are immutable
+   and shared. *)
 type snapshot = {
   sn_code : Code.t;  (** immutable, shared with the source machine *)
   sn_mem : Memory.image;
-  sn_threads : thread_snap list;  (** in [m.threads] order *)
+  sn_threads : thread list;  (** in [m.threads] order *)
   sn_nthreads : int;
   sn_output : string;
   sn_allocs : (int64 * int) list;
@@ -2041,64 +2009,46 @@ type snapshot = {
 let snapshot_sites (sn : snapshot) = (sn.sn_inj_count, sn.sn_mem_count, sn.sn_br_count)
 let snapshot_instrs (sn : snapshot) = sn.sn_total_instrs
 
+(* An independent copy of [th]: its frames' registers and ready times,
+   and its timing, cache, predictor and counters.  A live checkpoint's
+   [ck_frame] is physically one of [th.frames] and [ck_caller] is the
+   list below it, so both are re-pointed into the copied frames by
+   position. *)
+let copy_thread (th : thread) : thread =
+  let frames =
+    List.map
+      (fun (fr : frame) -> { fr with regs = Bytes.copy fr.regs; ready = Array.copy fr.ready })
+      th.frames
+  in
+  let ck =
+    Option.map
+      (fun ck ->
+        let rec repoint olds news =
+          match (olds, news) with
+          | o :: olds, n :: news ->
+              if o == ck.ck_frame then { ck with ck_frame = n; ck_caller = news }
+              else repoint olds news
+          | _ -> invalid_arg "Machine.copy_thread: detached checkpoint frame"
+        in
+        repoint th.frames frames)
+      th.ck
+  in
+  {
+    th with
+    frames;
+    timing = Timing.copy th.timing;
+    cache = Cache.copy th.cache;
+    bpred = Branch_pred.copy th.bpred;
+    ctr = Counters.copy th.ctr;
+    ck;
+  }
+
 let snapshot (m : t) : snapshot =
   if m.injected then invalid_arg "Machine.snapshot: fault already injected";
-  let snap_thread (th : thread) : thread_snap =
-    let frames =
-      Array.of_list
-        (List.map
-           (fun (fr : frame) ->
-             {
-               f_cf = fr.cf;
-               f_regs = Bytes.copy fr.regs;
-               f_ready = Array.copy fr.ready;
-               f_pc = fr.pc;
-               f_ret_off = fr.ret_off;
-               f_saved_sp = fr.saved_sp;
-             })
-           th.frames)
-    in
-    let ck =
-      match th.ck with
-      | None -> None
-      | Some ck ->
-          (* [ck_frame] is physically in [th.frames] whenever a checkpoint
-             is live, so the identity survives as a list index *)
-          let idx = ref (-1) in
-          List.iteri (fun i f -> if f == ck.ck_frame then idx := i) th.frames;
-          if !idx < 0 then invalid_arg "Machine.snapshot: detached checkpoint frame";
-          Some
-            {
-              k_frame_idx = !idx;
-              k_cf = ck.ck_cf;
-              k_args = Array.copy ck.ck_args;
-              k_ret_off = ck.ck_ret_off;
-              k_sp = ck.ck_sp;
-              k_out_len = ck.ck_out_len;
-              k_log = ck.ck_log;  (* immutable spine and cells *)
-              k_log_len = ck.ck_log_len;
-              k_valid = ck.ck_valid;
-              k_tries = ck.ck_tries;
-            }
-    in
-    {
-      t_tid = th.tid;
-      t_frames = frames;
-      t_timing = Timing.copy th.timing;
-      t_cache = Cache.copy th.cache;
-      t_bpred = Branch_pred.copy th.bpred;
-      t_ctr = Counters.copy th.ctr;
-      t_status = th.status;
-      t_sp = th.sp;
-      t_start_cycle = th.start_cycle;
-      t_final_cycle = th.final_cycle;
-      t_ck = ck;
-    }
-  in
   {
     sn_code = m.code;
     sn_mem = Memory.capture m.mem;
-    sn_threads = List.map snap_thread m.threads;
+    sn_threads = List.map copy_thread m.threads;
     sn_nthreads = m.nthreads;
     sn_output = Buffer.contents m.output;
     sn_allocs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.alloc_sizes [];
@@ -2111,93 +2061,24 @@ let snapshot (m : t) : snapshot =
     sn_reexecs = m.reexecs;
   }
 
-let rec list_drop n l = if n <= 0 then l else list_drop (n - 1) (List.tl l)
-
 (* Rebuilds a runnable machine from [sn] under [cfg] (typically a config
    that arms an injection).  The restored machine continues with [resume].
    Fault-site counters keep their snapshot values, so a plan drawn against
    the full golden run stays valid: site number k still fires at the same
    dynamic instruction. *)
 let restore ?(cfg = default_config) (sn : snapshot) : t =
-  let mem = Memory.of_image sn.sn_mem in
-  let alloc_sizes = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace alloc_sizes k v) sn.sn_allocs;
-  let m =
-    {
-      code = sn.sn_code;
-      mem;
-      threads = [];
-      by_tid = [||];
-      kcode = Array.make (Array.length sn.sn_code.Code.cfuncs) [||];
-      nthreads = sn.sn_nthreads;
-      output = Buffer.create (String.length sn.sn_output + 256);
-      alloc_sizes;
-      cfg;
-      total_instrs = sn.sn_total_instrs;
-      inj_count = sn.sn_inj_count;
-      mem_count = sn.sn_mem_count;
-      br_count = sn.sn_br_count;
-      injected = false;
-      recovered = sn.sn_recovered;
-      retried = sn.sn_retried;
-      reexecs = sn.sn_reexecs;
-      addr_mask = 0L;
-      mem_flip_armed = false;
-      cf_divert = false;
-      inject_instr = -1;
-      detect_instr = -1;
-      inject_class = "";
-    }
-  in
+  let m = make ~cfg sn.sn_code (Memory.of_image sn.sn_mem) in
   Buffer.add_string m.output sn.sn_output;
-  let restore_thread (ts : thread_snap) : thread =
-    let frames =
-      Array.to_list
-        (Array.map
-           (fun fs ->
-             {
-               cf = fs.f_cf;
-               regs = Bytes.copy fs.f_regs;
-               ready = Array.copy fs.f_ready;
-               pc = fs.f_pc;
-               ret_off = fs.f_ret_off;
-               saved_sp = fs.f_saved_sp;
-             })
-           ts.t_frames)
-    in
-    let ck =
-      match ts.t_ck with
-      | None -> None
-      | Some k ->
-          let ck =
-            new_ckpt k.k_cf (Array.copy k.k_args) ~ret_off:k.k_ret_off ~sp:k.k_sp
-              ~caller:(list_drop (k.k_frame_idx + 1) frames)
-              ~out_len:k.k_out_len (List.nth frames k.k_frame_idx)
-          in
-          Some
-            {
-              ck with
-              ck_log = k.k_log;
-              ck_log_len = k.k_log_len;
-              ck_valid = k.k_valid;
-              ck_tries = k.k_tries;
-            }
-    in
-    {
-      tid = ts.t_tid;
-      frames;
-      timing = Timing.copy ts.t_timing;
-      cache = Cache.copy ts.t_cache;
-      bpred = Branch_pred.copy ts.t_bpred;
-      ctr = Counters.copy ts.t_ctr;
-      status = ts.t_status;
-      sp = ts.t_sp;
-      start_cycle = ts.t_start_cycle;
-      final_cycle = ts.t_final_cycle;
-      ck;
-    }
-  in
-  m.threads <- List.map restore_thread sn.sn_threads;
+  List.iter (fun (k, v) -> Hashtbl.replace m.alloc_sizes k v) sn.sn_allocs;
+  m.nthreads <- sn.sn_nthreads;
+  m.total_instrs <- sn.sn_total_instrs;
+  m.inj_count <- sn.sn_inj_count;
+  m.mem_count <- sn.sn_mem_count;
+  m.br_count <- sn.sn_br_count;
+  m.recovered <- sn.sn_recovered;
+  m.retried <- sn.sn_retried;
+  m.reexecs <- sn.sn_reexecs;
+  m.threads <- List.map copy_thread sn.sn_threads;
   (match m.threads with
   | [] -> ()
   | any :: _ ->

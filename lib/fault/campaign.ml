@@ -515,25 +515,24 @@ let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.resu
   Array.iter Domain.join others;
   out
 
-(** Runs a pre-drawn experiment list.  [redraw] supplies replacements for
-    [Not_reached] experiments (drawn between rounds, on the calling
-    domain, in plan-slot order — deterministic for any [jobs]); without it
-    they are simply discarded.  [checkpoint] names a file used to persist
-    and resume partial campaigns.  [snapshots] (a {!Fault.golden_capture}
-    array) enables snapshot fast-forward: each experiment resumes from the
-    latest golden snapshot preceding its injection site instead of
-    replaying the whole fault-free prefix — outcomes are bit-identical
-    either way.  Every experiment runs under a {!Supervisor} configured by
-    [supervise]; [chaos] (test-only) injects harness failures; [cancel]
-    stops the campaign at the next quantum boundary. *)
-let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder
+(* Runs a pre-drawn experiment list.  [redraw] supplies replacements for
+   [Not_reached] experiments (drawn between rounds, on the calling domain,
+   in plan-slot order — deterministic for any [jobs]).  Each experiment
+   resumes from the latest of [snapshots] (a {!Fault.golden_capture}
+   array) preceding its injection site instead of replaying the whole
+   fault-free prefix.  [recorder] already holds the golden and plan spans;
+   the execution phases fold into it.  [checkpoint] names a file used to
+   persist and resume partial campaigns.  Every experiment runs under a
+   {!Supervisor} configured by [supervise]; [chaos] (test-only) injects
+   harness failures; [cancel] stops the campaign at the next quantum
+   boundary. *)
+let run ?jobs ?progress ?checkpoint ~redraw ~snapshots ~recorder:spans
     ?(supervise = Supervisor.default) ?(chaos = []) ?cancel ~(spec : Fault.run_spec)
     ~(golden : Cpu.Machine.result) (exps : Fault.experiment array) : report =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let n = Array.length exps in
   let max_instrs = Fault.hang_budget ~golden spec in
   let key = ck_key ~golden exps in
-  let spans = match recorder with Some r -> r | None -> Obs.Span.make () in
   let sup = Supervisor.start ?cancel supervise in
   let shared =
     {
@@ -604,11 +603,8 @@ let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder
                   | C_obs o -> (
                       match o.Fault.o_outcome with
                       | Fault.Not_reached ->
-                          if !round < max_rounds - 1 then begin
-                            match redraw with
-                            | Some d -> next := (slot, d ()) :: !next
-                            | None -> ()
-                          end
+                          if !round < max_rounds - 1 then
+                            next := (slot, redraw ()) :: !next
                       | _ -> final.(slot) <- Some (e, o))
                   | C_poison te -> poison.(slot) <- Some te
                   | C_none -> ())
@@ -663,21 +659,19 @@ let plan ~(n : int) (draw : unit -> Fault.experiment) : Fault.experiment array =
   done;
   exps
 
-(* The sequence every whole campaign follows: the golden run — with
-   fast-forward on, also capturing the snapshot chain every injection run
-   will restore from, timed under the "golden" span (snapshot captures
-   additionally under "golden/snapshot") with the golden run's simulated
-   cycles attributed to it — then a plan of [n] draws, then the run.
+(* The sequence every whole campaign follows: the golden run — also
+   capturing the snapshot chain every injection run will restore from,
+   timed under the "golden" span (snapshot captures additionally under
+   "golden/snapshot") with the golden run's simulated cycles attributed
+   to it — then a plan of [n] draws, then the run.
    [drawer] sees the golden result, rejects site streams it cannot draw
    from, and returns the experiment drawer (also used for redraws). *)
-let golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel
-    ~(n : int) (spec : Fault.run_spec) (drawer : Cpu.Machine.result -> unit -> Fault.experiment)
-    : report =
+let golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~(n : int)
+    (spec : Fault.run_spec) (drawer : Cpu.Machine.result -> unit -> Fault.experiment) :
+    report =
   let recorder = Obs.Span.make () in
   let g, snapshots =
-    Obs.Span.time recorder "golden" (fun () ->
-        if fast_forward then Fault.golden_capture ~spans:recorder spec
-        else (Fault.golden spec, [||]))
+    Obs.Span.time recorder "golden" (fun () -> Fault.golden_capture ~spans:recorder spec)
   in
   Obs.Span.add_cycles recorder "golden" g.Cpu.Machine.wall_cycles;
   let draw = drawer g in
@@ -686,9 +680,9 @@ let golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos 
     ~redraw:draw ~spec ~golden:g exps
 
 (* A full campaign of [n] independent single-bit injections. *)
-let single ?(seed = 42) ?(n = 300) ?jobs ?progress ?checkpoint ?(fast_forward = true)
-    ?supervise ?chaos ?cancel (spec : Fault.run_spec) : report =
-  golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel ~n spec
+let single ?(seed = 42) ?(n = 300) ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel
+    (spec : Fault.run_spec) : report =
+  golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~n spec
     (fun g ->
       let sites = g.Cpu.Machine.inject_sites in
       if sites = 0 then invalid_arg "Campaign.single: no hardened code to inject into";
@@ -698,8 +692,8 @@ let single ?(seed = 42) ?(n = 300) ?jobs ?progress ?checkpoint ?(fast_forward = 
 (* Campaign of double-bit faults; [same_bit] flips the same bit in two
    different lanes (two replicas agreeing on a wrong value). *)
 let double ?(seed = 43) ?(n = 150) ?(same_bit = true) ?jobs ?progress ?checkpoint
-    ?(fast_forward = true) ?supervise ?chaos ?cancel (spec : Fault.run_spec) : report =
-  golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel ~n spec
+    ?supervise ?chaos ?cancel (spec : Fault.run_spec) : report =
+  golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~n spec
     (fun g ->
       let sites = g.Cpu.Machine.inject_sites in
       if sites = 0 then invalid_arg "Campaign.double: no hardened code to inject into";
@@ -710,10 +704,9 @@ let double ?(seed = 43) ?(n = 150) ?(same_bit = true) ?jobs ?progress ?checkpoin
    cf, or mixed.  The site streams come from the golden run's counters;
    models whose stream is empty for this build (e.g. cf on a branch-free
    kernel) are rejected up front rather than silently degenerating. *)
-let model_campaign ?(seed = 44) ?(n = 300) ?jobs ?progress ?checkpoint
-    ?(fast_forward = true) ?supervise ?chaos ?cancel ~(model : Fault.model)
-    (spec : Fault.run_spec) : report =
-  golden_plan_run ?jobs ?progress ?checkpoint ~fast_forward ?supervise ?chaos ?cancel ~n spec
+let model_campaign ?(seed = 44) ?(n = 300) ?jobs ?progress ?checkpoint ?supervise
+    ?chaos ?cancel ~(model : Fault.model) (spec : Fault.run_spec) : report =
+  golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~n spec
     (fun g ->
       let sites = g.Cpu.Machine.inject_sites in
       let mem_sites = g.Cpu.Machine.mem_sites in

@@ -91,8 +91,14 @@ type report = {
           completed. *)
 }
 
-(** [run ?jobs ?progress ?checkpoint ?redraw ~spec ~golden exps] runs a
-    pre-drawn experiment list and returns the campaign report.
+(** [single ~seed ~n spec] — the paper's Fig. 13 campaign: [n] independent
+    single-bit injections.  The golden run captures a snapshot chain
+    ({!Fault.golden_capture}) and every injection run starts from the
+    latest snapshot preceding its site, so it never replays the
+    fault-free prefix; every observation is bit-identical to running its
+    experiment from scratch.  Not-reached experiments are redrawn from
+    the same RNG, between rounds, in plan-slot order.  The optional
+    arguments, shared by every campaign below:
 
     - [jobs]: worker count (default {!default_jobs}).  Worker 0 runs on
       the calling domain and the others on spawned domains, so [jobs = N]
@@ -104,19 +110,6 @@ type report = {
       runs; if it already holds results for this exact campaign (plan +
       golden run), they are restored instead of re-executed, and the file
       is removed once the campaign completes (kept when [interrupted]).
-    - [redraw]: supplies replacement experiments for [Not_reached] runs;
-      called between rounds on the calling domain in plan-slot order, so
-      RNG-based redraws stay deterministic.  Without it, unreached
-      experiments are discarded.
-    - [snapshots]: a {!Fault.golden_capture} snapshot chain enabling
-      fast-forward — each experiment restores the latest golden snapshot
-      preceding its injection site instead of replaying the fault-free
-      prefix.  Outcomes, and hence the report, are bit-identical with or
-      without it, for any worker count.
-    - [recorder]: a span recorder to fold the execution phases into
-      (campaign entry points pass the one that already timed their golden
-      and planning phases); without it a fresh recorder covers just this
-      call.  Either way the rows end up in [report.spans].
     - [supervise]: the {!Supervisor} configuration every experiment runs
       under (default {!Supervisor.default}) — host exceptions are retried
       then quarantined, runaway runs are aborted at their wall-clock
@@ -126,27 +119,8 @@ type report = {
     - [cancel]: cooperative cancellation flag.  Once set (e.g. from a
       signal handler), in-flight experiments are aborted at their next
       quantum boundary, no new ones start, and the report comes back
-      with [interrupted = true]. *)
-val run :
-  ?jobs:int ->
-  ?progress:(progress -> unit) ->
-  ?checkpoint:string ->
-  ?redraw:(unit -> Fault.experiment) ->
-  ?snapshots:Cpu.Machine.snapshot array ->
-  ?recorder:Obs.Span.t ->
-  ?supervise:Supervisor.config ->
-  ?chaos:Supervisor.chaos_plan ->
-  ?cancel:bool Atomic.t ->
-  spec:Fault.run_spec ->
-  golden:Cpu.Machine.result ->
-  Fault.experiment array ->
-  report
+      with [interrupted = true].
 
-(** [single ~seed ~n spec] — the paper's Fig. 13 campaign: [n] independent
-    single-bit injections.  [fast_forward] (default [true]) captures
-    snapshots during the golden run and starts every injection run from
-    the latest snapshot preceding its site; the report is bit-identical
-    either way.  [supervise]/[chaos]/[cancel] as in {!run}.
     @raise Invalid_argument if [spec] has no hardened code to inject
     into. *)
 val single :
@@ -155,7 +129,6 @@ val single :
   ?jobs:int ->
   ?progress:(progress -> unit) ->
   ?checkpoint:string ->
-  ?fast_forward:bool ->
   ?supervise:Supervisor.config ->
   ?chaos:Supervisor.chaos_plan ->
   ?cancel:bool Atomic.t ->
@@ -172,7 +145,6 @@ val double :
   ?jobs:int ->
   ?progress:(progress -> unit) ->
   ?checkpoint:string ->
-  ?fast_forward:bool ->
   ?supervise:Supervisor.config ->
   ?chaos:Supervisor.chaos_plan ->
   ?cancel:bool Atomic.t ->
@@ -193,7 +165,6 @@ val model_campaign :
   ?jobs:int ->
   ?progress:(progress -> unit) ->
   ?checkpoint:string ->
-  ?fast_forward:bool ->
   ?supervise:Supervisor.config ->
   ?chaos:Supervisor.chaos_plan ->
   ?cancel:bool Atomic.t ->

@@ -120,9 +120,8 @@ let initial_snapshot_spacing = 12_500
 (* Golden run that additionally captures machine snapshots at quantum
    boundaries, spaced by dynamic instruction count.  When the count would
    exceed [max_snapshots], every other snapshot is dropped and the spacing
-   doubles — sound because captures are cumulative deltas against the base
-   image (each one is self-contained), and cheap because dropped deltas
-   are just garbage-collected.  The returned array is oldest-first. *)
+   doubles — sound because each snapshot is self-contained, and cheap
+   because a dropped one is just garbage-collected.  The returned array is oldest-first. *)
 let golden_capture ?spans (spec : run_spec) :
     Cpu.Machine.result * Cpu.Machine.snapshot array =
   let machine = Cpu.Machine.create ~cfg:(golden_cfg spec) ~flags_cmp:spec.flags_cmp spec.modul in
@@ -258,14 +257,6 @@ let inject_one (spec : run_spec) ~(golden : Cpu.Machine.result) ~(at : int) ~(la
     ~(bit : int) : outcome =
   classify ~golden
     (run_experiment spec { at; lane; bit; second = None; kind = Cpu.Machine.Reg_flip })
-
-(* Multi-bit experiment: two flips in the same destination register
-   (paper §III-C's extended-recovery discussion). *)
-let inject_two (spec : run_spec) ~(golden : Cpu.Machine.result) ~(at : int) ~(lane : int)
-    ~(bit : int) ~(lane2 : int) ~(bit2 : int) : outcome =
-  classify ~golden
-    (run_experiment spec
-       { at; lane; bit; second = Some (lane2, bit2); kind = Cpu.Machine.Reg_flip })
 
 type stats = {
   runs : int;

@@ -130,17 +130,6 @@ val run_experiment_from :
 val inject_one :
   run_spec -> golden:Cpu.Machine.result -> at:int -> lane:int -> bit:int -> outcome
 
-(** Two flips in the same destination register (multi-bit SEU). *)
-val inject_two :
-  run_spec ->
-  golden:Cpu.Machine.result ->
-  at:int ->
-  lane:int ->
-  bit:int ->
-  lane2:int ->
-  bit2:int ->
-  outcome
-
 type stats = {
   runs : int;
   hang : int;

@@ -24,8 +24,9 @@
     Quarantined experiments carry no observation: they are excluded from
     campaign statistics (supervision may shrink the sample, never skew
     it), persisted in the campaign checkpoint so a resume never re-executes
-    a known-poison plan, and surfaced in the report.  {!Campaign.run}
-    drives this module; tests may also call {!supervised_run} directly. *)
+    a known-poison plan, and surfaced in the report.  Every {!Campaign}
+    entry point drives this module; tests may also call {!supervised_run}
+    directly. *)
 
 (** Why an experiment was quarantined. *)
 type error_kind =

@@ -45,8 +45,8 @@ val profile : Cpu.Profile.t -> Obs.Json.t
     histogram, AVF table, latency histogram, and (since version 2) the
     quarantine count and tool-error records of supervised execution —
     rendered as [0]/[[]] when nothing was quarantined.  Bit-identical for any
-    worker count, with or without fast-forward or checkpoint resume
-    (quarantine backtraces, which vary host to host, are excluded). *)
+    worker count and across checkpoint resume (quarantine backtraces,
+    which vary host to host, are excluded). *)
 val campaign_results : Campaign.report -> Obs.Json.t
 
 (** Full campaign document (schema ["elzar.campaign"]): [params] (caller

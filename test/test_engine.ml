@@ -5,7 +5,8 @@
    hook-free closures; armed, census and undo-log runs check the closures
    with those hooks compiled in.  Also checks that restoring a mid-run
    snapshot and resuming reproduces the straight run exactly (the
-   soundness condition behind campaign fast-forward), and that the
+   soundness condition behind campaign fast-forward), that every counted
+   campaign outcome equals its experiment run from scratch, and that the
    compiled engine's supervision hooks keep quantum-boundary
    discipline. *)
 
@@ -95,43 +96,103 @@ let check_count_sites () =
   check_result "count-sites" (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled)
 
 (* snapshot/restore: resuming from any mid-run snapshot must reproduce the
-   straight run bit-for-bit, under either engine *)
+   straight run bit-for-bit, under either engine.  The re-execution build
+   also snapshots live checkpoints, whose [ck_frame] and [ck_caller] the
+   copy re-points into the copied frames: from a snapshot whose
+   checkpointed call has callers below it, a 2-2 lane split (no majority,
+   so the thread rolls back) must match the same fault run from scratch
+   and leave the snapshot as it was. *)
 let check_snapshot_resume engine () =
-  let w = Workloads.Registry.find "linreg" in
-  let harden = Elzar.Hardened Elzar.Harden_config.default in
-  let spec = Workloads.Workload.fi_spec w ~build:harden () in
-  let cfg =
-    {
-      Cpu.Machine.default_config with
-      Cpu.Machine.engine;
-      reexec_retries = spec.Fault.reexec_retries;
-    }
-  in
-  let make_machine () =
-    let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
-    spec.Fault.init m;
-    m
-  in
-  let snaps = ref [] in
-  let q = ref 0 in
-  let m = make_machine () in
-  let golden =
-    Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry ~on_quantum:(fun mm ->
-        incr q;
-        if !q mod 40 = 0 then snaps := Cpu.Machine.snapshot mm :: !snaps)
-  in
-  if !snaps = [] then Alcotest.fail "no snapshots captured";
-  (* newest, oldest and a middle snapshot *)
-  let all = Array.of_list !snaps in
-  let picks = [ 0; Array.length all / 2; Array.length all - 1 ] in
   List.iter
-    (fun i ->
-      let sn = all.(i) in
-      let r = Cpu.Machine.resume (Cpu.Machine.restore ~cfg sn) in
-      check_result
-        (Printf.sprintf "snapshot@%d" (Cpu.Machine.snapshot_instrs sn))
-        golden r)
-    (List.sort_uniq compare picks)
+    (fun (name, hc) ->
+      let w = Workloads.Registry.find name in
+      let spec = Workloads.Workload.fi_spec w ~build:(Elzar.Hardened hc) () in
+      let cfg =
+        {
+          Cpu.Machine.default_config with
+          Cpu.Machine.engine;
+          count_inject_sites = true;
+          reexec_retries = spec.Fault.reexec_retries;
+        }
+      in
+      let make_machine cfg =
+        let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+        spec.Fault.init m;
+        m
+      in
+      let nested_ck (th : Cpu.Machine.thread) =
+        match th.Cpu.Machine.ck with Some ck -> ck.Cpu.Machine.ck_caller <> [] | None -> false
+      in
+      let snaps = ref [] and ck_snap = ref None in
+      let q = ref 0 in
+      let golden =
+        Cpu.Machine.run ~args:spec.Fault.args (make_machine cfg) spec.Fault.entry
+          ~on_quantum:(fun mm ->
+            incr q;
+            if !q mod 40 = 0 then snaps := Cpu.Machine.snapshot mm :: !snaps;
+            if !ck_snap = None && List.exists nested_ck mm.Cpu.Machine.threads then
+              ck_snap := Some (Cpu.Machine.snapshot mm))
+      in
+      if !snaps = [] then Alcotest.fail "no snapshots captured";
+      (* newest, oldest and a middle snapshot *)
+      let all = Array.of_list !snaps in
+      let picks = [ 0; Array.length all / 2; Array.length all - 1 ] in
+      List.iter
+        (fun i ->
+          let sn = all.(i) in
+          let r = Cpu.Machine.resume (Cpu.Machine.restore ~cfg sn) in
+          check_result
+            (Printf.sprintf "%s: snapshot@%d" name (Cpu.Machine.snapshot_instrs sn))
+            golden r)
+        (List.sort_uniq compare picks);
+      if spec.Fault.reexec_retries > 0 then
+        match !ck_snap with
+        | None -> Alcotest.failf "%s: no nested live checkpoint to snapshot" name
+        | Some sn ->
+            Alcotest.(check bool)
+              (name ^ ": restored machine holds a live checkpoint")
+              true
+              (List.exists
+                 (fun th -> th.Cpu.Machine.ck <> None)
+                 (Cpu.Machine.restore ~cfg sn).Cpu.Machine.threads);
+            let after, _, _ = Cpu.Machine.snapshot_sites sn in
+            let armed at =
+              {
+                cfg with
+                Cpu.Machine.inject =
+                  Some
+                    {
+                      Cpu.Machine.at;
+                      lane = 0;
+                      bit = 3;
+                      second = Some (1, 3);
+                      kind = Cpu.Machine.Reg_flip;
+                    };
+              }
+            in
+            (* the first site past the snapshot whose fault rolls back *)
+            let rec find at =
+              if at > min golden.Cpu.Machine.inject_sites (after + 200) then
+                Alcotest.failf "%s: no rollback within 200 sites of site %d" name after
+              else
+                let r = Cpu.Machine.resume (Cpu.Machine.restore ~cfg:(armed at) sn) in
+                if r.Cpu.Machine.reexecutions > 0 then (at, r) else find (at + 1)
+            in
+            let at, r = find (after + 1) in
+            (* an armed run counts only its own site stream; the restored
+               one also carries the census snapshot's other two counts *)
+            check_result
+              (Printf.sprintf "%s: rollback at site %d from snapshot@%d" name at
+                 (Cpu.Machine.snapshot_instrs sn))
+              (Cpu.Machine.run ~args:spec.Fault.args (make_machine (armed at)) spec.Fault.entry)
+              { r with Cpu.Machine.mem_sites = 0; branch_sites = 0 };
+            (* the rollback ran on copies: the snapshot is unchanged *)
+            check_result
+              (Printf.sprintf "%s: snapshot@%d after the rollback" name
+                 (Cpu.Machine.snapshot_instrs sn))
+              golden
+              (Cpu.Machine.resume (Cpu.Machine.restore ~cfg sn)))
+    [ ("linreg", Elzar.Harden_config.default); ("pca", Elzar.Harden_config.reexec) ]
 
 (* Machine memory costs the pages a run touches, not the 64 MB address
    space: create + init + run + snapshot + restore of a tiny hardened
@@ -172,67 +233,107 @@ let check_run_alloc () =
           (Elzar.build_name build) per_instr bound)
     [ (Elzar.Hardened Elzar.Harden_config.default, 3.0); (Elzar.Native, 1.5) ]
 
-(* campaign fast-forward: the full report (per-outcome stats and every
-   observation, including wall cycles and detection latencies) must be
-   bit-identical with fast-forward on or off, and for any worker count *)
-let check_campaign_fast_forward () =
-  let w = Workloads.Registry.find "linreg" in
-  let harden = Elzar.Hardened Elzar.Harden_config.default in
-  let spec = Workloads.Workload.fi_spec w ~build:harden () in
-  let base = Campaign.single ~seed:19 ~n:24 ~jobs:1 ~fast_forward:false spec in
-  List.iter
-    (fun jobs ->
-      let ff = Campaign.single ~seed:19 ~n:24 ~jobs ~fast_forward:true spec in
-      Alcotest.(check bool)
-        (Printf.sprintf "ff jobs=%d: same stats" jobs)
-        true
-        (ff.Campaign.stats = base.Campaign.stats);
-      Alcotest.(check bool)
-        (Printf.sprintf "ff jobs=%d: same outcomes" jobs)
-        true
-        (ff.Campaign.outcomes = base.Campaign.outcomes))
-    [ 1; 2; 4 ];
-  (* and across fault models, whose sites draw on the mem/branch streams *)
-  List.iter
-    (fun model ->
-      let off = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:1 ~fast_forward:false ~model spec in
-      let on = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:2 ~fast_forward:true ~model spec in
-      Alcotest.(check bool)
-        (Fault.model_to_string model ^ ": ff report identical")
-        true
-        (off.Campaign.stats = on.Campaign.stats && off.Campaign.outcomes = on.Campaign.outcomes))
-    [ Fault.Mem; Fault.Addr; Fault.Cf; Fault.Mixed ]
-
-(* campaigns under the compiled engine: the full report must be
-   bit-identical to a reference-engine full-replay campaign on the same
-   (small) plan, for any worker count and fault model *)
-let check_compiled_campaign () =
+(* campaigns: each counted outcome must equal a from-scratch run of its
+   experiment on the reference engine — no snapshot, the whole fault-free
+   prefix replayed — observed against the golden run, for every fault
+   model; every planned experiment must be counted; [stats] must be the
+   fold of [outcomes]; and the report must not depend on the worker
+   count *)
+let check_campaign_from_scratch () =
   let w = Workloads.Registry.find "linreg" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
   let spec = Workloads.Workload.fi_spec w ~build:harden () in
   let rspec = { spec with Fault.engine = Cpu.Machine.Reference } in
-  let base = Campaign.single ~seed:19 ~n:10 ~jobs:1 ~fast_forward:false rspec in
+  let golden = Fault.golden rspec in
+  let max_instrs = Fault.hang_budget ~golden rspec in
+  (* jobs 1/2/4 count the same experiments: run each one once *)
+  let scratch = Hashtbl.create 64 in
+  let from_scratch e =
+    match Hashtbl.find_opt scratch e with
+    | Some o -> o
+    | None ->
+        let o = Fault.observe ~golden (Fault.run_experiment ~max_instrs rspec e) in
+        Hashtbl.add scratch e o;
+        o
+  in
+  let check name n (r : Campaign.report) =
+    (* every site is drawn inside the golden run's streams, so every
+       experiment is reached *)
+    Alcotest.(check int) (name ^ ": none unreached") 0 r.Campaign.not_reached;
+    Alcotest.(check int) (name ^ ": all counted") n (Array.length r.Campaign.outcomes);
+    Array.iteri
+      (fun i (e, o) ->
+        if o <> from_scratch e then
+          Alcotest.failf "%s: outcome %d differs from its from-scratch run" name i)
+      r.Campaign.outcomes;
+    Alcotest.(check bool)
+      (name ^ ": stats are the fold of outcomes")
+      true
+      (r.Campaign.stats
+      = Array.fold_left
+          (fun s (_, o) -> Fault.add_outcome s o.Fault.o_outcome)
+          Fault.empty_stats r.Campaign.outcomes)
+  in
   List.iter
-    (fun jobs ->
-      let c = Campaign.single ~seed:19 ~n:10 ~jobs ~fast_forward:true spec in
-      Alcotest.(check bool)
-        (Printf.sprintf "compiled jobs=%d: same stats" jobs)
-        true
-        (c.Campaign.stats = base.Campaign.stats);
-      Alcotest.(check bool)
-        (Printf.sprintf "compiled jobs=%d: same outcomes" jobs)
-        true
-        (c.Campaign.outcomes = base.Campaign.outcomes))
-    [ 1; 2; 4 ];
+    (fun (name, n, campaign) ->
+      let base = campaign 1 in
+      check (name ^ " jobs=1") n base;
+      List.iter
+        (fun jobs ->
+          let r = campaign jobs in
+          let name = Printf.sprintf "%s jobs=%d" name jobs in
+          check name n r;
+          Alcotest.(check bool)
+            (name ^ ": same outcomes as jobs=1")
+            true
+            (r.Campaign.outcomes = base.Campaign.outcomes))
+        [ 2; 4 ])
+    (("single", 24, fun jobs -> Campaign.single ~seed:19 ~n:24 ~jobs spec)
+    :: List.map
+         (fun model ->
+           ( Fault.model_to_string model,
+             8,
+             fun jobs -> Campaign.model_campaign ~seed:23 ~n:8 ~jobs ~model spec ))
+         Fault.all_models)
+
+(* the golden-capture contract fast-forward relies on: the capturing run
+   is the golden run (plans are drawn from it); it keeps 1 to 24
+   snapshots (Fault's [max_snapshots]), oldest first; and a machine that
+   already injected refuses to be snapshotted *)
+let check_golden_capture () =
+  let harden = Elzar.Hardened Elzar.Harden_config.default in
   List.iter
-    (fun model ->
-      let r = Campaign.model_campaign ~seed:23 ~n:4 ~jobs:1 ~fast_forward:false ~model rspec in
-      let c = Campaign.model_campaign ~seed:23 ~n:4 ~jobs:2 ~fast_forward:true ~model spec in
-      Alcotest.(check bool)
-        (Fault.model_to_string model ^ ": compiled report identical")
-        true
-        (r.Campaign.stats = c.Campaign.stats && r.Campaign.outcomes = c.Campaign.outcomes))
-    [ Fault.Mem; Fault.Addr; Fault.Cf; Fault.Mixed ]
+    (fun (name, size) ->
+      let w = Workloads.Registry.find name in
+      let spec = Workloads.Workload.fi_spec w ~build:harden ~size () in
+      let g, snaps = Fault.golden_capture spec in
+      if g <> Fault.golden spec then Alcotest.failf "%s: capture differs from golden" name;
+      let n = Array.length snaps in
+      if n < 1 || n > 24 then Alcotest.failf "%s: %d snapshots (expected 1 to 24)" name n;
+      Array.iteri
+        (fun i sn ->
+          let instrs = Cpu.Machine.snapshot_instrs in
+          if i > 0 && instrs snaps.(i - 1) >= instrs sn then
+            Alcotest.failf "%s: snapshot %d is not after snapshot %d" name i (i - 1))
+        snaps)
+    (* linreg tiny keeps every capture; hist small (~775K instructions)
+       captures more than 24 and thins *)
+    [ ("linreg", Workloads.Workload.Tiny); ("hist", Workloads.Workload.Small) ];
+  let w = Workloads.Registry.find "linreg" in
+  let spec = Workloads.Workload.fi_spec w ~build:harden () in
+  let inject =
+    Some { Cpu.Machine.at = 10; lane = 0; bit = 3; second = None; kind = Cpu.Machine.Reg_flip }
+  in
+  let m =
+    Cpu.Machine.create ~cfg:{ Cpu.Machine.default_config with Cpu.Machine.inject }
+      ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul
+  in
+  spec.Fault.init m;
+  let r = Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry in
+  Alcotest.(check bool) "fault fired" true r.Cpu.Machine.fault_injected;
+  Alcotest.check_raises "snapshot after injection"
+    (Invalid_argument "Machine.snapshot: fault already injected")
+    (fun () -> ignore (Cpu.Machine.snapshot m))
 
 (* one source for the default engine: a default campaign spec runs on the
    same engine as a default machine *)
@@ -566,10 +667,9 @@ let tests =
         (check_snapshot_resume Cpu.Machine.Compiled);
       Alcotest.test_case "machine memory allocation bound" `Quick check_machine_alloc;
       Alcotest.test_case "run allocation per instruction" `Quick check_run_alloc;
-      Alcotest.test_case "campaign fast-forward bit-identical" `Quick
-        check_campaign_fast_forward;
-      Alcotest.test_case "campaign compiled vs reference bit-identical" `Quick
-        check_compiled_campaign;
+      Alcotest.test_case "campaign = from-scratch reference runs" `Quick
+        check_campaign_from_scratch;
+      Alcotest.test_case "golden capture contract" `Quick check_golden_capture;
       Alcotest.test_case "default engine has one source" `Quick check_default_engine;
       Alcotest.test_case "compile on first entry" `Quick check_compile_on_entry;
       Alcotest.test_case "supervision quantum discipline" `Quick check_supervision;
