@@ -113,9 +113,8 @@ let run ?(nthreads = 16) ?size:size_opt (w : Workloads.Workload.t) (f : flavour)
         { Cpu.Machine.default_config with Cpu.Machine.engine = !engine }
       in
       let r =
-        Workloads.Workload.execute_prepared w ~machine_cfg ~prepared:m
-          ~reexec_retries:(Elzar.reexec_retries f.build)
-          ~flags_cmp:(Elzar.uses_flags_cmp f.build) ~nthreads ~size
+        Workloads.Workload.execute_prepared w ~machine_cfg ~build:f.build ~prepared:m ~nthreads
+          ~size
       in
       (match r.Cpu.Machine.trap with
       | Some t ->

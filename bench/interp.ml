@@ -33,17 +33,8 @@ type sample = {
 let time_run (w : Workloads.Workload.t) (f : Common.flavour) ~(census : bool)
     (engine : Cpu.Machine.engine_kind) : int * int * string * float =
   let prepared = Common.prepared w f !Common.size in
-  let cfg =
-    {
-      Cpu.Machine.default_config with
-      Cpu.Machine.engine;
-      count_inject_sites = census;
-      reexec_retries = Elzar.reexec_retries f.Common.build;
-    }
-  in
-  let machine =
-    Cpu.Machine.create ~cfg ~flags_cmp:(Elzar.uses_flags_cmp f.Common.build) prepared
-  in
+  let cfg = { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = census } in
+  let machine = Elzar.machine ~cfg f.Common.build prepared in
   w.Workloads.Workload.init !Common.size machine;
   let t0 = Unix.gettimeofday () in
   let r = Cpu.Machine.run ~args:[| 2L |] machine "main" in

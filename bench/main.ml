@@ -33,6 +33,9 @@ let usage () =
     (String.concat "|" (List.map fst experiments));
   exit 1
 
+(* The value of a numeric flag, at least [min], or the usage message. *)
+let int_arg ~min s = match int_of_string_opt s with Some k when k >= min -> k | _ -> usage ()
+
 let () =
   let selected = ref [] in
   let args = Array.to_list Sys.argv in
@@ -56,10 +59,10 @@ let () =
                usage ());
         parse rest
     | "--injections" :: n :: rest ->
-        Common.fi_injections := int_of_string n;
+        Common.fi_injections := int_arg ~min:1 n;
         parse rest
     | "--fi-jobs" :: n :: rest ->
-        Common.fi_jobs := int_of_string n;
+        Common.fi_jobs := int_arg ~min:0 n;
         parse rest
     | "--fi-progress" :: rest ->
         Common.fi_progress := true;

@@ -445,7 +445,7 @@ let trace_cmd =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     let buf = Buffer.create 4096 in
     let cfg = { Cpu.Machine.default_config with trace = Some buf } in
-    let machine = Cpu.Machine.create ~cfg ~flags_cmp:(Elzar.uses_flags_cmp build) m in
+    let machine = Elzar.machine ~cfg build m in
     w.Workloads.Workload.init size machine;
     ignore (Cpu.Machine.run ~args:[| Int64.of_int nthreads |] machine "main");
     let lines = String.split_on_char '\n' (Buffer.contents buf) in

@@ -17,13 +17,9 @@ type t = {
 
 let clock_hz = 2.0e9
 
-let execute ?(machine_cfg = Cpu.Machine.default_config) (app : t) ~(build : Elzar.build)
-    ~(client : client) ~(nthreads : int) : Cpu.Machine.result =
-  let m = app.build () in
-  let prepared = Elzar.prepare build m in
-  let machine =
-    Cpu.Machine.create ~cfg:machine_cfg ~flags_cmp:(Elzar.uses_flags_cmp build) prepared
-  in
+let execute ?machine_cfg (app : t) ~(build : Elzar.build) ~(client : client) ~(nthreads : int)
+    : Cpu.Machine.result =
+  let machine = Elzar.machine ?cfg:machine_cfg build (Elzar.prepare build (app.build ())) in
   app.init client machine;
   Cpu.Machine.run ~args:[| Int64.of_int nthreads |] machine "main"
 

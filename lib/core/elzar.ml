@@ -58,17 +58,20 @@ let reexec_retries = function
   | Hardened { Harden_config.recovery = Harden_config.Reexec k; _ } -> k
   | Hardened _ | Native | Native_novec | Swiftr | Swiftr_norepair -> 0
 
-(* Prepares and runs in one step. *)
-let run ?(machine_cfg = Cpu.Machine.default_config) ?(args = [||]) (b : build)
-    (m : Ir.Instr.modul) (entry : string) : Cpu.Machine.result =
-  let m' = prepare b m in
-  let machine_cfg =
-    { machine_cfg with
-      Cpu.Machine.reexec_retries =
-        max machine_cfg.Cpu.Machine.reexec_retries (reexec_retries b) }
+(* A machine for [prepared], a module [prepare b] returned: [cfg] with
+   the build's re-execution budget merged in, and the build's flags-compare
+   mode. *)
+let machine ?(cfg = Cpu.Machine.default_config) (b : build) (prepared : Ir.Instr.modul) :
+    Cpu.Machine.t =
+  let cfg =
+    { cfg with Cpu.Machine.reexec_retries = max cfg.Cpu.Machine.reexec_retries (reexec_retries b) }
   in
-  let machine = Cpu.Machine.create ~cfg:machine_cfg ~flags_cmp:(uses_flags_cmp b) m' in
-  Cpu.Machine.run ~args machine entry
+  Cpu.Machine.create ~cfg ~flags_cmp:(uses_flags_cmp b) prepared
+
+(* Prepares and runs in one step. *)
+let run ?machine_cfg ?(args = [||]) (b : build) (m : Ir.Instr.modul) (entry : string) :
+    Cpu.Machine.result =
+  Cpu.Machine.run ~args (machine ?cfg:machine_cfg b (prepare b m)) entry
 
 (* Normalized runtime of a build against the native build, the unit of every
    performance figure in the paper. *)

@@ -13,7 +13,9 @@
     interpreter evaluates each op descriptor through the boxed {!Value}
     evaluators; the compiled engine has its own inline evaluator and
     operand reader in this module, so its per-instruction path calls no
-    closure per lane and allocates nothing. *)
+    closure per lane and allocates nothing.  Neither engine handles a
+    trap, an access to unmapped memory or a zero divisor: each propagates
+    to [resume], which turns it into the run's outcome. *)
 
 type trap_reason =
   | Segfault of int64
@@ -803,11 +805,11 @@ let call_return (m : t) (th : thread) (fr : frame) (plan : Timing.plan) ~(ready 
 (* Runs builtin [id] for the call instruction at [pc] of [fr] and maps
    its action onto the return protocol.  A builtin's access to unmapped
    memory (a flipped lock address, a stack that would reach the heap)
-   segfaults like a load. *)
+   raises [Memory.Fault], which [resume] turns into a segfault like a
+   load's. *)
 let call_builtin (m : t) (th : thread) (fr : frame) ~(pc : int) (id : int)
     (args : int64 array) ~(dst : int) ~(dlanes : int) : int =
   match exec_builtin m th fr id args dst dlanes with
-  | exception Memory.Fault x -> raise (Trap (Segfault x))
   | Bdone -> pc + 1
   | Bretry ->
       fr.pc <- pc;
@@ -917,12 +919,10 @@ let step (m : t) (th : thread) : bool =
   let branch_info = ref None in
   (* (taken, always_mispredict) *)
   (match it.Code.op with
-  | Code.Rbinop (d, n, op, a, b) -> (
-      try
-        for j = 0 to n - 1 do
-          regs.%{d + j} <- Value.binop op (get_lane regs a j) (get_lane regs b j)
-        done
-      with Value.Division_by_zero -> raise (Trap Div_by_zero))
+  | Code.Rbinop (d, n, op, a, b) ->
+      for j = 0 to n - 1 do
+        regs.%{d + j} <- Value.binop op (get_lane regs a j) (get_lane regs b j)
+      done
   | Code.Rfbinop (d, n, op, a, b) ->
       for j = 0 to n - 1 do
         regs.%{d + j} <- Value.fbinop op (get_lane regs a j) (get_lane regs b j)
@@ -949,38 +949,29 @@ let step (m : t) (th : thread) : bool =
       for j = 0 to n - 1 do
         regs.%{d + j} <- get_lane regs a j
       done
-  | Code.Rload (d, w, a) -> (
+  | Code.Rload (d, w, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
-      try
-        regs.%{d} <- Memory.read m.mem ~width:w addr;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Rvload (d, n, w, a) -> (
+      regs.%{d} <- Memory.read m.mem ~width:w addr;
+      mem_lat := k_touch_flip m th cls w addr
+  | Code.Rvload (d, n, w, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
-      try
-        for j = 0 to n - 1 do
-          regs.%{d + j} <-
-            Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
-        done;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Rstore (w, v, a) -> (
+      for j = 0 to n - 1 do
+        regs.%{d + j} <- Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
+      done;
+      mem_lat := k_touch_flip m th cls w addr
+  | Code.Rstore (w, v, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
-      try
-        ck_log_write m th ~width:w addr;
-        Memory.write m.mem ~width:w addr (get_scalar regs v);
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Rvstore (n, w, v, a) -> (
+      ck_log_write m th ~width:w addr;
+      Memory.write m.mem ~width:w addr (get_scalar regs v);
+      mem_lat := k_touch_flip m th cls w addr
+  | Code.Rvstore (n, w, v, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
-      try
-        for j = 0 to n - 1 do
-          let aj = Int64.add addr (Int64.of_int (j * w)) in
-          ck_log_write m th ~width:w aj;
-          Memory.write m.mem ~width:w aj (get_lane regs v j)
-        done;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
+      for j = 0 to n - 1 do
+        let aj = Int64.add addr (Int64.of_int (j * w)) in
+        ck_log_write m th ~width:w aj;
+        Memory.write m.mem ~width:w aj (get_lane regs v j)
+      done;
+      mem_lat := k_touch_flip m th cls w addr
   | Code.Ralloca (d, size) ->
       th.sp <- Int64.sub th.sp (Int64.of_int (Memory.align16 size));
       regs.%{d} <- th.sp
@@ -996,35 +987,31 @@ let step (m : t) (th : thread) : bool =
       let cf = cfunc_of_ptr m (get_scalar regs fp) in
       let args = Array.map (get_scalar regs) argops in
       next := call_enter m th fr it.Code.plan ~ready cf args ~ret_off:dst ~resume:(pc + 1)
-  | Code.Ratomic (op, d, a, x, w) -> (
+  | Code.Ratomic (op, d, a, x, w) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
-      try
-        let old = Memory.read m.mem ~width:w addr in
-        let v = get_scalar regs x in
-        let nv =
-          match op with
-          | Ir.Instr.Rmw_add -> Int64.add old v
-          | Ir.Instr.Rmw_sub -> Int64.sub old v
-          | Ir.Instr.Rmw_xchg -> v
-          | Ir.Instr.Rmw_and -> Int64.logand old v
-          | Ir.Instr.Rmw_or -> Int64.logor old v
-        in
+      let old = Memory.read m.mem ~width:w addr in
+      let v = get_scalar regs x in
+      let nv =
+        match op with
+        | Ir.Instr.Rmw_add -> Int64.add old v
+        | Ir.Instr.Rmw_sub -> Int64.sub old v
+        | Ir.Instr.Rmw_xchg -> v
+        | Ir.Instr.Rmw_and -> Int64.logand old v
+        | Ir.Instr.Rmw_or -> Int64.logor old v
+      in
+      ck_log_write m th ~width:w addr;
+      Memory.write m.mem ~width:w addr (Value.mask_of_width (w * 8) |> Int64.logand nv);
+      regs.%{d} <- old;
+      mem_lat := k_touch_flip m th cls w addr
+  | Code.Rcmpxchg (d, a, e, dv, w) ->
+      let addr = k_fix_addr m cls (get_scalar regs a) in
+      let old = Memory.read m.mem ~width:w addr in
+      if old = get_scalar regs e then begin
         ck_log_write m th ~width:w addr;
-        Memory.write m.mem ~width:w addr (Value.mask_of_width (w * 8) |> Int64.logand nv);
-        regs.%{d} <- old;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Rcmpxchg (d, a, e, dv, w) -> (
-      let addr = k_fix_addr m cls (get_scalar regs a) in
-      try
-        let old = Memory.read m.mem ~width:w addr in
-        if old = get_scalar regs e then begin
-          ck_log_write m th ~width:w addr;
-          Memory.write m.mem ~width:w addr (get_scalar regs dv)
-        end;
-        regs.%{d} <- old;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
+        Memory.write m.mem ~width:w addr (get_scalar regs dv)
+      end;
+      regs.%{d} <- old;
+      mem_lat := k_touch_flip m th cls w addr
   | Code.Rextract (d, v, l) -> regs.%{d} <- get_lane regs v l
   | Code.Rinsert (d, n, v, l, s) ->
       for j = 0 to n - 1 do
@@ -1049,7 +1036,7 @@ let step (m : t) (th : thread) : bool =
           done
       | Code.Oconst x -> if x <> 0L then all_zero := false);
       regs.%{d} <- (if !all_zero then 1L else 0L)
-  | Code.Rgather (d, n, w, a) -> (
+  | Code.Rgather (d, n, w, a) ->
       (* FPGA-checked gather: majority-vote the replicated address, load
          once, replicate (closes the extract window of vulnerability) *)
       let alanes = rop_lanes a in
@@ -1060,14 +1047,12 @@ let step (m : t) (th : thread) : bool =
       done;
       let addr = k_fix_addr m cls (majority4 ~n:alanes (fun j -> get_lane regs a j)) in
       if !disagree then note_recovered m;
-      try
-        let v = Memory.read m.mem ~width:w addr in
-        for j = 0 to n - 1 do
-          regs.%{d + j} <- v
-        done;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
-  | Code.Rscatter (w, v, a) -> (
+      let v = Memory.read m.mem ~width:w addr in
+      for j = 0 to n - 1 do
+        regs.%{d + j} <- v
+      done;
+      mem_lat := k_touch_flip m th cls w addr
+  | Code.Rscatter (w, v, a) ->
       let alanes = rop_lanes a in
       let vlanes = rop_lanes v in
       let disagree = ref false in
@@ -1081,11 +1066,9 @@ let step (m : t) (th : thread) : bool =
       let addr = k_fix_addr m cls (majority4 ~n:alanes (fun j -> get_lane regs a j)) in
       let value = majority4 ~n:vlanes (fun j -> get_lane regs v j) in
       if !disagree then note_recovered m;
-      try
-        ck_log_write m th ~width:w addr;
-        Memory.write m.mem ~width:w addr value;
-        mem_lat := k_touch_flip m th cls w addr
-      with Memory.Fault x -> raise (Trap (Segfault x)))
+      ck_log_write m th ~width:w addr;
+      Memory.write m.mem ~width:w addr value;
+      mem_lat := k_touch_flip m th cls w addr
   | Code.Tret o -> next := call_return m th fr it.Code.plan ~ready o
   | Code.Tbr target -> next := target
   | Code.Tcondbr (c, t, e) ->
@@ -1299,7 +1282,9 @@ let[@inline] cast (d : Value.cast) (x : int64) : int64 =
   | Ir.Instr.Sext -> Int64.logand (sx d.Value.from_sh x) d.Value.to_mask
   | Ir.Instr.Fptosi ->
       let f = fdec d.Value.from_single x in
-      if f <> f then 0L else Int64.logand (Int64.of_float f) d.Value.to_mask
+      if f <> f then 0L
+      else if f >= 0x1p63 || f < -0x1p63 then Int64.logand Int64.min_int d.Value.to_mask
+      else Int64.logand (Int64.of_float f) d.Value.to_mask
   | Ir.Instr.Sitofp -> fenc d.Value.to_single (Int64.to_float (sx d.Value.from_sh x))
   | Ir.Instr.Fpext -> fenc false (fdec true x)
   | Ir.Instr.Fptrunc -> fenc true (fdec false x)
@@ -1445,61 +1430,41 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
       fun th fr ready ->
         let regs = fr.regs in
         let addr = addr_of a regs in
-        let lat =
-          try
-            regs.%{d} <- Memory.read m.mem ~width:w addr;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        regs.%{d} <- Memory.read m.mem ~width:w addr;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Rvload (d, n, w, a) ->
       let a = lop ~n:1 a in
       fun th fr ready ->
         let regs = fr.regs in
         let addr = addr_of a regs in
-        let lat =
-          try
-            for j = 0 to n - 1 do
-              regs.%{d + j} <- Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
-            done;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        for j = 0 to n - 1 do
+          regs.%{d + j} <- Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
+        done;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Rstore (w, v, a) ->
       let a = lop ~n:1 a and v = lop ~n:1 v in
       fun th fr ready ->
         let regs = fr.regs in
         let addr = addr_of a regs in
-        let lat =
-          try
-            if reexec_on then ck_log_write m th ~width:w addr;
-            let x = rd regs v 0 in
-            Memory.write m.mem ~width:w addr x;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        if reexec_on then ck_log_write m th ~width:w addr;
+        let x = rd regs v 0 in
+        Memory.write m.mem ~width:w addr x;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Rvstore (n, w, v, a) ->
       let a = lop ~n:1 a and v = lop ~n v in
       fun th fr ready ->
         let regs = fr.regs in
         let addr = addr_of a regs in
-        let lat =
-          try
-            for j = 0 to n - 1 do
-              let aj = Int64.add addr (Int64.of_int (j * w)) in
-              if reexec_on then ck_log_write m th ~width:w aj;
-              let x = rd regs v j in
-              Memory.write m.mem ~width:w aj x
-            done;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        for j = 0 to n - 1 do
+          let aj = Int64.add addr (Int64.of_int (j * w)) in
+          if reexec_on then ck_log_write m th ~width:w aj;
+          let x = rd regs v j in
+          Memory.write m.mem ~width:w aj x
+        done;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Ralloca (d, size) ->
       let sz = Int64.of_int (Memory.align16 size) in
@@ -1527,45 +1492,35 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
       fun th fr ready ->
         let regs = fr.regs in
         let addr = addr_of a regs in
-        let lat =
-          try
-            let old = Memory.read m.mem ~width:w addr in
-            let v = rd regs x 0 in
-            let nv =
-              match op with
-              | Ir.Instr.Rmw_add -> Int64.add old v
-              | Ir.Instr.Rmw_sub -> Int64.sub old v
-              | Ir.Instr.Rmw_xchg -> v
-              | Ir.Instr.Rmw_and -> Int64.logand old v
-              | Ir.Instr.Rmw_or -> Int64.logor old v
-            in
-            if reexec_on then ck_log_write m th ~width:w addr;
-            Memory.write m.mem ~width:w addr (Int64.logand nv wmask);
-            regs.%{d} <- old;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
+        let old = Memory.read m.mem ~width:w addr in
+        let v = rd regs x 0 in
+        let nv =
+          match op with
+          | Ir.Instr.Rmw_add -> Int64.add old v
+          | Ir.Instr.Rmw_sub -> Int64.sub old v
+          | Ir.Instr.Rmw_xchg -> v
+          | Ir.Instr.Rmw_and -> Int64.logand old v
+          | Ir.Instr.Rmw_or -> Int64.logor old v
         in
-        finish_plain th fr ready lat;
+        if reexec_on then ck_log_write m th ~width:w addr;
+        Memory.write m.mem ~width:w addr (Int64.logand nv wmask);
+        regs.%{d} <- old;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Rcmpxchg (d, a, e, dv, w) ->
       let a = lop ~n:1 a and e = lop ~n:1 e and dv = lop ~n:1 dv in
       fun th fr ready ->
         let regs = fr.regs in
         let addr = addr_of a regs in
-        let lat =
-          try
-            let old = Memory.read m.mem ~width:w addr in
-            let expected = rd regs e 0 in
-            if old = expected then begin
-              if reexec_on then ck_log_write m th ~width:w addr;
-              let x = rd regs dv 0 in
-              Memory.write m.mem ~width:w addr x
-            end;
-            regs.%{d} <- old;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        let old = Memory.read m.mem ~width:w addr in
+        let expected = rd regs e 0 in
+        if old = expected then begin
+          if reexec_on then ck_log_write m th ~width:w addr;
+          let x = rd regs dv 0 in
+          Memory.write m.mem ~width:w addr x
+        end;
+        regs.%{d} <- old;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Rextract (d, v, l) ->
       let v = lop ~n:(l + 1) v in
@@ -1636,16 +1591,11 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         let addr = if !disagree then majority4 ~n:alanes (fun j -> rd regs a j) else a0 in
         let addr = if addr_faults then k_fix_addr m cls addr else addr in
         if !disagree then note_recovered m;
-        let lat =
-          try
-            let v = Memory.read m.mem ~width:w addr in
-            for j = 0 to n - 1 do
-              regs.%{d + j} <- v
-            done;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        let v = Memory.read m.mem ~width:w addr in
+        for j = 0 to n - 1 do
+          regs.%{d + j} <- v
+        done;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Rscatter (w, v, a) ->
       let alanes = rop_lanes a and vlanes = rop_lanes v in
@@ -1665,14 +1615,9 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         let addr = if addr_faults then k_fix_addr m cls addr else addr in
         let value = if !disagree then majority4 ~n:vlanes (fun j -> rd regs v j) else v0 in
         if !disagree then note_recovered m;
-        let lat =
-          try
-            if reexec_on then ck_log_write m th ~width:w addr;
-            Memory.write m.mem ~width:w addr value;
-            touch th w addr
-          with Memory.Fault x -> raise (Trap (Segfault x))
-        in
-        finish_plain th fr ready lat;
+        if reexec_on then ck_log_write m th ~width:w addr;
+        Memory.write m.mem ~width:w addr value;
+        finish_plain th fr ready (touch th w addr);
         next
   | Code.Tret o -> fun th fr ready -> call_return m th fr plan ~ready o
   | Code.Tbr target ->
@@ -1930,14 +1875,16 @@ let make_result (m : t) (trap : trap_reason option) : result =
 (* Drives the scheduler until every thread is done (or the machine traps),
    under the configured engine.  [on_quantum] fires after every scheduling
    quantum — the hook the fault campaign uses to capture snapshots at
-   deterministic (quantum-boundary) points. *)
+   deterministic (quantum-boundary) points.  The engines' one trap
+   boundary: a [Trap], or a [Memory.Fault] or [Value.Division_by_zero]
+   raised by either engine, ends the run with that outcome here. *)
 let resume ?on_quantum (m : t) : result =
   let run_quantum =
     match m.cfg.engine with Reference -> ref_quantum | Compiled -> compiled_quantum
   in
-  (* the abort hook is polled at every quantum boundary; {!Abort} (and
-     anything the hook raises) escapes [loop] past the [Trap] handler
-     below, so it can never be mistaken for an experiment outcome *)
+  (* the abort hook is polled at every quantum boundary; {!Abort} (like
+     any host exception the hook raises) escapes [loop] past the trap
+     handlers below, so it can never be mistaken for an experiment outcome *)
   let rec loop () =
     match pick_next m with
     | Some th ->
@@ -1965,12 +1912,16 @@ let resume ?on_quantum (m : t) : result =
           else raise (Trap Deadlock)
         end
   in
+  (* a trap is a detection event for latency purposes *)
+  let trapped r =
+    note_detect m;
+    make_result m (Some r)
+  in
   match loop () with
   | () -> make_result m None
-  | exception Trap r ->
-      (* a trap is a detection event for latency purposes *)
-      note_detect m;
-      make_result m (Some r)
+  | exception Trap r -> trapped r
+  | exception Memory.Fault a -> trapped (Segfault a)
+  | exception Value.Division_by_zero -> trapped Div_by_zero
 
 (* Runs [entry] with scalar [args] to completion of all threads. *)
 let run ?(args = [||]) ?on_quantum (m : t) (entry : string) : result =
@@ -2063,18 +2014,22 @@ let snapshot (m : t) : snapshot =
 
 (* Rebuilds a runnable machine from [sn] under [cfg] (typically a config
    that arms an injection).  The restored machine continues with [resume].
-   Fault-site counters keep their snapshot values, so a plan drawn against
-   the full golden run stays valid: site number k still fires at the same
-   dynamic instruction. *)
+   Each site counter [cfg] counts (all three in a census, the armed
+   kind's in an injection run) keeps its snapshot value, so a plan drawn
+   against the full golden run stays valid: site number k still fires at
+   the same dynamic instruction.  The others start at 0, as from scratch. *)
 let restore ?(cfg = default_config) (sn : snapshot) : t =
   let m = make ~cfg sn.sn_code (Memory.of_image sn.sn_mem) in
   Buffer.add_string m.output sn.sn_output;
   List.iter (fun (k, v) -> Hashtbl.replace m.alloc_sizes k v) sn.sn_allocs;
   m.nthreads <- sn.sn_nthreads;
   m.total_instrs <- sn.sn_total_instrs;
-  m.inj_count <- sn.sn_inj_count;
-  m.mem_count <- sn.sn_mem_count;
-  m.br_count <- sn.sn_br_count;
+  let counts kinds =
+    match cfg.inject with Some inj -> List.mem inj.kind kinds | None -> cfg.count_inject_sites
+  in
+  if counts [ Reg_flip ] then m.inj_count <- sn.sn_inj_count;
+  if counts [ Mem_flip; Addr_flip ] then m.mem_count <- sn.sn_mem_count;
+  if counts [ Branch_flip ] then m.br_count <- sn.sn_br_count;
   m.recovered <- sn.sn_recovered;
   m.retried <- sn.sn_retried;
   m.reexecs <- sn.sn_reexecs;

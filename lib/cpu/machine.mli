@@ -253,9 +253,11 @@ val snapshot_sites : snapshot -> int * int * int
 val snapshot_instrs : snapshot -> int
 
 (** Rebuilds a runnable machine from a snapshot under [cfg] (typically a
-    config arming an injection); continue it with {!resume}.  Site
-    counters keep their snapshot values, so plans drawn against the full
-    golden run stay valid.  The machine's memory starts as a copy of the
+    config arming an injection); continue it with {!resume}.  The site
+    counters [cfg] counts (all three in a census, the armed kind's in an
+    injection run) keep their snapshot values, so plans drawn against the
+    full golden run stay valid; the others start at 0, as from scratch.
+    The machine's memory starts as a copy of the
     snapshot's page table with no page owned: it copies a page only when
     it first writes it, so a restore costs the table plus the pages the
     run writes, and any number of machines (on any domains) may be

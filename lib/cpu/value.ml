@@ -164,8 +164,16 @@ let cast (d : cast) (x : int64) : int64 =
   | Instr.Zext -> x (* canonical form is already zero-extended *)
   | Instr.Sext -> Int64.logand (sext d.from_sh x) d.to_mask
   | Instr.Fptosi ->
+      (* NaN converts to 0; a value outside the int64 range (infinities
+         included) to [Int64.min_int], the x86-64 [cvttsd2si] result,
+         whatever the host's own conversion gives *)
       let f = fdec d.from_single x in
-      Int64.logand (if Float.is_nan f then 0L else Int64.of_float f) d.to_mask
+      let i =
+        if Float.is_nan f then 0L
+        else if f >= 0x1p63 || f < -0x1p63 then Int64.min_int
+        else Int64.of_float f
+      in
+      Int64.logand i d.to_mask
   | Instr.Sitofp -> fenc d.to_single (Int64.to_float (sext d.from_sh x))
   | Instr.Fpext -> f64_encode (f32_decode x)
   | Instr.Fptrunc -> f32_encode (f64_decode x)

@@ -26,36 +26,20 @@ type t = {
 let make ?(fi_ok = true) ~name ~description ~build ?(init = fun _ _ -> ()) () =
   { name; description; build; init; fi_ok }
 
-(* Builds, prepares (runs the pass pipeline of the chosen flavour), loads
-   and executes a workload; the module is verified along the way. *)
-let execute ?(machine_cfg = Cpu.Machine.default_config) (w : t) ~(build : Elzar.build)
+(* Runs an already prepared module (lets benchmarks prepare once and sweep
+   thread counts): [prepared] must come from [Elzar.prepare build]. *)
+let execute_prepared ?machine_cfg (w : t) ~(build : Elzar.build) ~(prepared : Ir.Instr.modul)
     ~(nthreads : int) ~(size : size) : Cpu.Machine.result =
-  let m = w.build size in
-  let prepared = Elzar.prepare build m in
-  let machine_cfg =
-    { machine_cfg with
-      Cpu.Machine.reexec_retries =
-        max machine_cfg.Cpu.Machine.reexec_retries (Elzar.reexec_retries build) }
-  in
-  let machine =
-    Cpu.Machine.create ~cfg:machine_cfg ~flags_cmp:(Elzar.uses_flags_cmp build) prepared
-  in
+  let machine = Elzar.machine ?cfg:machine_cfg build prepared in
   w.init size machine;
   Cpu.Machine.run ~args:[| Int64.of_int nthreads |] machine "main"
 
-(* Same, but from an already prepared module (lets benchmarks prepare once
-   and sweep thread counts).  [reexec_retries] must be supplied again
-   because the build flavour is no longer visible here. *)
-let execute_prepared ?(machine_cfg = Cpu.Machine.default_config) ?(reexec_retries = 0)
-    (w : t) ~(prepared : Ir.Instr.modul) ~(flags_cmp : bool) ~(nthreads : int)
-    ~(size : size) : Cpu.Machine.result =
-  let machine_cfg =
-    { machine_cfg with
-      Cpu.Machine.reexec_retries = max machine_cfg.Cpu.Machine.reexec_retries reexec_retries }
-  in
-  let machine = Cpu.Machine.create ~cfg:machine_cfg ~flags_cmp prepared in
-  w.init size machine;
-  Cpu.Machine.run ~args:[| Int64.of_int nthreads |] machine "main"
+(* Builds, prepares (runs the pass pipeline of the chosen flavour), loads
+   and executes a workload; the module is verified along the way. *)
+let execute ?machine_cfg (w : t) ~(build : Elzar.build) ~(nthreads : int) ~(size : size) :
+    Cpu.Machine.result =
+  let prepared = Elzar.prepare build (w.build size) in
+  execute_prepared ?machine_cfg w ~build ~prepared ~nthreads ~size
 
 (* Fault-injection spec for this workload (paper: smallest inputs, 2
    threads). *)

@@ -32,16 +32,13 @@ val execute :
   size:size ->
   Cpu.Machine.result
 
-(** Same, from an already prepared module (prepare once, sweep threads).
-    [reexec_retries] re-supplies the re-execution recovery budget of the
-    build (the flavour is no longer visible from the prepared module);
-    use [Elzar.reexec_retries]. *)
+(** Same, from a module [Elzar.prepare build] already returned (prepare
+    once, sweep threads); the machine is [Elzar.machine build]'s. *)
 val execute_prepared :
   ?machine_cfg:Cpu.Machine.config ->
-  ?reexec_retries:int ->
   t ->
+  build:Elzar.build ->
   prepared:Ir.Instr.modul ->
-  flags_cmp:bool ->
   nthreads:int ->
   size:size ->
   Cpu.Machine.result

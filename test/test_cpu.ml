@@ -53,7 +53,18 @@ let test_casts () =
   let fptosi = Value.cast (Value.cast_desc Ir.Instr.Fptosi ~from:Ir.Types.F64 ~dst:Ir.Types.I32) in
   check_i64 "fptosi truncates toward zero" (Value.canon Ir.Types.I32 (-3L))
     (fptosi (Value.f64_encode (-3.7)));
-  check_i64 "fptosi of nan is 0" 0L (fptosi (Value.f64_encode Float.nan))
+  check_i64 "fptosi of nan is 0" 0L (fptosi (Value.f64_encode Float.nan));
+  (* out of the int64 range: x86-64's 0x8000000000000000 before the
+     destination mask, on any host, so an i32 destination gets 0 *)
+  let fptosi64 =
+    Value.cast (Value.cast_desc Ir.Instr.Fptosi ~from:Ir.Types.F64 ~dst:Ir.Types.I64)
+  in
+  List.iter
+    (fun f ->
+      let name = Printf.sprintf "fptosi %g" f in
+      check_i64 (name ^ " to i64") Int64.min_int (fptosi64 (Value.f64_encode f));
+      check_i64 (name ^ " to i32") 0L (fptosi (Value.f64_encode f)))
+    [ Float.infinity; Float.neg_infinity; 1e30; -1e30; 9.3e18 ]
 
 let test_icmp_unsigned () =
   let ult = Value.icmp (Value.icmp_desc Ir.Types.I64 Ir.Instr.Iult) in

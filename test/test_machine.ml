@@ -173,6 +173,26 @@ let test_builtin_fault engine () =
   check_segfault "output_bytes at 8"
     (run_on engine (fun b -> Builder.call0 b "output_bytes" [ Builder.ptrc 8; Builder.i64c 4 ]))
 
+(* Every faulting memory instruction segfaults at its own address, on
+   both engines: the fault reaches the run's outcome intact. *)
+let test_mem_fault engine () =
+  let addr = 1 lsl 40 in
+  List.iter
+    (fun (name, mk) ->
+      Alcotest.(check (option string))
+        name
+        (Some (Cpu.Machine.string_of_trap (Cpu.Machine.Segfault (Int64.of_int addr))))
+        (Option.map Cpu.Machine.string_of_trap (run_on engine mk).Cpu.Machine.trap))
+    (let open Builder in
+     let p = ptrc addr and v4 = Types.ymm_of Types.I64 in
+     [
+       ("scalar load", fun b -> ignore (load b Types.i64 p));
+       ("vector load", fun b -> ignore (load b v4 p));
+       ("vector store", fun b -> store b (broadcast b v4 (i64c 7)) p);
+       ("atomic_rmw", fun b -> ignore (atomic_rmw b Instr.Rmw_add p (i64c 1)));
+       ("cmpxchg", fun b -> ignore (cmpxchg b p (i64c 0) (i64c 1)));
+     ])
+
 let tests =
   [
     Alcotest.test_case "trap: null deref" `Quick test_trap_null_deref;
@@ -193,5 +213,7 @@ let tests =
             (test_stack_exhaustion engine);
           Alcotest.test_case ("builtin fault segfaults " ^ name) `Quick
             (test_builtin_fault engine);
+          Alcotest.test_case ("memory instruction faults segfault " ^ name) `Quick
+            (test_mem_fault engine);
         ])
       [ ("(reference)", Cpu.Machine.Reference); ("(compiled)", Cpu.Machine.Compiled) ]

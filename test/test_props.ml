@@ -126,7 +126,7 @@ let differential codes =
   let run b =
     let prepared = Elzar.prepare b m in
     let cfg = { Cpu.Machine.default_config with max_instrs = 2_000_000 } in
-    let machine = Cpu.Machine.create ~cfg ~flags_cmp:(Elzar.uses_flags_cmp b) prepared in
+    let machine = Elzar.machine ~cfg b prepared in
     let r = Cpu.Machine.run ~args:[| 42L |] machine "main" in
     match r.Cpu.Machine.trap with
     | Some t ->
