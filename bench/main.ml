@@ -74,6 +74,9 @@ let () =
         selected := name :: !selected;
         parse rest
     | "--help" :: _ -> usage ()
+    | [ ("--size" | "--engine" | "--injections" | "--fi-jobs") as flag ] ->
+        Printf.printf "%s needs a value\n" flag;
+        usage ()
     | x :: _ ->
         Printf.printf "unknown argument %s\n" x;
         usage ()

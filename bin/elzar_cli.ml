@@ -154,8 +154,8 @@ let run_cmd =
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
-             ~doc:"Attribute simulated cycles per instruction class (compiled engine \
-                   only) and print the table.")
+             ~doc:"Attribute simulated cycles per instruction class and print the \
+                   table.")
   in
   let json =
     Arg.(value & opt (some string) None

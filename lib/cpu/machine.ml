@@ -8,10 +8,14 @@
     Also hosts the native builtins (OS/pthreads/IO — unhardened, §IV-A)
     and the single-bit fault-injection hook (§IV-B).
 
-    Two engines run the code (see [engine_kind]).  Both keep a frame's
-    registers in one unboxed [Bytes.t], 8 bytes per lane.  The reference
-    interpreter evaluates each op descriptor through the boxed {!Value}
-    evaluators; the compiled engine has its own inline evaluator and
+    Two engines run the code (see [engine_kind]).  They differ only in
+    the per-op body: one quantum loop, one per-instruction wrapper
+    ([compile_item]: trace, instruction ceiling, counters, fault-site
+    streams, profiling) and one copy of the call, return, builtin and
+    fault-hook code serve both, and both keep a frame's registers in one
+    unboxed [Bytes.t], 8 bytes per lane.  The reference body ([interp])
+    evaluates each op descriptor through the boxed {!Value} evaluators;
+    the compiled body ([compile_body]) has its own inline evaluator and
     operand reader in this module, so its per-instruction path calls no
     closure per lane and allocates nothing.  Neither engine handles a
     trap, an access to unmapped memory or a zero divisor: each propagates
@@ -138,17 +142,20 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
   else if l2 = l1 then ((l1 + 1 + (lane2 mod (dlanes - 1))) mod dlanes, b2)
   else (l2, b2)
 
-(* Two-tier execution engine.  [Compiled] translates each function, on
-   its first entry, into pre-specialized OCaml closures — one per
-   [rinstr], with operand offsets, lane strides and the fault-injection,
-   census, undo-log, trace and profiling hooks of *this* config resolved
-   once (a hook the config does not need is compiled out, not tested per
-   instruction).  [Reference] is the original [step] interpreter, kept
-   as the executable spec.  Each engine implements every instruction's
-   semantics on its own; both share one copy of the call, return and
-   builtin bookkeeping, the fault hooks and the [Timing.plan] timing
-   model.  Both are required to produce bit-identical results (cycles,
-   counters, output, traps), which the engine-equivalence tests assert. *)
+(* Two-tier execution engine.  Under either engine each function is
+   translated, on its first entry, into one closure per [rinstr] whose
+   trace, instruction-ceiling, counter, fault-site and profiling hooks of
+   *this* config are resolved once (a hook the config does not need is
+   compiled out, not tested per instruction).  The engines differ only in
+   the op body inside that closure: [Compiled] specializes it on operand
+   offsets, lane strides and the undo-log and fault hooks
+   ([compile_body]); [Reference] re-dispatches the op through the boxed
+   {!Value} evaluators on every execution ([interp]), kept as the
+   executable spec of lane semantics.  Both share one copy of the call,
+   return and builtin bookkeeping, the fault hooks and the [Timing.plan]
+   timing model, and are required to produce bit-identical results
+   (cycles, counters, output, traps), which the engine-equivalence tests
+   assert. *)
 type engine_kind = Reference | Compiled
 
 let engine_to_string = function Reference -> "reference" | Compiled -> "compiled"
@@ -180,8 +187,8 @@ type config = {
           capped at ~1 MB — the Intel SDE debugtrace analogue of §IV-B *)
   engine : engine_kind;
   profile : Profile.t option;
-      (** per-instruction-class cycle attribution (compiled engine only);
-          [None] compiles no hook at all *)
+      (** per-instruction-class cycle attribution; [None] compiles no
+          hook at all *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the same
           boundary [on_quantum] fires on): the first [true] raises {!Abort}
@@ -213,8 +220,7 @@ type t = {
           entries are meaningful. *)
   kcode : (thread -> frame -> int) array array;
       (** per-instruction closures, indexed by [cf_id] then [pc]; a
-          function's row stays empty until the [Compiled] engine first
-          enters it *)
+          function's row stays empty until a thread first enters it *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;
@@ -663,11 +669,11 @@ let class_of (op : Code.rinstr) : string =
 
 (* ---- execution helpers shared by both engines ---- *)
 
-(* Return protocol of one executed instruction ([step]'s op match and
-   every compiled closure):
-   -  [r >= 0]: next pc in the same frame; the compiled quantum loop
-      keeps the pc in a local and writes [fr.pc] back only when the
-      quantum budget expires mid-frame.
+(* Return protocol of one executed instruction (either engine's body and
+   every per-instruction closure):
+   -  [r >= 0]: next pc in the same frame; the quantum loop keeps the pc
+      in a local and writes [fr.pc] back only when the quantum budget
+      expires mid-frame.
    -  [k_switch]: the instruction changed the frame stack (call / return /
       re-execution rollback) and already stored any resume pc; the quantum
       loop re-fetches the innermost frame.
@@ -846,72 +852,12 @@ let flip_dest (m : t) (inj : inject) (fr : frame) ~(dst : int) ~(dlanes : int) (
 
 (* ---- reference interpreter ---- *)
 
-(* Trace emission, split out of [step] so the untraced quantum loop never
-   touches the formatting code: when [cfg.trace = None] the per-step
-   Printf work (and even the option check) is skipped entirely. *)
-let emit_trace (buf : Buffer.t) (th : thread) =
-  let fr = List.hd th.frames in
-  if Array.length fr.cf.Code.texts > fr.pc then trace_line buf th fr.cf fr.pc
-
-(* Executes one instruction of [th]; returns [false] when the thread left
-   the Running state or terminated.  Calls, returns, builtins, the fault
-   hooks and the timing model are the helpers above, shared with the
-   compiled engine; the per-op semantics below are this engine's own.
-   Trace emission lives in the quantum loop ([ref_quantum]), not here. *)
-let step (m : t) (th : thread) : bool =
-  let fr = List.hd th.frames in
-  let pc = fr.pc in
-  let it = fr.cf.Code.code.(pc) in
-  m.total_instrs <- m.total_instrs + 1;
-  if m.total_instrs > m.cfg.max_instrs then raise (Trap Hang);
-  let ctr = th.ctr in
-  ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-  ctr.Counters.uops <- ctr.Counters.uops + it.Code.nuops;
-  let fl = it.Code.flags in
-  if fl land Code.fl_avx <> 0 then ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs + 1;
-  if fl land Code.fl_load <> 0 then ctr.Counters.loads <- ctr.Counters.loads + 1;
-  if fl land Code.fl_store <> 0 then ctr.Counters.stores <- ctr.Counters.stores + 1;
-  if fl land Code.fl_branch <> 0 then ctr.Counters.branches <- ctr.Counters.branches + 1;
-  (* Non-register fault streams: memory accesses and conditional branches
-     inside hardened code each form their own deterministic site counter;
-     arming happens *before* the instruction executes so the fault applies
-     to this very access/branch. *)
-  let is_mem_site =
-    fr.cf.Code.cf_hardened && fl land (Code.fl_load lor Code.fl_store) <> 0
-  in
-  let is_br_site =
-    fr.cf.Code.cf_hardened
-    && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
-  in
-  (match m.cfg.inject with
-  | Some inj -> (
-      match inj.kind with
-      | Reg_flip -> ()
-      | Mem_flip | Addr_flip ->
-          if is_mem_site then begin
-            m.mem_count <- m.mem_count + 1;
-            if m.mem_count = inj.at then
-              if inj.kind = Addr_flip then
-                m.addr_mask <- Int64.shift_left 1L (inj.bit land 63)
-              else m.mem_flip_armed <- true
-          end
-      | Branch_flip ->
-          if is_br_site then begin
-            m.br_count <- m.br_count + 1;
-            if m.br_count = inj.at then m.cf_divert <- true
-          end)
-  | None ->
-      if m.cfg.count_inject_sites then begin
-        if is_mem_site then m.mem_count <- m.mem_count + 1;
-        if is_br_site then m.br_count <- m.br_count + 1
-      end);
-  (* input readiness *)
-  let ready = ref 0 in
-  Array.iter
-    (fun s ->
-      if fr.ready.(s) > !ready then ready := fr.ready.(s))
-    it.Code.srcs;
-  let ready = !ready in
+(* The reference engine's body for the instruction [it] at [pc] of [fr],
+   whose inputs are ready at cycle [ready]: the op's semantics through the
+   boxed {!Value} evaluators and its timing epilogue.  Returns the next pc,
+   [k_switch] or [k_yield]; the per-instruction bookkeeping around it is
+   [compile_item]'s, shared with the compiled engine. *)
+let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (ready : int) : int =
   let regs = fr.regs in
   let cls = class_of it.Code.op in
   let mem_lat = ref Cache.hit_latency in
@@ -1135,23 +1081,11 @@ let step (m : t) (th : thread) : bool =
       | Some (taken, force_miss) ->
           let miss = Branch_pred.record th.bpred ~pc ~taken in
           if miss || force_miss then begin
-            ctr.Counters.branch_misses <- ctr.Counters.branch_misses + 1;
+            th.ctr.Counters.branch_misses <- th.ctr.Counters.branch_misses + 1;
             Timing.mispredict th.timing ~resolved:completion
           end
       | None -> ()));
-  (* register-SEU stream; the other fault kinds are armed before the
-     instruction executes, above *)
-  (if fl land Code.fl_inject <> 0 then
-     match m.cfg.inject with
-     | Some inj when inj.kind = Reg_flip ->
-         m.inj_count <- m.inj_count + 1;
-         if m.inj_count = inj.at then
-           flip_dest m inj fr ~dst:it.Code.dst ~dlanes:it.Code.dlanes cls
-     | Some _ -> ()
-     | None -> if m.cfg.count_inject_sites then m.inj_count <- m.inj_count + 1);
-  let r = !next in
-  if r >= 0 then fr.pc <- r;
-  r <> k_yield
+  !next
 
 (* ---- compiled (threaded-code) engine ---- *)
 
@@ -1308,7 +1242,7 @@ let args_fn (argops : Code.rop array) : Bytes.t -> int64 array =
    dropped entirely instead of being re-examined on every dynamic
    instruction.  Every operand is read through [rd] and every lane
    computed by the inline evaluators above.  Calls, returns, builtins,
-   the fault hooks and the timing model are the helpers [step] uses too;
+   the fault hooks and the timing model are the helpers [interp] uses too;
    the per-op semantics are this engine's own, and the equivalence tests
    hold both engines to bit-identical results. *)
 let compile_body (m : t) (pc : int) (it : Code.citem) :
@@ -1321,7 +1255,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
   let dst = it.Code.dst in
   let cls = class_of it.Code.op in
   let next = pc + 1 in
-  (* timing epilogue of the plain ops (same order as [step]) *)
+  (* timing epilogue of the plain ops (same order as [interp]) *)
   let finish_plain th (fr : frame) ready mem_lat =
     let completion = Timing.exec th.timing ~ready ~mem_lat plan in
     if dst >= 0 then fr.ready.(dst) <- completion
@@ -1657,8 +1591,9 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         if taken then t else e
   | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
-(* Compiles one instruction into its per-instruction closure:
-   [compile_body] wrapped in the per-instruction bookkeeping (trace,
+(* Compiles one instruction into its per-instruction closure: the
+   engine's body for it ([compile_body], or [interp] under [Reference])
+   wrapped in the per-instruction bookkeeping both engines share (trace,
    instruction ceiling, counters, fault-site streams, optional
    profiling). *)
 let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
@@ -1679,8 +1614,15 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
   in
   let ready_of = ready_fn it.Code.srcs in
-  let body = compile_body m pc it in
-  (* per-instruction fault-site streams, compiled to hooks (or to nothing) *)
+  let body =
+    match cfg.engine with
+    | Compiled -> compile_body m pc it
+    | Reference -> fun th fr ready -> interp m th fr pc it ready
+  in
+  (* per-instruction fault-site streams, compiled to hooks (or to nothing):
+     memory accesses and conditional branches inside hardened code each
+     form their own deterministic site counter, armed *before* the body
+     runs so the fault applies to this very access or branch *)
   let site_hook : (unit -> unit) option =
     match cfg.inject with
     | Some inj -> (
@@ -1708,8 +1650,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
         else if is_br_site then Some (fun () -> m.br_count <- m.br_count + 1)
         else None
   in
-  (* register-SEU stream: applied to the (caller) frame after the op body,
-     exactly like [step]'s epilogue *)
+  (* register-SEU stream: applied to the (caller) frame after the op body *)
   let reg_hook : (frame -> unit) option =
     if fl land Code.fl_inject = 0 then None
     else
@@ -1761,8 +1702,8 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
         Profile.add prof cls ~cycles:(Timing.cycle th.timing - c0);
         r
 
-(* Compiles one function for the [Compiled] engine, on its first entry:
-   [kcode.(cf_id).(pc)] runs that instruction.  Compiling per function
+(* Compiles one function, on its first entry: [kcode.(cf_id).(pc)] runs
+   that instruction.  Compiling per function
    rather than per module keeps a restored campaign experiment from
    translating code it never reaches. *)
 let compile_func (m : t) (cf : Code.cfunc) =
@@ -1772,36 +1713,15 @@ let compile_func (m : t) (cf : Code.cfunc) =
 
 let quantum = 256
 
-(* One scheduling quantum under the reference interpreter.  The traced and
-   untraced loops are split so the common (untraced) path never examines
-   [cfg.trace] per instruction. *)
-let ref_quantum (m : t) (th : thread) =
-  match m.cfg.trace with
-  | None ->
-      let continue_ = ref true in
-      let k = ref 0 in
-      while !continue_ && !k < quantum do
-        incr k;
-        continue_ := step m th
-      done
-  | Some buf ->
-      let continue_ = ref true in
-      let k = ref 0 in
-      while !continue_ && !k < quantum do
-        incr k;
-        emit_trace buf th;
-        continue_ := step m th
-      done
-
-(* One scheduling quantum under the compiled engine.  The program counter
-   lives in a local between closures; [fr.pc] is written back only when
-   the quantum budget expires mid-frame (frame switches maintain it
+(* One scheduling quantum of [th], under either engine.  The program
+   counter lives in a local between closures; [fr.pc] is written back only
+   when the quantum budget expires mid-frame (frame switches maintain it
    inline, per the closure return protocol), and each frame switch
    compiles the entered function if it has not run yet.  Every closure
-   retires one instruction, so quanta end after exactly the same
-   instruction counts as the reference engine, preserving snapshot/abort
-   boundary semantics. *)
-let compiled_quantum (m : t) (th : thread) =
+   retires one instruction, so a quantum ends after [quantum]
+   instructions or when the thread leaves the Running state, which fixes
+   the snapshot/abort boundaries. *)
+let run_quantum (m : t) (th : thread) =
   let budget = ref quantum in
   let running = ref true in
   while !running && !budget > 0 do
@@ -1879,9 +1799,6 @@ let make_result (m : t) (trap : trap_reason option) : result =
    boundary: a [Trap], or a [Memory.Fault] or [Value.Division_by_zero]
    raised by either engine, ends the run with that outcome here. *)
 let resume ?on_quantum (m : t) : result =
-  let run_quantum =
-    match m.cfg.engine with Reference -> ref_quantum | Compiled -> compiled_quantum
-  in
   (* the abort hook is polled at every quantum boundary; {!Abort} (like
      any host exception the hook raises) escapes [loop] past the trap
      handlers below, so it can never be mistaken for an experiment outcome *)

@@ -109,13 +109,15 @@ type inject = {
 val second_flip :
   dlanes:int -> lane:int -> bit:int -> lane2:int -> bit2:int -> int * int
 
-(** Execution engine selection.  [Compiled] (the default) translates each
-    function, on its first entry, into one closure per instruction,
-    specialized on its operands, static timing plan and the config's
-    fault/trace/recovery/profiling hooks; a hook the config does not need
-    is compiled out.  [Reference] is the original interpreter, kept as
-    the executable specification; both engines are required to produce
-    bit-identical results. *)
+(** Execution engine selection.  Either engine translates each function,
+    on its first entry, into one closure per instruction that carries the
+    config's trace, counter, fault-site and profiling hooks (a hook the
+    config does not need is compiled out); the engines differ only in the
+    op body inside it.  [Compiled] (the default) specializes the body on
+    its operands and the config's fault/recovery hooks.  [Reference]
+    interprets the op through the boxed {!Value} evaluators, kept as the
+    executable specification of lane semantics; both engines are required
+    to produce bit-identical results. *)
 type engine_kind = Reference | Compiled
 
 (** Lower-case name, as accepted by the CLI [--engine] flag. *)
@@ -149,8 +151,8 @@ type config = {
           same class strings the AVF table uses.  [Some tbl] compiles a
           cycle-delta hook into every closure; [None] (the default)
           compiles nothing — the closures are identical to an unprofiled
-          build, so the off state costs zero.  Only [Compiled]
-          attributes; [Reference] ignores the table. *)
+          build, so the off state costs zero.  Both engines attribute the
+          same cycles. *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the
           boundary [on_quantum] fires on); the first [true] raises
@@ -170,7 +172,7 @@ type t = {
   mutable by_tid : thread array;  (** tid-indexed view of [threads] *)
   kcode : (thread -> frame -> int) array array;
       (** per-instruction closures, by [cf_id] then pc; a function's row
-          is empty until the [Compiled] engine first enters it *)
+          is empty until a thread first enters it *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;

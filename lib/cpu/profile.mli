@@ -1,13 +1,12 @@
-(** Opt-in per-instruction-class cycle attribution for the compiled engine.
+(** Opt-in per-instruction-class cycle attribution.
 
     A table keyed by the same class strings {!Machine.class_of} feeds to
     the AVF table ("alu", "cmp", "mov", "load", ...), accumulating retired
     instructions and the simulated cycles their execution advanced the
     core clock by.  Supply one via [config.profile] to turn the hook on;
     with [None] the hook is not compiled into the closures at all
-    (zero-cost-when-off), and under the [Reference] engine the table is
-    ignored.  Tables are single-machine state — do not share one across
-    domains. *)
+    (zero-cost-when-off).  Both engines attribute the same cycles.  Tables
+    are single-machine state — do not share one across domains. *)
 
 type t
 

@@ -79,10 +79,10 @@ type experiment = {
   kind : Cpu.Machine.fault_kind;
 }
 
-let run_with (spec : run_spec) (cfg : Cpu.Machine.config) : Cpu.Machine.result =
+let run_with ?on_quantum (spec : run_spec) (cfg : Cpu.Machine.config) : Cpu.Machine.result =
   let machine = Cpu.Machine.create ~cfg ~flags_cmp:spec.flags_cmp spec.modul in
   spec.init machine;
-  Cpu.Machine.run ~args:spec.args machine spec.entry
+  Cpu.Machine.run ~args:spec.args ?on_quantum machine spec.entry
 
 (* Fault-free reference run; also counts the injection-eligible dynamic
    instructions (the "instruction trace" step of §IV-B) and the
@@ -124,8 +124,6 @@ let initial_snapshot_spacing = 12_500
    because a dropped one is just garbage-collected.  The returned array is oldest-first. *)
 let golden_capture ?spans (spec : run_spec) :
     Cpu.Machine.result * Cpu.Machine.snapshot array =
-  let machine = Cpu.Machine.create ~cfg:(golden_cfg spec) ~flags_cmp:spec.flags_cmp spec.modul in
-  spec.init machine;
   (* oldest-first throughout *)
   let snaps = ref [] in
   let nsnaps = ref 0 in
@@ -159,9 +157,7 @@ let golden_capture ?spans (spec : run_spec) :
       next_at := m.Cpu.Machine.total_instrs + !spacing
     end
   in
-  let r =
-    check_golden spec (Cpu.Machine.run ~args:spec.args ~on_quantum machine spec.entry)
-  in
+  let r = check_golden spec (run_with ~on_quantum spec (golden_cfg spec)) in
   (r, Array.of_list !snaps)
 
 (* Hang budget for injection runs, derived from the golden run: a faulty

@@ -343,10 +343,10 @@ let check_default_engine () =
     (Cpu.Machine.engine_to_string Cpu.Machine.default_config.Cpu.Machine.engine)
     (Cpu.Machine.engine_to_string (Fault.make_spec modul "main").Fault.engine)
 
-(* lazy compilation: the compiled engine fills a function's closure row,
-   one closure per instruction, on its first entry and never before; the
-   reference interpreter compiles nothing, and a restored machine starts
-   with every row empty and recompiles on resume *)
+(* lazy compilation: either engine fills a function's closure row, one
+   closure per instruction, on its first entry and never before, and a
+   restored machine starts with every row empty and recompiles on
+   resume *)
 let check_compile_on_entry () =
   let w = Workloads.Registry.find "hist" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
@@ -389,7 +389,9 @@ let check_compile_on_entry () =
     (Array.length m.Cpu.Machine.kcode.(entry_id m) > 0);
   let m_ref = make Cpu.Machine.Reference in
   let _ = Cpu.Machine.run ~args:spec.Fault.args m_ref spec.Fault.entry in
-  Alcotest.(check int) "reference compiles nothing" 0 (compiled_rows m_ref);
+  check_rows "reference" m_ref;
+  Alcotest.(check bool) "reference: entry function compiled" true
+    (Array.length m_ref.Cpu.Machine.kcode.(entry_id m_ref) > 0);
   match !snap with
   | None -> Alcotest.fail "no snapshot captured"
   | Some sn ->
@@ -472,6 +474,106 @@ let check_trace_engines () =
   Alcotest.(check bool) "unhardened code traced" true (contains " .@");
   Alcotest.(check int) "trace length" (String.length tr) (String.length tc);
   Alcotest.(check bool) "trace byte-identical" true (String.equal tr tc)
+
+(* ---- trace recount ----
+   Both engines run under one per-instruction wrapper, so comparing their
+   counters and site census checks that wrapper against itself.  This
+   recounts them from the trace instead: each line names the thread,
+   function and pc of one retired instruction, and that instruction's
+   [Code.citem] says what the counters and the census must have added. *)
+
+(* Two hardened workers sum and rewrite a shared array (loads, stores,
+   vector branches, a call into hardened code) under an unhardened
+   driver; small enough that its whole trace fits under the cap. *)
+let recount_module () =
+  let open Ir in
+  let m = Builder.create_module () in
+  Builder.global m "arr" (8 * 12);
+  Workloads.Parallel.add_globals m;
+  let open Builder in
+  let b, ps = func m ~ret:Types.i64 "bump" [ ("x", Types.i64) ] in
+  ret b (Some (add b (Instr.Reg (List.hd ps)) (i64c 3)));
+  let b, ps = func m "work" [ ("arg", Types.ptr) ] in
+  let tid, _ = Workloads.Parallel.worker_ids b (Instr.Reg (List.hd ps)) in
+  let acc = fresh b ~name:"acc" Types.i64 in
+  assign b acc (i64c 0);
+  for_ b ~lo:(i64c 0) ~hi:(i64c 12) (fun i ->
+      let p = gep b (Instr.Glob "arr") i 8 in
+      let v = load b Types.i64 p in
+      if_ b (icmp b Instr.Islt v (i64c 10))
+        ~then_:(fun () -> assign b acc (add b (Instr.Reg acc) v))
+        ();
+      store b (add b (callv b ~ret:Types.i64 "bump" [ v ]) tid) p);
+  call0 b "output_i64" [ Instr.Reg acc ];
+  ret b None;
+  let b, _ = func m ~hardened:false "main" [ ("nthreads", Types.i64) ] in
+  Workloads.Parallel.spawn_join b ~worker:"work" ~nthreads:(i64c 2);
+  ret b None;
+  Verifier.verify_exn m;
+  m
+
+let check_trace_recount () =
+  let build = Elzar.Hardened Elzar.Harden_config.default in
+  let buf = Buffer.create 4096 in
+  let cfg =
+    { Cpu.Machine.default_config with Cpu.Machine.count_inject_sites = true; trace = Some buf }
+  in
+  let m = Elzar.machine ~cfg build (Elzar.prepare build (recount_module ())) in
+  let r = Cpu.Machine.run ~args:[| 2L |] m "main" in
+  Alcotest.(check (option string))
+    "no trap" None
+    (Option.map Cpu.Machine.string_of_trap r.Cpu.Machine.trap);
+  let tr = Buffer.contents buf in
+  Alcotest.(check bool) "trace under the 1 MB cap" true (String.length tr < 1_000_000);
+  let ctrs = Array.of_list (List.map (fun _ -> Cpu.Counters.create ()) r.Cpu.Machine.counters) in
+  let inj = ref 0 and mem = ref 0 and br = ref 0 in
+  let recount line =
+    (* "T<tid> <H|.>@<function>+<pc>: <text>" *)
+    let sp = String.index line ' ' in
+    let at = String.index_from line sp '@' in
+    let colon = String.index_from line at ':' in
+    let plus = String.rindex_from line colon '+' in
+    let tid = int_of_string (String.sub line 1 (sp - 1)) in
+    let cf = Cpu.Code.lookup m.Cpu.Machine.code (String.sub line (at + 1) (plus - at - 1)) in
+    let pc = int_of_string (String.sub line (plus + 1) (colon - plus - 1)) in
+    Alcotest.(check char) "hardened mark" (if cf.Cpu.Code.cf_hardened then 'H' else '.') line.[sp + 1];
+    let it = cf.Cpu.Code.code.(pc) in
+    let fl = it.Cpu.Code.flags in
+    let has f = fl land f <> 0 in
+    let c = ctrs.(tid) in
+    let open Cpu.Counters in
+    c.instrs <- c.instrs + 1;
+    c.uops <- c.uops + it.Cpu.Code.nuops;
+    if has Cpu.Code.fl_load then c.loads <- c.loads + 1;
+    if has Cpu.Code.fl_store then c.stores <- c.stores + 1;
+    if has Cpu.Code.fl_branch then c.branches <- c.branches + 1;
+    if has Cpu.Code.fl_avx then c.avx_instrs <- c.avx_instrs + 1;
+    if has Cpu.Code.fl_inject then incr inj;
+    if cf.Cpu.Code.cf_hardened then begin
+      if has (Cpu.Code.fl_load lor Cpu.Code.fl_store) then incr mem;
+      match it.Cpu.Code.op with
+      | Cpu.Code.Tcondbr _ | Cpu.Code.Tvbr _ | Cpu.Code.Tvbr_u _ -> incr br
+      | _ -> ()
+    end
+  in
+  List.iter (fun l -> if l <> "" then recount l) (String.split_on_char '\n' tr);
+  Alcotest.(check int) "three threads" 3 (Array.length ctrs);
+  List.iteri
+    (fun tid (got : Cpu.Counters.t) ->
+      let want = ctrs.(tid) in
+      let chk what f = Alcotest.(check int) (Printf.sprintf "T%d %s" tid what) (f want) (f got) in
+      let open Cpu.Counters in
+      chk "instrs" (fun c -> c.instrs);
+      chk "uops" (fun c -> c.uops);
+      chk "loads" (fun c -> c.loads);
+      chk "stores" (fun c -> c.stores);
+      chk "branches" (fun c -> c.branches);
+      chk "avx_instrs" (fun c -> c.avx_instrs))
+    r.Cpu.Machine.counters;
+  Alcotest.(check bool) "every site stream non-empty" true (!inj > 0 && !mem > 0 && !br > 0);
+  Alcotest.(check int) "inject_sites" !inj r.Cpu.Machine.inject_sites;
+  Alcotest.(check int) "mem_sites" !mem r.Cpu.Machine.mem_sites;
+  Alcotest.(check int) "branch_sites" !br r.Cpu.Machine.branch_sites
 
 (* ---- single-op differential ----
    One instruction at a time, on both engines: every binop, fbinop,
@@ -659,6 +761,7 @@ let tests =
       Alcotest.test_case "equiv under injection" `Quick check_inject_engines;
       Alcotest.test_case "equiv site census" `Quick check_count_sites;
       Alcotest.test_case "equiv trace" `Quick check_trace_engines;
+      Alcotest.test_case "trace recount" `Quick check_trace_recount;
       Alcotest.test_case "snapshot resume (reference)" `Quick
         (check_snapshot_resume Cpu.Machine.Reference);
       Alcotest.test_case "snapshot resume (compiled)" `Quick

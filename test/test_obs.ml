@@ -315,16 +315,18 @@ let known_classes =
     "atomic"; "vec"; "branch";
   ]
 
-let test_profile_hook () =
+(* The hook under [engine]; both engines retire the same instructions at
+   the same cycles, so their tables must be equal row for row. *)
+let test_profile_hook engine () =
   let w = Workloads.Registry.find "hist" in
-  let run profile =
-    let cfg = { Cpu.Machine.default_config with Cpu.Machine.profile } in
+  let run engine profile =
+    let cfg = { Cpu.Machine.default_config with Cpu.Machine.profile; engine } in
     Workloads.Workload.execute ~machine_cfg:cfg w ~build:Elzar.Native ~nthreads:2
       ~size:Workloads.Workload.Tiny
   in
-  let off = run None in
+  let off = run engine None in
   let prof = Cpu.Profile.create () in
-  let on = run (Some prof) in
+  let on = run engine (Some prof) in
   check_bool "profiling does not change the run" true
     (off.Cpu.Machine.wall_cycles = on.Cpu.Machine.wall_cycles
     && off.Cpu.Machine.totals = on.Cpu.Machine.totals
@@ -339,6 +341,16 @@ let test_profile_hook () =
       check_bool (Printf.sprintf "class %s known" cls) true (List.mem cls known_classes);
       check_bool (Printf.sprintf "class %s counted" cls) true (n > 0))
     (Cpu.Profile.rows prof);
+  let other = Cpu.Profile.create () in
+  let _ =
+    run
+      (match engine with
+      | Cpu.Machine.Reference -> Cpu.Machine.Compiled
+      | Cpu.Machine.Compiled -> Cpu.Machine.Reference)
+      (Some other)
+  in
+  check_bool "rows equal under the other engine" true
+    (Cpu.Profile.rows prof = Cpu.Profile.rows other);
   (* the JSON rendering exposes the same totals *)
   match Report.profile prof with
   | J.List rows ->
@@ -364,5 +376,7 @@ let tests =
     Alcotest.test_case "resume eta uses executed rate" `Quick
       test_resume_eta_uses_executed_rate;
     Alcotest.test_case "unwritable checkpoint" `Quick test_unwritable_checkpoint;
-    Alcotest.test_case "profile hook" `Quick test_profile_hook;
+    Alcotest.test_case "profile hook" `Quick (test_profile_hook Cpu.Machine.Compiled);
+    Alcotest.test_case "profile hook (reference)" `Quick
+      (test_profile_hook Cpu.Machine.Reference);
   ]
