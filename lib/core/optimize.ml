@@ -104,81 +104,186 @@ let map_term_operands (g : operand -> operand) (t : terminator) : terminator =
   | Vbr_unchecked (m, a, b) -> Vbr_unchecked (g m, a, b)
   | (Ret None | Br _ | Unreachable) as t -> t
 
-let copy_propagate (f : func) : int =
+(* The passes below index scratch tables by register: slot [rid - lo] for
+   every id of [span], the function's [Dataflow.reg_span].  No pass adds a
+   register, so [run_func] computes the span once for all of them. *)
+let reg_table ((lo, hi) : int * int) (init : 'a) : int * 'a array = (lo, Array.make (hi - lo) init)
+
+let copy_propagate_in ~span (f : func) : int =
   let changed = ref 0 in
+  (* rid -> replacement operand, valid until either side is redefined *)
+  let lo, copies = reg_table span None in
+  (* rid -> destinations whose copy reads that register; an entry goes
+     stale when its destination is killed or re-copied, so [kill] checks *)
+  let readers = Array.make (Array.length copies) [] in
+  let touched = ref [] in
+  (* number of [Some] slots: while it is 0, nothing can be substituted *)
+  let live = ref 0 in
+  let drop k =
+    if Option.is_some copies.(k) then begin
+      copies.(k) <- None;
+      decr live
+    end
+  in
+  let kill rid =
+    drop (rid - lo);
+    List.iter
+      (fun d -> match copies.(d - lo) with Some (Reg r) when r.rid = rid -> drop (d - lo) | _ -> ())
+      readers.(rid - lo);
+    readers.(rid - lo) <- []
+  in
+  let subst (o : operand) : operand =
+    match o with
+    | Reg r -> (
+        match copies.(r.rid - lo) with
+        | Some o' when Types.equal (operand_ty None o') r.rty ->
+            incr changed;
+            o'
+        | _ -> o)
+    | o -> o
+  in
   List.iter
     (fun (_, (blk : block)) ->
-      (* rid -> replacement operand, valid until either side is redefined *)
-      let copies : (int, operand) Hashtbl.t = Hashtbl.create 16 in
-      let kill rid =
-        Hashtbl.remove copies rid;
-        Hashtbl.iter
-          (fun k v -> match v with Reg r when r.rid = rid -> Hashtbl.remove copies k | _ -> ())
-          (Hashtbl.copy copies)
-      in
-      let subst (o : operand) : operand =
-        match o with
-        | Reg r -> (
-            match Hashtbl.find_opt copies r.rid with
-            | Some o' when Types.equal (operand_ty None o') r.rty ->
-                incr changed;
-                o'
-            | _ -> o)
-        | o -> o
-      in
       blk.instrs <-
         List.map
           (fun i ->
-            let i = map_operands subst i in
+            let i = if !live = 0 then i else map_operands subst i in
             (match dest i with Some r -> kill r.rid | None -> ());
             (match i with
             | Mov (r, src) when not (match src with Reg s -> s.rid = r.rid | _ -> false) ->
-                Hashtbl.replace copies r.rid src
+                copies.(r.rid - lo) <- Some src;
+                incr live;
+                touched := r.rid :: !touched;
+                (match src with
+                | Reg s ->
+                    readers.(s.rid - lo) <- r.rid :: readers.(s.rid - lo);
+                    touched := s.rid :: !touched
+                | Imm _ | Fimm _ | Glob _ | Fref _ -> ())
             | _ -> ());
             i)
           blk.instrs;
-      blk.term <- map_term_operands subst blk.term)
+      if !live > 0 then blk.term <- map_term_operands subst blk.term;
+      (* copies are block-local *)
+      List.iter
+        (fun rid ->
+          copies.(rid - lo) <- None;
+          readers.(rid - lo) <- [])
+        !touched;
+      touched := [];
+      live := 0)
     f.blocks;
   !changed
 
 (* ---- block-local common subexpression elimination ---- *)
 
+(* What makes two pure instructions compute the same value, besides their
+   operands. *)
+type cse_op =
+  | Kbinop of binop * Types.t
+  | Kfbinop of fbinop * Types.t
+  | Kicmp of icmp * Types.t
+  | Kfcmp of fcmp * Types.t
+  | Kcast of cast * Types.t
+  | Kselect of Types.t
+  | Kextract of int
+  | Kbroadcast of Types.t
+  | Kshuffle of Types.t * int array
+
 (* pure, side-effect-free instructions with a deterministic value *)
-let cse_key (i : t) : (string * operand list) option =
-  let mask_key p = String.concat "," (Array.to_list (Array.map string_of_int p)) in
+let cse_key (i : t) : (cse_op * operand list) option =
   match i with
-  | Binop (r, op, a, b) ->
-      Some (Printf.sprintf "b%s%s" (Printer.string_of_binop op) (Types.to_string r.rty), [ a; b ])
-  | Fbinop (r, op, a, b) ->
-      Some (Printf.sprintf "f%s%s" (Printer.string_of_fbinop op) (Types.to_string r.rty), [ a; b ])
-  | Icmp (r, cc, a, b) ->
-      Some (Printf.sprintf "i%s%s" (Printer.string_of_icmp cc) (Types.to_string r.rty), [ a; b ])
-  | Fcmp (r, cc, a, b) ->
-      Some (Printf.sprintf "c%s%s" (Printer.string_of_fcmp cc) (Types.to_string r.rty), [ a; b ])
-  | Cast (r, k, a) ->
-      Some (Printf.sprintf "k%s%s" (Printer.string_of_cast k) (Types.to_string r.rty), [ a ])
-  | Select (r, c, a, b) -> Some ("s" ^ Types.to_string r.rty, [ c; a; b ])
-  | Extractlane (_, v, l) -> Some (Printf.sprintf "x%d" l, [ v ])
-  | Broadcast (r, s) -> Some ("bc" ^ Types.to_string r.rty, [ s ])
-  | Shuffle (r, v, p) -> Some ("sh" ^ Types.to_string r.rty ^ mask_key p, [ v ])
+  | Binop (r, op, a, b) -> Some (Kbinop (op, r.rty), [ a; b ])
+  | Fbinop (r, op, a, b) -> Some (Kfbinop (op, r.rty), [ a; b ])
+  | Icmp (r, cc, a, b) -> Some (Kicmp (cc, r.rty), [ a; b ])
+  | Fcmp (r, cc, a, b) -> Some (Kfcmp (cc, r.rty), [ a; b ])
+  | Cast (r, k, a) -> Some (Kcast (k, r.rty), [ a ])
+  | Select (r, c, a, b) -> Some (Kselect r.rty, [ c; a; b ])
+  | Extractlane (_, v, l) -> Some (Kextract l, [ v ])
+  | Broadcast (r, s) -> Some (Kbroadcast r.rty, [ s ])
+  | Shuffle (r, v, p) -> Some (Kshuffle (r.rty, p), [ v ])
   | _ -> None
 
-let operand_regs (ops : operand list) =
-  List.filter_map (function Reg r -> Some r.rid | _ -> None) ops
+(* Structural equality of keys, spelled out so that no polymorphic compare
+   runs: float immediates compare as IEEE values (0.0 matches -0.0, NaN
+   matches nothing), registers by every field. *)
+module Cse_key = struct
+  type t = cse_op * operand list
 
-let local_cse (f : func) : int =
+  let op_equal (a : cse_op) (b : cse_op) =
+    let open Types in
+    match (a, b) with
+    | Kbinop (x, t), Kbinop (y, u) -> x = y && equal t u
+    | Kfbinop (x, t), Kfbinop (y, u) -> x = y && equal t u
+    | Kicmp (x, t), Kicmp (y, u) -> x = y && equal t u
+    | Kfcmp (x, t), Kfcmp (y, u) -> x = y && equal t u
+    | Kcast (x, t), Kcast (y, u) -> x = y && equal t u
+    | Kselect t, Kselect u | Kbroadcast t, Kbroadcast u -> equal t u
+    | Kextract l, Kextract k -> l = k
+    | Kshuffle (t, p), Kshuffle (u, q) ->
+        equal t u && Array.length p = Array.length q && Array.for_all2 Int.equal p q
+    | ( ( Kbinop _ | Kfbinop _ | Kicmp _ | Kfcmp _ | Kcast _ | Kselect _ | Kextract _
+        | Kbroadcast _ | Kshuffle _ ),
+        _ ) ->
+        false
+
+  let operand_equal (a : operand) (b : operand) =
+    match (a, b) with
+    | Reg r, Reg s -> r.rid = s.rid && String.equal r.rname s.rname && Types.equal r.rty s.rty
+    | Imm (t, x), Imm (u, y) -> Types.equal t u && Int64.equal x y
+    | Fimm (t, x), Fimm (u, y) -> Types.equal t u && (x : float) = y
+    | Glob x, Glob y | Fref x, Fref y -> String.equal x y
+    | (Reg _ | Imm _ | Fimm _ | Glob _ | Fref _), _ -> false
+
+  let equal ((o, xs) : t) ((p, ys) : t) = op_equal o p && List.equal operand_equal xs ys
+
+  let operand_hash = function
+    | Reg r -> r.rid
+    | Imm (_, x) -> Int64.to_int x
+    | Fimm (_, x) -> if (x : float) = 0.0 then 0 else Hashtbl.hash x
+    | Glob s | Fref s -> Hashtbl.hash s
+
+  (* keys that differ only in the operation or a type share a hash *)
+  let op_hash = function
+    | Kbinop _ -> 1
+    | Kfbinop _ -> 2
+    | Kicmp _ -> 3
+    | Kfcmp _ -> 4
+    | Kcast _ -> 5
+    | Kselect _ -> 6
+    | Kextract l -> 7 + (16 * l)
+    | Kbroadcast _ -> 8
+    | Kshuffle _ -> 9
+
+  let hash ((o, xs) : t) =
+    List.fold_left (fun h x -> (h * 31) + operand_hash x) (op_hash o) xs land max_int
+end
+
+module Cse_table = Hashtbl.Make (Cse_key)
+
+(* An available value: [d] holds its key's value until [d] or an operand
+   register of the key is redefined. *)
+type cse_entry = { d : reg; mutable live : bool }
+
+(* The entries of one key, newest first; dead ones are dropped lazily. *)
+type cse_bucket = { mutable entries : cse_entry list }
+
+let local_cse_in ~span (f : func) : int =
   let changed = ref 0 in
+  let avail : cse_bucket Cse_table.t = Cse_table.create 64 in
+  (* rid -> entries that die when it is redefined *)
+  let lo, mentions = reg_table span [] in
+  let touched = ref [] in
+  let invalidate rid =
+    List.iter (fun e -> e.live <- false) mentions.(rid - lo);
+    mentions.(rid - lo) <- []
+  in
+  let mention rid e =
+    mentions.(rid - lo) <- e :: mentions.(rid - lo);
+    touched := rid :: !touched
+  in
+  let rec newest = function e :: rest when not e.live -> newest rest | l -> l in
   List.iter
     (fun (_, (blk : block)) ->
-      (* (key, operands) -> available destination register *)
-      let avail : ((string * operand list) * reg) list ref = ref [] in
-      let invalidate rid =
-        avail :=
-          List.filter
-            (fun (((_, ops), d) : (string * operand list) * reg) ->
-              d.rid <> rid && not (List.mem rid (operand_regs ops)))
-            !avail
-      in
       blk.instrs <-
         List.map
           (fun i ->
@@ -186,19 +291,34 @@ let local_cse (f : func) : int =
             | None ->
                 (match dest i with Some r -> invalidate r.rid | None -> ());
                 i
-            | Some key -> (
+            | Some ((_, ops) as key) ->
                 let d = Option.get (dest i) in
-                match List.assoc_opt key !avail with
-                | Some prev when Types.equal prev.rty d.rty && prev.rid <> d.rid ->
-                    incr changed;
-                    invalidate d.rid;
-                    avail := (key, d) :: !avail;
-                    Mov (d, Reg prev)
-                | _ ->
-                    invalidate d.rid;
-                    avail := (key, d) :: !avail;
-                    i))
-          blk.instrs)
+                let bucket =
+                  match Cse_table.find_opt avail key with
+                  | Some b -> b
+                  | None ->
+                      let b = { entries = [] } in
+                      Cse_table.add avail key b;
+                      b
+                in
+                let i' =
+                  match newest bucket.entries with
+                  | { d = prev; _ } :: _ when Types.equal prev.rty d.rty && prev.rid <> d.rid ->
+                      incr changed;
+                      Mov (d, Reg prev)
+                  | _ -> i
+                in
+                invalidate d.rid;
+                let e = { d; live = true } in
+                bucket.entries <- e :: newest bucket.entries;
+                mention d.rid e;
+                List.iter (function Reg r -> mention r.rid e | _ -> ()) ops;
+                i')
+          blk.instrs;
+      (* available values are block-local *)
+      Cse_table.reset avail;
+      List.iter (fun rid -> mentions.(rid - lo) <- []) !touched;
+      touched := [])
     f.blocks;
   !changed
 
@@ -213,24 +333,25 @@ let is_pure (i : t) : bool =
   | Scatter _ ->
       false
 
-let dead_code_eliminate (f : func) : int =
+let dead_code_eliminate_in ~span (f : func) : int =
   let removed = ref 0 in
+  let lo, used = reg_table span false in
   let rec fixpoint () =
-    let used = Hashtbl.create 64 in
-    let see = function Reg r -> Hashtbl.replace used r.rid () | _ -> () in
+    Array.fill used 0 (Array.length used) false;
+    let see = function Reg r -> used.(r.rid - lo) <- true | _ -> () in
     List.iter
       (fun (_, (blk : block)) ->
         List.iter (fun i -> List.iter see (operands i)) blk.instrs;
         List.iter see (term_operands blk.term))
       f.blocks;
     (* keep induction variables: the vectorizer's loop metadata names them *)
-    List.iter (fun li -> Hashtbl.replace used li.l_ivar.rid ()) f.loops;
+    List.iter (fun li -> used.(li.l_ivar.rid - lo) <- true) f.loops;
     let changed = ref false in
     List.iter
       (fun (_, (blk : block)) ->
         let keep i =
           match dest i with
-          | Some r when is_pure i && not (Hashtbl.mem used r.rid) ->
+          | Some r when is_pure i && not used.(r.rid - lo) ->
               incr removed;
               changed := true;
               false
@@ -255,29 +376,48 @@ let hoistable (i : t) : bool =
 
 (* Hoists invariant computations of single-block loop bodies recorded by
    the builder into the block that jumps into the loop header. *)
-let licm (f : func) : int =
+let licm_in ~span (f : func) : int =
+  if f.loops = [] then 0
+  else
   let hoisted = ref 0 in
+  (* Per-register facts of the loop at hand live in register-indexed
+     arrays: a flag is set, and a count valid, only where its slot holds
+     the loop's stamp, so no array is cleared between loops. *)
+  let lo, defs = reg_table span 0 in
+  let n = Array.length defs in
+  let stamp = ref 0 in
+  let flag () = Array.make n 0 in
+  let in_loop = flag () and seen_def = flag () and read_first = flag () in
+  let counter () = (Array.make n 0, Array.make n 0) in
+  let label_defs = counter () and own_defs = counter () in
+  let set (a : int array) rid = a.(rid - lo) <- !stamp in
+  let is_set (a : int array) rid = a.(rid - lo) = !stamp in
+  let count (c, at) rid = if at.(rid - lo) = !stamp then c.(rid - lo) else 0 in
+  let bump ((c, at) as ctr) rid =
+    c.(rid - lo) <- count ctr rid + 1;
+    at.(rid - lo) <- !stamp
+  in
+  let iter_defs g (b : block) =
+    List.iter (fun i -> match dest i with Some r -> g r.rid | None -> ()) b.instrs
+  in
+  (* writes of each register in the whole function; hoisting only moves
+     instructions between blocks, so the counts stay exact *)
+  List.iter (fun (_, b) -> iter_defs (fun rid -> defs.(rid - lo) <- defs.(rid - lo) + 1) b) f.blocks;
   List.iter
     (fun (li : loop_info) ->
       match List.assoc_opt li.l_body f.blocks with
       | Some body when body.term = Br li.l_latch ->
+          incr stamp;
           (* registers redefined anywhere inside the loop are not invariant *)
-          let loop_defs = Hashtbl.create 16 in
           List.iter
             (fun lbl ->
               match List.assoc_opt lbl f.blocks with
-              | Some (b : block) ->
-                  List.iter
-                    (fun i ->
-                      match dest i with
-                      | Some r -> Hashtbl.replace loop_defs r.rid ()
-                      | None -> ())
-                    b.instrs
+              | Some b -> iter_defs (set in_loop) b
               | None -> ())
             [ li.l_header; li.l_body; li.l_latch ];
-          Hashtbl.replace loop_defs li.l_ivar.rid ();
+          set in_loop li.l_ivar.rid;
           let invariant_op = function
-            | Reg r -> not (Hashtbl.mem loop_defs r.rid)
+            | Reg r -> not (is_set in_loop r.rid)
             | Imm _ | Fimm _ | Glob _ | Fref _ -> true
           in
           (* find the unique preheader: a block other than the latch whose
@@ -289,36 +429,20 @@ let licm (f : func) : int =
               f.blocks
           in
           (match preheader with
-          | [ (pre_label, pre) ] ->
+          | [ (_, pre) ] ->
               (* a destination is only safe to hoist when the body is its
                  sole writer in the whole function (no pre-loop value can
-                 be observed) and the body never reads it before writing *)
-              let defined_elsewhere = Hashtbl.create 16 in
-              List.iter
-                (fun (l, (b : block)) ->
-                  if l <> li.l_body then
-                    List.iter
-                      (fun i ->
-                        match dest i with
-                        | Some r -> Hashtbl.replace defined_elsewhere r.rid ()
-                        | None -> ())
-                      b.instrs)
-                f.blocks;
-              let use_before_def = Hashtbl.create 16 in
-              let seen_def = Hashtbl.create 16 in
+                 be observed), writes it once, and never reads it before
+                 writing *)
+              List.iter (fun (l, b) -> if l = li.l_body then iter_defs (bump label_defs) b) f.blocks;
+              iter_defs (bump own_defs) body;
               List.iter
                 (fun i ->
                   List.iter
-                    (function
-                      | Reg r when not (Hashtbl.mem seen_def r.rid) ->
-                          Hashtbl.replace use_before_def r.rid ()
-                      | _ -> ())
+                    (function Reg r when not (is_set seen_def r.rid) -> set read_first r.rid | _ -> ())
                     (operands i);
-                  match dest i with
-                  | Some r -> Hashtbl.replace seen_def r.rid ()
-                  | None -> ())
+                  match dest i with Some r -> set seen_def r.rid | None -> ())
                 body.instrs;
-              ignore pre_label;
               let moved = ref [] in
               body.instrs <-
                 List.filter
@@ -329,16 +453,9 @@ let licm (f : func) : int =
                       &&
                       match dest i with
                       | Some d ->
-                          (not (Hashtbl.mem defined_elsewhere d.rid))
-                          && (not (Hashtbl.mem use_before_def d.rid))
-                          && List.length
-                               (List.filter
-                                  (fun j ->
-                                    match dest j with
-                                    | Some r -> r.rid = d.rid
-                                    | None -> false)
-                                  body.instrs)
-                             = 1
+                          defs.(d.rid - lo) = count label_defs d.rid
+                          && (not (is_set read_first d.rid))
+                          && count own_defs d.rid = 1
                       | None -> false
                     then begin
                       moved := i :: !moved;
@@ -353,19 +470,25 @@ let licm (f : func) : int =
     f.loops;
   !hoisted
 
+let copy_propagate f = copy_propagate_in ~span:(Dataflow.reg_span f) f
+let local_cse f = local_cse_in ~span:(Dataflow.reg_span f) f
+let dead_code_eliminate f = dead_code_eliminate_in ~span:(Dataflow.reg_span f) f
+let licm f = licm_in ~span:(Dataflow.reg_span f) f
+
 (* ---- driver ---- *)
 
 type stats = { folded : int; propagated : int; cse_hits : int; dce_removed : int }
 
 let run_func (f : func) : stats =
   let folded = ref 0 and propagated = ref 0 and cse_hits = ref 0 and dce = ref 0 in
+  let span = Dataflow.reg_span f in
   for _ = 1 to 2 do
-    propagated := !propagated + copy_propagate f;
+    propagated := !propagated + copy_propagate_in ~span f;
     folded := !folded + constant_fold f;
-    propagated := !propagated + copy_propagate f;
-    cse_hits := !cse_hits + local_cse f;
-    cse_hits := !cse_hits + licm f;
-    dce := !dce + dead_code_eliminate f
+    propagated := !propagated + copy_propagate_in ~span f;
+    cse_hits := !cse_hits + local_cse_in ~span f;
+    cse_hits := !cse_hits + licm_in ~span f;
+    dce := !dce + dead_code_eliminate_in ~span f
   done;
   { folded = !folded; propagated = !propagated; cse_hits = !cse_hits; dce_removed = !dce }
 

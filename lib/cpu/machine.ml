@@ -58,6 +58,11 @@ type frame = {
 
 type status = Running | Waiting of int | Waiting_barrier of int64 | Done
 
+(* [status] has non-constant constructors, so [=] on it is a polymorphic
+   compare; the scheduler tests it through these instead. *)
+let is_running = function Running -> true | Waiting _ | Waiting_barrier _ | Done -> false
+let is_done = function Done -> true | Running | Waiting _ | Waiting_barrier _ -> false
+
 (* Re-execution checkpoint: everything needed to restart the outermost
    hardened call of a thread from scratch (RepTFD-style replay recovery).
    The undo log records (address, width, old value) for every simulated
@@ -184,7 +189,8 @@ type config = {
           retry the whole call that many times before fail-stopping *)
   trace : Buffer.t option;
       (** per-instruction execution trace (requires [debug] compilation);
-          capped at ~1 MB — the Intel SDE debugtrace analogue of §IV-B *)
+          capped at ~1 MB, a cut trace ending with one line that counts
+          the dropped lines — the Intel SDE debugtrace analogue of §IV-B *)
   engine : engine_kind;
   profile : Profile.t option;
       (** per-instruction-class cycle attribution; [None] compiles no
@@ -239,6 +245,7 @@ type t = {
   mutable inject_instr : int;  (** [total_instrs] at injection time; -1 *)
   mutable detect_instr : int;  (** [total_instrs] at first recovery/trap; -1 *)
   mutable inject_class : string;  (** instruction class at the injection site *)
+  mutable trace_dropped : int;  (** trace lines not written since the cap was hit *)
 }
 
 type result = {
@@ -288,6 +295,7 @@ let make ~cfg (code : Code.t) (mem : Memory.t) : t =
     inject_instr = -1;
     detect_instr = -1;
     inject_class = "";
+    trace_dropped = 0;
   }
 
 let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t =
@@ -536,7 +544,7 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
   | "join" -> (
       let tid = Int64.to_int args.(0) in
       match find_thread m tid with
-      | Some target when target.status = Done -> Timing.sync_to th.timing target.final_cycle
+      | Some target when is_done target.status -> Timing.sync_to th.timing target.final_cycle
       | Some _ -> action := Bblock tid
       | None -> raise (Trap (Bad_callee args.(0))))
   | "lock" ->
@@ -749,13 +757,25 @@ let ready_fn (srcs : int array) : frame -> int =
         !r
 
 (* One line of the execution trace, for the instruction at [pc] of [cf]
-   (whose [texts] must cover [pc]); the buffer is capped at ~1 MB. *)
-let trace_line (buf : Buffer.t) (th : thread) (cf : Code.cfunc) (pc : int) =
+   (whose [texts] must cover [pc]).  The buffer is capped at ~1 MB; lines
+   past the cap are counted, and [end_trace] reports them. *)
+let trace_line (m : t) (buf : Buffer.t) (th : thread) (cf : Code.cfunc) (pc : int) =
   if Buffer.length buf < 1_000_000 then
     Buffer.add_string buf
       (Printf.sprintf "T%d %c@%s+%d: %s\n" th.tid
          (if cf.Code.cf_hardened then 'H' else '.')
          cf.Code.cf_name pc cf.Code.texts.(pc))
+  else m.trace_dropped <- m.trace_dropped + 1
+
+(* Ends a trace the cap cut with one line that says how many lines it
+   dropped. *)
+let end_trace (m : t) =
+  match m.cfg.trace with
+  | Some buf when m.trace_dropped > 0 ->
+      Buffer.add_string buf
+        (Printf.sprintf "# trace cut at 1 MB: %d lines dropped\n" m.trace_dropped);
+      m.trace_dropped <- 0
+  | Some _ | None -> ()
 
 (* Call entry: times the call instruction, builds [cf]'s frame with
    [args] in its parameter slots, stores [resume] as the caller's pc,
@@ -1668,7 +1688,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   in
   let trace_hook : (thread -> unit) option =
     match cfg.trace with
-    | Some buf when Array.length cf.Code.texts > pc -> Some (fun th -> trace_line buf th cf pc)
+    | Some buf when Array.length cf.Code.texts > pc -> Some (fun th -> trace_line m buf th cf pc)
     | _ -> None
   in
   let max_instrs = cfg.max_instrs in
@@ -1747,7 +1767,7 @@ let pick_next (m : t) : thread option =
   let best = ref None in
   List.iter
     (fun th ->
-      if th.status = Running then
+      if is_running th.status then
         match !best with
         | Some b when Timing.cycle b.timing <= Timing.cycle th.timing -> ()
         | _ -> best := Some th)
@@ -1757,18 +1777,19 @@ let pick_next (m : t) : thread option =
 let sync_counters (m : t) =
   List.iter
     (fun th ->
-      if th.status <> Done then
+      if not (is_done th.status) then
         th.ctr.Counters.cycles <- Timing.cycle th.timing - th.start_cycle)
     m.threads
 
 let make_result (m : t) (trap : trap_reason option) : result =
   sync_counters m;
+  end_trace m;
   let threads = List.rev m.threads in
   let counters = List.map (fun th -> th.ctr) threads in
   let totals = List.fold_left Counters.add (Counters.create ()) counters in
   let wall =
     List.fold_left
-      (fun acc th -> max acc (if th.status = Done then th.final_cycle else Timing.cycle th.timing))
+      (fun acc th -> max acc (if is_done th.status then th.final_cycle else Timing.cycle th.timing))
       0 m.threads
   in
   let out = Buffer.contents m.output in
@@ -1810,7 +1831,7 @@ let resume ?on_quantum (m : t) : result =
         (match m.cfg.abort with Some f when f () -> raise Abort | _ -> ());
         loop ()
     | None ->
-        if List.for_all (fun th -> th.status = Done) m.threads then ()
+        if List.for_all (fun th -> is_done th.status) m.threads then ()
         else begin
           (* waiting threads whose target has finished were woken eagerly;
              anything left is a deadlock *)
@@ -1819,13 +1840,13 @@ let resume ?on_quantum (m : t) : result =
               match th.status with
               | Waiting tid -> (
                   match find_thread m tid with
-                  | Some t when t.status = Done ->
+                  | Some t when is_done t.status ->
                       th.status <- Running;
                       Timing.sync_to th.timing t.final_cycle
                   | _ -> ())
               | Waiting_barrier _ | Running | Done -> ())
             m.threads;
-          if List.exists (fun th -> th.status = Running) m.threads then loop ()
+          if List.exists (fun th -> is_running th.status) m.threads then loop ()
           else raise (Trap Deadlock)
         end
   in

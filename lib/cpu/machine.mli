@@ -143,8 +143,9 @@ type config = {
           hardened call so [elzar_reexec] can roll back and retry that
           many times before fail-stopping *)
   trace : Buffer.t option;
-      (** per-instruction execution trace, capped at ~1 MB (the Intel SDE
-          debugtrace analogue of §IV-B) *)
+      (** per-instruction execution trace (the Intel SDE debugtrace
+          analogue of §IV-B), capped at ~1 MB: a cut trace ends with one
+          ["# trace cut at 1 MB: N lines dropped"] line *)
   engine : engine_kind;
   profile : Profile.t option;
       (** opt-in per-instruction-class cycle attribution, keyed by the
@@ -191,6 +192,7 @@ type t = {
   mutable inject_instr : int;
   mutable detect_instr : int;
   mutable inject_class : string;
+  mutable trace_dropped : int;  (** trace lines not written since the cap was hit *)
 }
 
 type result = {

@@ -76,7 +76,11 @@ let ymm_lanes s =
    option 3: fill the whole register). *)
 let ymm_of s = match s with I1 -> Vector (I64, 4) | s -> Vector (s, ymm_lanes s)
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Scalar x, Scalar y -> x == y
+  | Vector (x, n), Vector (y, k) -> x == y && n = k
+  | Scalar _, Vector _ | Vector _, Scalar _ -> false
 
 let scalar_to_string = function
   | I1 -> "i1"

@@ -13,7 +13,12 @@ open Instr
 
 exception Ill_formed of string list
 
-type ctx = { m : modul; f : func; mutable errors : string list }
+type ctx = {
+  callees : (string, func) Hashtbl.t;  (** the module's functions by name, first wins *)
+  labels : (string, unit) Hashtbl.t;  (** [f]'s block labels *)
+  f : func;
+  mutable errors : string list;
+}
 
 let err ctx fmt =
   Printf.ksprintf
@@ -116,7 +121,7 @@ let check_instr ctx (i : t) =
       check_same ctx "alloca" r.rty Types.ptr;
       if n <= 0 then err ctx "alloca of %d bytes" n
   | Call (r, name, args) -> (
-      match find_func ctx.m name with
+      match Hashtbl.find_opt ctx.callees name with
       | None -> ()  (* builtin: checked by the machine's builtin table *)
       | Some callee ->
           if List.length args <> List.length callee.params then
@@ -208,20 +213,31 @@ let check_term ctx (t : terminator) =
         err ctx "vbr mask has type %s" (Types.to_string (oty m)));
   List.iter
     (fun l ->
-      if not (List.mem_assoc l ctx.f.blocks) then err ctx "branch to unknown block %%%s" l)
+      if not (Hashtbl.mem ctx.labels l) then err ctx "branch to unknown block %%%s" l)
     (successors t)
 
-let verify_func (m : modul) (f : func) : string list =
-  let ctx = { m; f; errors = [] } in
+(* [m]'s functions by name; [find_func] semantics: the first of a name wins *)
+let callee_table (m : modul) : (string, func) Hashtbl.t =
+  let t = Hashtbl.create 16 in
+  List.iter (fun f -> if not (Hashtbl.mem t f.fname) then Hashtbl.add t f.fname f) m.funcs;
+  t
+
+let check_func callees (f : func) : string list =
+  let ctx = { callees; labels = Hashtbl.create 16; f; errors = [] } in
   if f.blocks = [] then err ctx "function has no blocks";
-  let labels = List.map fst f.blocks in
-  let rec dup = function
-    | [] -> ()
-    | l :: rest ->
-        if List.mem l rest then err ctx "duplicate block label %%%s" l;
-        dup rest
-  in
-  dup labels;
+  (* a label is reported once per later repeat, at each earlier occurrence *)
+  let remaining = Hashtbl.create 16 in
+  List.iter
+    (fun (l, _) ->
+      Hashtbl.replace ctx.labels l ();
+      Hashtbl.replace remaining l (1 + Option.value ~default:0 (Hashtbl.find_opt remaining l)))
+    f.blocks;
+  List.iter
+    (fun (l, _) ->
+      let k = Hashtbl.find remaining l - 1 in
+      Hashtbl.replace remaining l k;
+      if k > 0 then err ctx "duplicate block label %%%s" l)
+    f.blocks;
   List.iter
     (fun (_, b) ->
       List.iter (check_instr ctx) b.instrs;
@@ -232,8 +248,11 @@ let verify_func (m : modul) (f : func) : string list =
   if ctx.errors = [] then ctx.errors <- List.rev_append (Dataflow.verify_defs f) ctx.errors;
   List.rev ctx.errors
 
+let verify_func (m : modul) (f : func) : string list = check_func (callee_table m) f
+
 let verify (m : modul) : (unit, string list) result =
-  let errors = List.concat_map (verify_func m) m.funcs in
+  let callees = callee_table m in
+  let errors = List.concat_map (check_func callees) m.funcs in
   if errors = [] then Ok () else Error errors
 
 let verify_exn m =

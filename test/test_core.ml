@@ -9,6 +9,7 @@ let () =
       ("concurrency", Test_concurrency.tests);
       ("passes", Test_passes.tests);
       ("optimize", Test_optimize.tests);
+      ("prepared", Test_prepared.tests);
       ("rtlib", Test_rtlib.tests);
       ("fault", Test_fault.tests);
       ("props", Test_props.tests);

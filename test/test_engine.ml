@@ -525,6 +525,10 @@ let check_trace_recount () =
     (Option.map Cpu.Machine.string_of_trap r.Cpu.Machine.trap);
   let tr = Buffer.contents buf in
   Alcotest.(check bool) "trace under the 1 MB cap" true (String.length tr < 1_000_000);
+  Alcotest.(check bool) "no cut marker" false
+    (List.exists
+       (fun l -> String.starts_with ~prefix:"# trace cut" l)
+       (String.split_on_char '\n' tr));
   let ctrs = Array.of_list (List.map (fun _ -> Cpu.Counters.create ()) r.Cpu.Machine.counters) in
   let inj = ref 0 and mem = ref 0 and br = ref 0 in
   let recount line =

@@ -110,6 +110,40 @@ let test_verifier_bad_arity () =
          Builder.call0 b2 "callee" [];
          Builder.ret b2 None))
 
+(* The exact error list for label and callee lookups: a label repeated
+   three times is reported at its first two occurrences, an unknown branch
+   target once, and a call resolves to the first function of its name. *)
+let test_verifier_label_and_callee_errors () =
+  let blk term = { Instr.instrs = []; term } in
+  let func name params blocks : Instr.func =
+    { Instr.fname = name; params; ret_ty = None; blocks; next_reg = List.length params; loops = [];
+      hardened = true }
+  in
+  let x = { Instr.rid = 0; rname = "x"; rty = Types.i64 } in
+  let call = { Instr.instrs = [ Instr.Call (None, "g", []) ]; term = Instr.Br "b" } in
+  let m =
+    {
+      Instr.funcs =
+        [
+          func "f" []
+            [ ("a", call); ("b", blk (Instr.Br "zz")); ("a", blk (Instr.Ret None)); ("a", blk (Instr.Ret None)) ];
+          func "g" [ x ] [ ("entry", blk (Instr.Ret None)) ];
+          func "g" [] [ ("entry", blk (Instr.Ret None)) ];
+        ];
+      globals = [];
+    }
+  in
+  Alcotest.(check (result unit (list string)))
+    "errors"
+    (Error
+       [
+         "@f: duplicate block label %a";
+         "@f: duplicate block label %a";
+         "@f: call @g: arity 0, expected 1";
+         "@f: branch to unknown block %zz";
+       ])
+    (Verifier.verify m)
+
 let test_verifier_float_arith_on_int () =
   check_bool "fadd on ints rejected" true
     (ill_formed (fun m ->
@@ -180,6 +214,8 @@ let tests =
     Alcotest.test_case "verifier: type mismatch" `Quick test_verifier_type_mismatch;
     Alcotest.test_case "verifier: bad branch" `Quick test_verifier_bad_branch;
     Alcotest.test_case "verifier: bad arity" `Quick test_verifier_bad_arity;
+    Alcotest.test_case "verifier: label and callee errors" `Quick
+      test_verifier_label_and_callee_errors;
     Alcotest.test_case "verifier: fadd on ints" `Quick test_verifier_float_arith_on_int;
     Alcotest.test_case "verifier: float xor ok" `Quick test_verifier_allows_float_xor;
     Alcotest.test_case "verifier: shuffle bounds" `Quick test_verifier_shuffle_bounds;

@@ -103,6 +103,31 @@ let test_trace_capture () =
   check_bool "trace mentions unhardened main" true (contains ".@main");
   check_bool "trace shows instruction text" true (contains "icmp slt")
 
+(* A trace the 1 MB cap cuts ends with one line counting what it dropped:
+   the kept lines and the dropped ones add up to every retired
+   instruction. *)
+let test_trace_cut_marker () =
+  let w = Workloads.Registry.find "black" in
+  let buf = Buffer.create 4096 in
+  let cfg = { Cpu.Machine.default_config with trace = Some buf } in
+  let r =
+    Workloads.Workload.execute ~machine_cfg:cfg w
+      ~build:(Elzar.Hardened Elzar.Harden_config.default) ~nthreads:1
+      ~size:Workloads.Workload.Tiny
+  in
+  check_bool "no trap" true (r.Cpu.Machine.trap = None);
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf)) in
+  let kept, last =
+    match List.rev lines with last :: rest -> (List.length rest, last) | [] -> assert false
+  in
+  let instrs = r.Cpu.Machine.totals.Cpu.Counters.instrs in
+  check_bool "the run overruns the cap" true (kept < instrs);
+  Alcotest.(check string) "marker line"
+    (Printf.sprintf "# trace cut at 1 MB: %d lines dropped" (instrs - kept))
+    last;
+  check_bool "every other line is an instruction" true
+    (List.for_all (fun l -> l.[0] = 'T') (List.filteri (fun i _ -> i < kept) lines))
+
 let test_alloca_stack_discipline () =
   let m = Builder.create_module () in
   let open Builder in
@@ -202,6 +227,7 @@ let tests =
     Alcotest.test_case "function pointers" `Quick test_function_pointers_work;
     Alcotest.test_case "malloc/free" `Quick test_malloc_free_roundtrip;
     Alcotest.test_case "instruction trace" `Quick test_trace_capture;
+    Alcotest.test_case "cut trace ends with a marker" `Quick test_trace_cut_marker;
     Alcotest.test_case "alloca stack discipline" `Quick test_alloca_stack_discipline;
   ]
   @ List.concat_map

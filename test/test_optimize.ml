@@ -182,3 +182,98 @@ let tests =
       Alcotest.test_case "LICM hoists invariants" `Quick test_licm_hoists;
       Alcotest.test_case "LICM never speculates divisions" `Quick test_licm_leaves_divisions;
     ]
+
+(* ---- pinned block-local semantics, on hand-built single-block functions ---- *)
+
+let reg k = { Instr.rid = k; rname = Printf.sprintf "r%d" k; rty = Types.i64 }
+let r k = Instr.Reg (reg k)
+let imm v = Instr.Imm (Types.i64, Int64.of_int v)
+let add d a b = Instr.Binop (reg d, Instr.Add, a, b)
+let mov d a = Instr.Mov (reg d, a)
+
+(* @f(r0, r1) with one block; registers r0..r9 *)
+let one_block instrs term : Instr.func =
+  {
+    Instr.fname = "f";
+    params = [ reg 0; reg 1 ];
+    ret_ty = Some Types.i64;
+    blocks = [ ("entry", { Instr.instrs; term }) ];
+    next_reg = 10;
+    loops = [];
+    hardened = true;
+  }
+
+let check_block name (want : Instr.t list) (f : Instr.func) =
+  let got = match f.Instr.blocks with [ (_, b) ] -> b.Instr.instrs | _ -> assert false in
+  Alcotest.(check (list string)) name
+    (List.map Printer.string_of_instr want)
+    (List.map Printer.string_of_instr got)
+
+let test_copyprop_source_redefined () =
+  let f =
+    one_block
+      [ mov 2 (r 0); add 3 (r 2) (imm 2); add 0 (r 0) (imm 1); add 4 (r 2) (imm 1) ]
+      (Instr.Ret (Some (r 4)))
+  in
+  check_int "one substitution" 1 (Elzar.Optimize.copy_propagate f);
+  (* r2 = r0 holds until r0 is redefined; after that r2 must stay *)
+  check_block "copy killed by a write to its source"
+    [ mov 2 (r 0); add 3 (r 0) (imm 2); add 0 (r 0) (imm 1); add 4 (r 2) (imm 1) ]
+    f
+
+let test_copyprop_dest_recopied () =
+  let f =
+    one_block
+      [
+        mov 3 (r 0);
+        add 4 (r 3) (imm 1);
+        mov 3 (r 1);
+        add 0 (r 0) (imm 5);
+        add 5 (r 3) (imm 1);
+        add 1 (r 1) (imm 1);
+        add 6 (r 3) (imm 1);
+      ]
+      (Instr.Ret (Some (r 6)))
+  in
+  check_int "two substitutions" 2 (Elzar.Optimize.copy_propagate f);
+  (* r3 is copied from r0, then from r1: a write to the old source r0
+     leaves the new copy alone, a write to r1 kills it *)
+  check_block "the latest copy is the one in force"
+    [
+      mov 3 (r 0);
+      add 4 (r 0) (imm 1);
+      mov 3 (r 1);
+      add 0 (r 0) (imm 5);
+      add 5 (r 1) (imm 1);
+      add 1 (r 1) (imm 1);
+      add 6 (r 3) (imm 1);
+    ]
+    f
+
+let test_cse_falls_back_to_older () =
+  let f =
+    one_block
+      [
+        add 2 (r 0) (r 1);
+        add 3 (r 0) (r 1);
+        Instr.Binop (reg 3, Instr.Mul, r 0, imm 7);
+        add 4 (r 0) (r 1);
+      ]
+      (Instr.Ret (Some (r 4)))
+  in
+  check_int "two hits" 2 (Elzar.Optimize.local_cse f);
+  (* r3 becomes the newest holder of r0+r1, then is overwritten: the next
+     r0+r1 reuses the older holder r2 *)
+  check_block "older entry survives the newest's invalidation"
+    [ add 2 (r 0) (r 1); mov 3 (r 2); Instr.Binop (reg 3, Instr.Mul, r 0, imm 7); mov 4 (r 2) ]
+    f
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "copy propagation: source redefined" `Quick
+        test_copyprop_source_redefined;
+      Alcotest.test_case "copy propagation: destination re-copied" `Quick
+        test_copyprop_dest_recopied;
+      Alcotest.test_case "CSE falls back to an older entry" `Quick test_cse_falls_back_to_older;
+    ]
