@@ -6,8 +6,7 @@ let size = ref Workloads.Workload.Medium
 let fi_injections = ref 150
 
 (* Execution engine for the simulation runs behind the figures.  Set with
-   --engine; interp, which compares the engines itself, ignores it and
-   measures both tiers. *)
+   --engine. *)
 let engine = ref Cpu.Machine.default_config.Cpu.Machine.engine
 
 (* Fault-injection campaign worker pool: 0 = auto (one worker per
@@ -16,10 +15,6 @@ let fi_jobs = ref 0
 
 (* Live progress meter for campaigns on stderr.  Set with --fi-progress. *)
 let fi_progress = ref false
-
-(* Write the machine-readable BENCH_interp.json report (interp).  Set
-   with --json; the perf-smoke alias passes it so CI always tracks it. *)
-let json_reports = ref false
 
 let fi_effective_jobs () = if !fi_jobs > 0 then !fi_jobs else Campaign.default_jobs ()
 

@@ -2,7 +2,7 @@
     evaluation (DESIGN.md section 4 maps each to its module).
 
     Usage: bench/main.exe [experiments...] [--size S] [--engine E]
-    [--injections N] [--fi-jobs J] [--fi-progress] [--json]
+    [--injections N] [--fi-jobs J] [--fi-progress]
     With no arguments, runs everything. *)
 
 let experiments =
@@ -15,7 +15,6 @@ let experiments =
     ("tab3", Tab03.run);
     ("fig13", Fig13.run);
     ("fig13x", Fig13x.run);
-    ("interp", Interp.run);
     ("fig14", Fig14.run);
     ("floatonly", Floatonly.run);
     ("fig15", Fig15.run);
@@ -29,7 +28,7 @@ let usage () =
   Printf.printf
     "usage: main.exe [%s] [--size tiny|small|medium|large] \
      [--engine reference|compiled] [--injections N] [--fi-jobs J] \
-     [--fi-progress] [--json]\n"
+     [--fi-progress]\n"
     (String.concat "|" (List.map fst experiments));
   exit 1
 
@@ -66,9 +65,6 @@ let () =
         parse rest
     | "--fi-progress" :: rest ->
         Common.fi_progress := true;
-        parse rest
-    | "--json" :: rest ->
-        Common.json_reports := true;
         parse rest
     | name :: rest when List.mem_assoc name experiments ->
         selected := name :: !selected;

@@ -33,18 +33,14 @@ let build_name = function
    the paper's builds keep all -O3 passes on and plug the hardening in
    right before code generation (§IV-A). *)
 let prepare (b : build) (m : Ir.Instr.modul) : Ir.Instr.modul =
-  let optimized = Ir.Linker.copy m in
-  ignore (Optimize.run optimized);
-  let m' =
-    match b with
-    | Native ->
-        ignore (Vectorize.run optimized);
-        optimized
-    | Native_novec -> optimized
-    | Hardened cfg -> Elzar_pass.run ~cfg optimized
-    | Swiftr -> Swiftr_pass.run optimized
-    | Swiftr_norepair -> Swiftr_pass.run ~repair:false optimized
-  in
+  let m' = Ir.Linker.copy m in
+  ignore (Optimize.run m');
+  (match b with
+  | Native -> ignore (Vectorize.run m')
+  | Native_novec -> ()
+  | Hardened cfg -> Elzar_pass.run ~cfg m'
+  | Swiftr -> Swiftr_pass.run m'
+  | Swiftr_norepair -> Swiftr_pass.run ~repair:false m');
   Ir.Verifier.verify_exn m';
   m'
 

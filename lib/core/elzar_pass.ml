@@ -614,8 +614,6 @@ let xform_func (cfg : Harden_config.t) (f : func) =
   f.next_reg <- st.nextr;
   f.loops <- []
 
-(* Hardens every [hardened] function of (a copy of) the module. *)
-let run ?(cfg = Harden_config.default) (m : modul) : modul =
-  let m = Linker.copy m in
-  List.iter (fun (f : func) -> if f.hardened then xform_func cfg f) m.funcs;
-  m
+(* Hardens every [hardened] function of the module in place. *)
+let run ?(cfg = Harden_config.default) (m : modul) : unit =
+  List.iter (fun (f : func) -> if f.hardened then xform_func cfg f) m.funcs

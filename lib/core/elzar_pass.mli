@@ -14,5 +14,5 @@ val reg_scalar_types : Ir.Instr.func -> Ir.Types.t option array
 (** Hardens one function in place. *)
 val xform_func : Harden_config.t -> Ir.Instr.func -> unit
 
-(** Hardens every [hardened] function of (a copy of) the module. *)
-val run : ?cfg:Harden_config.t -> Ir.Instr.modul -> Ir.Instr.modul
+(** Hardens every [hardened] function of the module in place. *)
+val run : ?cfg:Harden_config.t -> Ir.Instr.modul -> unit

@@ -309,10 +309,15 @@ let local_cse_in ~span (f : func) : int =
                   | _ -> i
                 in
                 invalidate d.rid;
-                let e = { d; live = true } in
-                bucket.entries <- e :: newest bucket.entries;
-                mention d.rid e;
-                List.iter (function Reg r -> mention r.rid e | _ -> ()) ops;
+                (* [%r1 = add %r1, 1] leaves no available value: its key
+                   names the old [%r1], which [d] has just overwritten. *)
+                if not (List.exists (function Reg r -> r.rid = d.rid | _ -> false) ops)
+                then begin
+                  let e = { d; live = true } in
+                  bucket.entries <- e :: newest bucket.entries;
+                  mention d.rid e;
+                  List.iter (function Reg r -> mention r.rid e | _ -> ()) ops
+                end;
                 i')
           blk.instrs;
       (* available values are block-local *)

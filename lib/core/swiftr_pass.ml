@@ -159,8 +159,6 @@ let xform_func ?(repair = true) (f : func) =
   f.next_reg <- st.nextr;
   f.loops <- []
 
-(* Triplicates every [hardened] function of (a copy of) the module. *)
-let run ?(repair = true) (m : modul) : modul =
-  let m = Linker.copy m in
-  List.iter (fun (f : func) -> if f.hardened then xform_func ~repair f) m.funcs;
-  m
+(* Triplicates every [hardened] function of the module in place. *)
+let run ?(repair = true) (m : modul) : unit =
+  List.iter (fun (f : func) -> if f.hardened then xform_func ~repair f) m.funcs

@@ -11,4 +11,5 @@ exception Unsupported of string
     (ablation). *)
 val xform_func : ?repair:bool -> Ir.Instr.func -> unit
 
-val run : ?repair:bool -> Ir.Instr.modul -> Ir.Instr.modul
+(** Triplicates every [hardened] function of the module in place. *)
+val run : ?repair:bool -> Ir.Instr.modul -> unit

@@ -8,7 +8,8 @@ module J = Obs.Json
    execution), campaign timing gained "worker_deaths"/"interrupted". *)
 let version = 2
 
-let versioned ?(version = version) ~(schema : string) (fields : (string * J.t) list) : J.t =
+(* The standard envelope: {"schema": ..., "version": ..., fields...}. *)
+let versioned ~(schema : string) (fields : (string * J.t) list) : J.t =
   J.Obj (("schema", J.Str schema) :: ("version", J.Int version) :: fields)
 
 let counters (c : Cpu.Counters.t) : J.t =

@@ -16,12 +16,6 @@
 (** Schema version stamped into every document. *)
 val version : int
 
-(** [versioned ~schema fields] is the standard envelope:
-    [{"schema": ..., "version": ..., fields...}].  [version] (default
-    {!version}) lets one document kind bump its own version. *)
-val versioned :
-  ?version:int -> schema:string -> (string * Obs.Json.t) list -> Obs.Json.t
-
 val counters : Cpu.Counters.t -> Obs.Json.t
 
 (** Outcome counts plus the Fig. 13 percentage bars — the JSON rendering

@@ -85,15 +85,22 @@ let check_inject_engines () =
 
 (* the counting (site-census) runs must agree too *)
 let check_count_sites () =
-  let w = Workloads.Registry.find "linreg" in
-  let harden = Elzar.Hardened Elzar.Harden_config.default in
-  let run engine =
-    Workloads.Workload.execute
-      ~machine_cfg:
-        { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = true }
-      w ~build:harden ~nthreads:2 ~size:Workloads.Workload.Tiny
-  in
-  check_result "count-sites" (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled)
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.find name in
+      List.iter
+        (fun b ->
+          let run engine =
+            Workloads.Workload.execute
+              ~machine_cfg:
+                { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = true }
+              w ~build:b ~nthreads:2 ~size:Workloads.Workload.Tiny
+          in
+          check_result
+            ("count-sites " ^ name ^ "/" ^ Elzar.build_name b)
+            (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled))
+        builds)
+    [ "hist"; "linreg"; "km" ]
 
 (* snapshot/restore: resuming from any mid-run snapshot must reproduce the
    straight run bit-for-bit, under either engine.  The re-execution build

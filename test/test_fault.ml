@@ -29,7 +29,7 @@ let pure_compute_module () =
 
 let spec_of build =
   Fault.make_spec (Elzar.prepare build (pure_compute_module ())) "main" ~args:[| 1L |]
-    ~reexec_retries:(Elzar.reexec_retries build)
+    ~flags_cmp:(Elzar.uses_flags_cmp build) ~reexec_retries:(Elzar.reexec_retries build)
 
 let test_pure_compute_always_protected () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
@@ -243,9 +243,10 @@ let test_future_avx_corrects () =
   let r = callv b ~ret:Ir.Types.i64 "kernel" [] in
   call0 b "output_i64" [ r ];
   ret b None;
+  let build = Elzar.Hardened Elzar.Harden_config.future_avx in
   let spec =
-    Fault.make_spec (Elzar.prepare (Elzar.Hardened Elzar.Harden_config.future_avx) m) "main"
-      ~args:[| 1L |]
+    Fault.make_spec (Elzar.prepare build m) "main" ~args:[| 1L |]
+      ~flags_cmp:(Elzar.uses_flags_cmp build)
   in
   let golden = Fault.golden spec in
   let sites = golden.Cpu.Machine.inject_sites in

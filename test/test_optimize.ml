@@ -268,6 +268,17 @@ let test_cse_falls_back_to_older () =
     [ add 2 (r 0) (r 1); mov 3 (r 2); Instr.Binop (reg 3, Instr.Mul, r 0, imm 7); mov 4 (r 2) ]
     f
 
+let test_cse_self_update_not_available () =
+  let f =
+    one_block [ add 1 (r 1) (imm 1); add 2 (r 1) (imm 1) ] (Instr.Ret (Some (r 2)))
+  in
+  check_int "no hits" 0 (Elzar.Optimize.local_cse f);
+  (* after r1 = r1+1 the key r1+1 names the new r1: r2 is r1+2 in terms of
+     the entry value, not a copy of r1 *)
+  check_block "self-update is not an available value"
+    [ add 1 (r 1) (imm 1); add 2 (r 1) (imm 1) ]
+    f
+
 let tests =
   tests
   @ [
@@ -276,4 +287,6 @@ let tests =
       Alcotest.test_case "copy propagation: destination re-copied" `Quick
         test_copyprop_dest_recopied;
       Alcotest.test_case "CSE falls back to an older entry" `Quick test_cse_falls_back_to_older;
+      Alcotest.test_case "CSE: a self-update is not available" `Quick
+        test_cse_self_update_not_available;
     ]
