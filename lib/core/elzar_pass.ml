@@ -40,7 +40,7 @@ let fresh st ?(name = "z") ty =
 
 let flabel st prefix =
   st.nlab <- st.nlab + 1;
-  Printf.sprintf "z.%s%d" prefix st.nlab
+  String.concat "" [ "z."; prefix; string_of_int st.nlab ]
 
 let emit st i = st.cur <- i :: st.cur
 
@@ -55,7 +55,7 @@ let protect_scalar (cfg : Harden_config.t) (s : Types.scalar) =
   | Harden_config.Full -> true
   | Harden_config.Floats_only -> Types.is_float s
 
-let prot st (r : reg) = st.vmap.(r.rid) <> None
+let prot st (r : reg) = Option.is_some st.vmap.(r.rid)
 
 let vreg st (r : reg) =
   match st.vmap.(r.rid) with
@@ -290,7 +290,7 @@ let replicate st (r : reg) (src : reg) =
     else src
   in
   emit st (Broadcast (v, Reg src));
-  if r.rty = Types.i1 then
+  if Types.equal r.rty Types.i1 then
     emit st (Icmp (v, Ine, Reg v, Imm (canonical_mask_ty, 0L)))
 
 (* Canonicalizes a fresh comparison mask into an i1 register's <4 x i64>
@@ -555,16 +555,17 @@ let xform_term st (term : terminator) =
 
 let reg_scalar_types (f : func) : Types.t option array =
   let tys = Array.make f.next_reg None in
-  let note (r : reg) = if tys.(r.rid) = None then tys.(r.rid) <- Some r.rty in
+  let note (r : reg) = if Option.is_none tys.(r.rid) then tys.(r.rid) <- Some r.rty in
+  let note_operand = function Reg r -> note r | Imm _ | Fimm _ | Glob _ | Fref _ -> () in
+  let note_instr i =
+    iter_dest note i;
+    iter_operands note_operand i
+  in
   List.iter note f.params;
   List.iter
     (fun (_, (b : block)) ->
-      List.iter
-        (fun i ->
-          (match dest i with Some r -> note r | None -> ());
-          List.iter (function Reg r -> note r | _ -> ()) (operands i))
-        b.instrs;
-      List.iter (function Reg r -> note r | _ -> ()) (term_operands b.term))
+      List.iter note_instr b.instrs;
+      iter_term_operands note_operand b.term)
     f.blocks;
   tys
 

@@ -20,29 +20,32 @@ let imm_of (o : operand) : (Types.t * int64) option =
   | Fimm (t, v) -> Some (t, Cpu.Value.fencode (Types.elem t) v)
   | Reg _ | Glob _ | Fref _ -> None
 
+let is_imm = function Imm _ | Fimm _ -> true | Reg _ | Glob _ | Fref _ -> false
 let is_div = function Sdiv | Udiv | Srem | Urem -> true | _ -> false
 
 (* evaluates one pure scalar instruction over constant operands; bit-exact
-   via the machine's own value semantics *)
+   via the machine's own value semantics (the [is_imm] guards only keep
+   instructions that cannot fold from paying for the [let*] closures) *)
 let fold_instr (i : t) : t option =
   let ( let* ) = Option.bind in
   match i with
-  | Binop (r, op, a, b) when not (Types.is_vector r.rty) && not (is_div op) ->
+  | Binop (r, op, a, b)
+    when (not (Types.is_vector r.rty)) && (not (is_div op)) && is_imm a && is_imm b ->
       let* _, x = imm_of a in
       let* _, y = imm_of b in
       let s = Types.elem r.rty in
       Some (Mov (r, Imm (r.rty, Cpu.Value.binop (Cpu.Value.binop_desc s op) x y)))
-  | Fbinop (r, op, a, b) when not (Types.is_vector r.rty) ->
+  | Fbinop (r, op, a, b) when (not (Types.is_vector r.rty)) && is_imm a && is_imm b ->
       let* _, x = imm_of a in
       let* _, y = imm_of b in
       let s = Types.elem r.rty in
       Some (Mov (r, Fimm (r.rty, Cpu.Value.fdecode s (Cpu.Value.fbinop (Cpu.Value.fbinop_desc s op) x y))))
-  | Icmp (r, cc, a, b) when not (Types.is_vector r.rty) ->
+  | Icmp (r, cc, a, b) when (not (Types.is_vector r.rty)) && is_imm a && is_imm b ->
       let* ta, x = imm_of a in
       let* _, y = imm_of b in
       let s = Types.elem ta in
       Some (Mov (r, Imm (Types.i1, if Cpu.Value.icmp (Cpu.Value.icmp_desc s cc) x y then 1L else 0L)))
-  | Cast (r, k, a) when not (Types.is_vector r.rty) ->
+  | Cast (r, k, a) when (not (Types.is_vector r.rty)) && is_imm a ->
       let* ta, x = imm_of a in
       let from = Types.elem ta and dst = Types.elem r.rty in
       let bits = Cpu.Value.cast (Cpu.Value.cast_desc k ~from ~dst) x in
@@ -54,68 +57,185 @@ let fold_instr (i : t) : t option =
       | None -> None)
   | _ -> None
 
+(* [List.map g l], but [l] itself when [g] returns every element unchanged
+   (physically): a pass that changes nothing builds no new list.  [g] runs
+   on the elements in order. *)
+let rec map_shared g = function
+  | [] -> []
+  | x :: rest as l ->
+      let x' = g x in
+      let rest' = map_shared g rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+(* [List.filter keep l], sharing the longest unchanged tail with [l]. *)
+let rec filter_shared keep = function
+  | [] -> []
+  | x :: rest as l ->
+      let k = keep x in
+      let rest' = filter_shared keep rest in
+      if not k then rest' else if rest' == rest then l else x :: rest'
+
 let constant_fold (f : func) : int =
   let changed = ref 0 in
-  List.iter
-    (fun (_, (blk : block)) ->
-      blk.instrs <-
-        List.map
-          (fun i ->
-            match fold_instr i with
-            | Some i' ->
-                incr changed;
-                i'
-            | None -> i)
-          blk.instrs)
-    f.blocks;
+  let fold i =
+    match fold_instr i with
+    | Some i' ->
+        incr changed;
+        i'
+    | None -> i
+  in
+  List.iter (fun (_, (blk : block)) -> blk.instrs <- map_shared fold blk.instrs) f.blocks;
   !changed
 
 (* ---- block-local copy propagation ---- *)
 
+(* [i] with [g] applied to its operands; [i] itself when [g] changes none. *)
 let map_operands (g : operand -> operand) (i : t) : t =
   match i with
-  | Binop (r, op, a, b) -> Binop (r, op, g a, g b)
-  | Fbinop (r, op, a, b) -> Fbinop (r, op, g a, g b)
-  | Icmp (r, cc, a, b) -> Icmp (r, cc, g a, g b)
-  | Fcmp (r, cc, a, b) -> Fcmp (r, cc, g a, g b)
-  | Select (r, c, a, b) -> Select (r, g c, g a, g b)
-  | Cast (r, k, a) -> Cast (r, k, g a)
-  | Mov (r, a) -> Mov (r, g a)
-  | Load (r, a) -> Load (r, g a)
-  | Store (v, a) -> Store (g v, g a)
+  | Binop (r, op, a, b) ->
+      let a' = g a in
+      let b' = g b in
+      if a' == a && b' == b then i else Binop (r, op, a', b')
+  | Fbinop (r, op, a, b) ->
+      let a' = g a in
+      let b' = g b in
+      if a' == a && b' == b then i else Fbinop (r, op, a', b')
+  | Icmp (r, cc, a, b) ->
+      let a' = g a in
+      let b' = g b in
+      if a' == a && b' == b then i else Icmp (r, cc, a', b')
+  | Fcmp (r, cc, a, b) ->
+      let a' = g a in
+      let b' = g b in
+      if a' == a && b' == b then i else Fcmp (r, cc, a', b')
+  | Select (r, c, a, b) ->
+      let c' = g c in
+      let a' = g a in
+      let b' = g b in
+      if c' == c && a' == a && b' == b then i else Select (r, c', a', b')
+  | Cast (r, k, a) ->
+      let a' = g a in
+      if a' == a then i else Cast (r, k, a')
+  | Mov (r, a) ->
+      let a' = g a in
+      if a' == a then i else Mov (r, a')
+  | Load (r, a) ->
+      let a' = g a in
+      if a' == a then i else Load (r, a')
+  | Store (v, a) ->
+      let v' = g v in
+      let a' = g a in
+      if v' == v && a' == a then i else Store (v', a')
   | Alloca _ -> i
-  | Call (r, n, args) -> Call (r, n, List.map g args)
-  | Call_ind (r, rt, fp, args) -> Call_ind (r, rt, g fp, List.map g args)
-  | Atomic_rmw (r, op, a, x) -> Atomic_rmw (r, op, g a, g x)
-  | Cmpxchg (r, a, e, d) -> Cmpxchg (r, g a, g e, g d)
-  | Extractlane (r, v, l) -> Extractlane (r, g v, l)
-  | Insertlane (r, v, l, s) -> Insertlane (r, g v, l, g s)
-  | Broadcast (r, s) -> Broadcast (r, g s)
-  | Shuffle (r, v, p) -> Shuffle (r, g v, p)
-  | Ptestz (r, v) -> Ptestz (r, g v)
-  | Gather (r, a) -> Gather (r, g a)
-  | Scatter (v, a) -> Scatter (g v, g a)
+  | Call (r, n, args) ->
+      let args' = map_shared g args in
+      if args' == args then i else Call (r, n, args')
+  | Call_ind (r, rt, fp, args) ->
+      let fp' = g fp in
+      let args' = map_shared g args in
+      if fp' == fp && args' == args then i else Call_ind (r, rt, fp', args')
+  | Atomic_rmw (r, op, a, x) ->
+      let a' = g a in
+      let x' = g x in
+      if a' == a && x' == x then i else Atomic_rmw (r, op, a', x')
+  | Cmpxchg (r, a, e, d) ->
+      let a' = g a in
+      let e' = g e in
+      let d' = g d in
+      if a' == a && e' == e && d' == d then i else Cmpxchg (r, a', e', d')
+  | Extractlane (r, v, l) ->
+      let v' = g v in
+      if v' == v then i else Extractlane (r, v', l)
+  | Insertlane (r, v, l, x) ->
+      let v' = g v in
+      let x' = g x in
+      if v' == v && x' == x then i else Insertlane (r, v', l, x')
+  | Broadcast (r, x) ->
+      let x' = g x in
+      if x' == x then i else Broadcast (r, x')
+  | Shuffle (r, v, p) ->
+      let v' = g v in
+      if v' == v then i else Shuffle (r, v', p)
+  | Ptestz (r, v) ->
+      let v' = g v in
+      if v' == v then i else Ptestz (r, v')
+  | Gather (r, a) ->
+      let a' = g a in
+      if a' == a then i else Gather (r, a')
+  | Scatter (v, a) ->
+      let v' = g v in
+      let a' = g a in
+      if v' == v && a' == a then i else Scatter (v', a')
 
 let map_term_operands (g : operand -> operand) (t : terminator) : terminator =
   match t with
-  | Ret (Some o) -> Ret (Some (g o))
-  | Cond_br (c, a, b) -> Cond_br (g c, a, b)
-  | Vbr (m, a, b, r) -> Vbr (g m, a, b, r)
-  | Vbr_unchecked (m, a, b) -> Vbr_unchecked (g m, a, b)
-  | (Ret None | Br _ | Unreachable) as t -> t
+  | Ret (Some o) ->
+      let o' = g o in
+      if o' == o then t else Ret (Some o')
+  | Cond_br (c, a, b) ->
+      let c' = g c in
+      if c' == c then t else Cond_br (c', a, b)
+  | Vbr (m, a, b, r) ->
+      let m' = g m in
+      if m' == m then t else Vbr (m', a, b, r)
+  | Vbr_unchecked (m, a, b) ->
+      let m' = g m in
+      if m' == m then t else Vbr_unchecked (m', a, b)
+  | Ret None | Br _ | Unreachable -> t
 
-(* The passes below index scratch tables by register: slot [rid - lo] for
-   every id of [span], the function's [Dataflow.reg_span].  No pass adds a
-   register, so [run_func] computes the span once for all of them. *)
-let reg_table ((lo, hi) : int * int) (init : 'a) : int * 'a array = (lo, Array.make (hi - lo) init)
+(* ---- block-local common subexpression elimination ---- *)
 
-let copy_propagate_in ~span (f : func) : int =
+(* An available value: [d] holds its key's value until [d] or an operand
+   register of the key is redefined. *)
+type cse_entry = { d : reg; mutable live : bool }
+
+(* The entries of one key, newest first; dead ones are dropped lazily. *)
+type cse_bucket = { mutable entries : cse_entry list }
+
+(* Per-register scratch of the passes: slot [rid - lo] for every id of the
+   function's [Dataflow.reg_span].  No pass adds a register (nor a block),
+   so [run_func] sizes it once for all of them.  Copy propagation and CSE
+   leave their slots as they found them; DCE and LICM fill theirs before
+   use, and a LICM flag is set only where it holds the current [stamp]. *)
+type scratch = {
+  lo : int;
+  copies : operand option array;  (** copy propagation: rid -> replacement *)
+  readers : int list array;  (** copy propagation: rid -> copies reading it *)
+  mentions : cse_entry list array;  (** CSE: rid -> entries that die with it *)
+  uses : int array;  (** DCE: reads of rid *)
+  defs : int array;  (** LICM: writes of rid in the function *)
+  labels : Dataflow.Labels.t Lazy.t;  (** LICM: the blocks by label *)
+  in_loop : int array;
+  seen_def : int array;
+  read_first : int array;
+  mutable stamp : int;
+}
+
+let scratch (f : func) : scratch =
+  let lo, hi = Dataflow.reg_span f in
+  let n = hi - lo in
+  let flag () = Array.make n 0 in
+  {
+    lo;
+    copies = Array.make n None;
+    readers = Array.make n [];
+    mentions = Array.make n [];
+    uses = Array.make n 0;
+    defs = Array.make n 0;
+    labels = lazy (Dataflow.Labels.create f);
+    in_loop = flag ();
+    seen_def = flag ();
+    read_first = flag ();
+    stamp = 0;
+  }
+
+let copy_propagate_in (s : scratch) (f : func) : int =
   let changed = ref 0 in
   (* rid -> replacement operand, valid until either side is redefined *)
-  let lo, copies = reg_table span None in
+  let lo = s.lo and copies = s.copies in
   (* rid -> destinations whose copy reads that register; an entry goes
      stale when its destination is killed or re-copied, so [kill] checks *)
-  let readers = Array.make (Array.length copies) [] in
+  let readers = s.readers in
   let touched = ref [] in
   (* number of [Some] slots: while it is 0, nothing can be substituted *)
   let live = ref 0 in
@@ -125,12 +245,16 @@ let copy_propagate_in ~span (f : func) : int =
       decr live
     end
   in
-  let kill rid =
-    drop (rid - lo);
-    List.iter
-      (fun d -> match copies.(d - lo) with Some (Reg r) when r.rid = rid -> drop (d - lo) | _ -> ())
-      readers.(rid - lo);
-    readers.(rid - lo) <- []
+  let rec drop_readers rid = function
+    | [] -> ()
+    | d :: ds ->
+        (match copies.(d - lo) with Some (Reg r) when r.rid = rid -> drop (d - lo) | _ -> ());
+        drop_readers rid ds
+  in
+  let kill (d : reg) =
+    drop (d.rid - lo);
+    drop_readers d.rid readers.(d.rid - lo);
+    readers.(d.rid - lo) <- []
   in
   let subst (o : operand) : operand =
     match o with
@@ -142,26 +266,25 @@ let copy_propagate_in ~span (f : func) : int =
         | _ -> o)
     | o -> o
   in
+  let step i =
+    let i = if !live = 0 then i else map_operands subst i in
+    iter_dest kill i;
+    (match i with
+    | Mov (r, src) when not (match src with Reg s -> s.rid = r.rid | _ -> false) ->
+        copies.(r.rid - lo) <- Some src;
+        incr live;
+        touched := r.rid :: !touched;
+        (match src with
+        | Reg s ->
+            readers.(s.rid - lo) <- r.rid :: readers.(s.rid - lo);
+            touched := s.rid :: !touched
+        | Imm _ | Fimm _ | Glob _ | Fref _ -> ())
+    | _ -> ());
+    i
+  in
   List.iter
     (fun (_, (blk : block)) ->
-      blk.instrs <-
-        List.map
-          (fun i ->
-            let i = if !live = 0 then i else map_operands subst i in
-            (match dest i with Some r -> kill r.rid | None -> ());
-            (match i with
-            | Mov (r, src) when not (match src with Reg s -> s.rid = r.rid | _ -> false) ->
-                copies.(r.rid - lo) <- Some src;
-                incr live;
-                touched := r.rid :: !touched;
-                (match src with
-                | Reg s ->
-                    readers.(s.rid - lo) <- r.rid :: readers.(s.rid - lo);
-                    touched := s.rid :: !touched
-                | Imm _ | Fimm _ | Glob _ | Fref _ -> ())
-            | _ -> ());
-            i)
-          blk.instrs;
+      blk.instrs <- map_shared step blk.instrs;
       if !live > 0 then blk.term <- map_term_operands subst blk.term;
       (* copies are block-local *)
       List.iter
@@ -174,57 +297,15 @@ let copy_propagate_in ~span (f : func) : int =
     f.blocks;
   !changed
 
-(* ---- block-local common subexpression elimination ---- *)
-
-(* What makes two pure instructions compute the same value, besides their
-   operands. *)
-type cse_op =
-  | Kbinop of binop * Types.t
-  | Kfbinop of fbinop * Types.t
-  | Kicmp of icmp * Types.t
-  | Kfcmp of fcmp * Types.t
-  | Kcast of cast * Types.t
-  | Kselect of Types.t
-  | Kextract of int
-  | Kbroadcast of Types.t
-  | Kshuffle of Types.t * int array
-
-(* pure, side-effect-free instructions with a deterministic value *)
-let cse_key (i : t) : (cse_op * operand list) option =
-  match i with
-  | Binop (r, op, a, b) -> Some (Kbinop (op, r.rty), [ a; b ])
-  | Fbinop (r, op, a, b) -> Some (Kfbinop (op, r.rty), [ a; b ])
-  | Icmp (r, cc, a, b) -> Some (Kicmp (cc, r.rty), [ a; b ])
-  | Fcmp (r, cc, a, b) -> Some (Kfcmp (cc, r.rty), [ a; b ])
-  | Cast (r, k, a) -> Some (Kcast (k, r.rty), [ a ])
-  | Select (r, c, a, b) -> Some (Kselect r.rty, [ c; a; b ])
-  | Extractlane (_, v, l) -> Some (Kextract l, [ v ])
-  | Broadcast (r, s) -> Some (Kbroadcast r.rty, [ s ])
-  | Shuffle (r, v, p) -> Some (Kshuffle (r.rty, p), [ v ])
-  | _ -> None
-
-(* Structural equality of keys, spelled out so that no polymorphic compare
-   runs: float immediates compare as IEEE values (0.0 matches -0.0, NaN
-   matches nothing), registers by every field. *)
+(* CSE candidates are the pure, side-effect-free instructions with a
+   deterministic value that [local_cse_in] matches on: two of them compute
+   the same value when their operations, result types (but for
+   [Extractlane]) and operands agree.  A candidate is its own hash key, so
+   no key is built.  Equality is spelled out so that no polymorphic compare runs:
+   float immediates compare as IEEE values (0.0 matches -0.0, NaN matches
+   nothing), registers by every field. *)
 module Cse_key = struct
-  type t = cse_op * operand list
-
-  let op_equal (a : cse_op) (b : cse_op) =
-    let open Types in
-    match (a, b) with
-    | Kbinop (x, t), Kbinop (y, u) -> x = y && equal t u
-    | Kfbinop (x, t), Kfbinop (y, u) -> x = y && equal t u
-    | Kicmp (x, t), Kicmp (y, u) -> x = y && equal t u
-    | Kfcmp (x, t), Kfcmp (y, u) -> x = y && equal t u
-    | Kcast (x, t), Kcast (y, u) -> x = y && equal t u
-    | Kselect t, Kselect u | Kbroadcast t, Kbroadcast u -> equal t u
-    | Kextract l, Kextract k -> l = k
-    | Kshuffle (t, p), Kshuffle (u, q) ->
-        equal t u && Array.length p = Array.length q && Array.for_all2 Int.equal p q
-    | ( ( Kbinop _ | Kfbinop _ | Kicmp _ | Kfcmp _ | Kcast _ | Kselect _ | Kextract _
-        | Kbroadcast _ | Kshuffle _ ),
-        _ ) ->
-        false
+  type nonrec t = t
 
   let operand_equal (a : operand) (b : operand) =
     match (a, b) with
@@ -234,7 +315,20 @@ module Cse_key = struct
     | Glob x, Glob y | Fref x, Fref y -> String.equal x y
     | (Reg _ | Imm _ | Fimm _ | Glob _ | Fref _), _ -> false
 
-  let equal ((o, xs) : t) ((p, ys) : t) = op_equal o p && List.equal operand_equal xs ys
+  let equal (i : t) (j : t) =
+    let ty (r : reg) (s : reg) = Types.equal r.rty s.rty and ( =~ ) = operand_equal in
+    match (i, j) with
+    | Binop (r, x, a, b), Binop (s, y, c, d) -> x = y && ty r s && a =~ c && b =~ d
+    | Fbinop (r, x, a, b), Fbinop (s, y, c, d) -> x = y && ty r s && a =~ c && b =~ d
+    | Icmp (r, x, a, b), Icmp (s, y, c, d) -> x = y && ty r s && a =~ c && b =~ d
+    | Fcmp (r, x, a, b), Fcmp (s, y, c, d) -> x = y && ty r s && a =~ c && b =~ d
+    | Cast (r, x, a), Cast (s, y, c) -> x = y && ty r s && a =~ c
+    | Select (r, k, a, b), Select (s, l, c, d) -> ty r s && k =~ l && a =~ c && b =~ d
+    | Extractlane (_, a, x), Extractlane (_, c, y) -> x = y && a =~ c
+    | Broadcast (r, a), Broadcast (s, c) -> ty r s && a =~ c
+    | Shuffle (r, a, p), Shuffle (s, c, q) ->
+        ty r s && Array.length p = Array.length q && Array.for_all2 Int.equal p q && a =~ c
+    | _ -> false
 
   let operand_hash = function
     | Reg r -> r.rid
@@ -243,83 +337,81 @@ module Cse_key = struct
     | Glob s | Fref s -> Hashtbl.hash s
 
   (* keys that differ only in the operation or a type share a hash *)
-  let op_hash = function
-    | Kbinop _ -> 1
-    | Kfbinop _ -> 2
-    | Kicmp _ -> 3
-    | Kfcmp _ -> 4
-    | Kcast _ -> 5
-    | Kselect _ -> 6
-    | Kextract l -> 7 + (16 * l)
-    | Kbroadcast _ -> 8
-    | Kshuffle _ -> 9
-
-  let hash ((o, xs) : t) =
-    List.fold_left (fun h x -> (h * 31) + operand_hash x) (op_hash o) xs land max_int
+  let hash (i : t) =
+    let h = operand_hash in
+    let mix h0 a = (h0 * 31) + h a in
+    (match i with
+    | Binop (_, _, a, b) -> mix (mix 1 a) b
+    | Fbinop (_, _, a, b) -> mix (mix 2 a) b
+    | Icmp (_, _, a, b) -> mix (mix 3 a) b
+    | Fcmp (_, _, a, b) -> mix (mix 4 a) b
+    | Cast (_, _, a) -> mix 5 a
+    | Select (_, c, a, b) -> mix (mix (mix 6 c) a) b
+    | Extractlane (_, a, l) -> mix (7 + (16 * l)) a
+    | Broadcast (_, a) -> mix 8 a
+    | Shuffle (_, a, _) -> mix 9 a
+    | _ -> 0)
+    land max_int
 end
 
 module Cse_table = Hashtbl.Make (Cse_key)
 
-(* An available value: [d] holds its key's value until [d] or an operand
-   register of the key is redefined. *)
-type cse_entry = { d : reg; mutable live : bool }
-
-(* The entries of one key, newest first; dead ones are dropped lazily. *)
-type cse_bucket = { mutable entries : cse_entry list }
-
-let local_cse_in ~span (f : func) : int =
+let local_cse_in (s : scratch) (f : func) : int =
   let changed = ref 0 in
   let avail : cse_bucket Cse_table.t = Cse_table.create 64 in
   (* rid -> entries that die when it is redefined *)
-  let lo, mentions = reg_table span [] in
+  let lo = s.lo and mentions = s.mentions in
   let touched = ref [] in
-  let invalidate rid =
-    List.iter (fun e -> e.live <- false) mentions.(rid - lo);
-    mentions.(rid - lo) <- []
+  let invalidate (r : reg) =
+    List.iter (fun e -> e.live <- false) mentions.(r.rid - lo);
+    mentions.(r.rid - lo) <- []
   in
-  let mention rid e =
+  let mention e rid =
     mentions.(rid - lo) <- e :: mentions.(rid - lo);
     touched := rid :: !touched
   in
   let rec newest = function e :: rest when not e.live -> newest rest | l -> l in
+  (* candidate [i], which computes into [d] *)
+  let candidate i (d : reg) =
+    let bucket =
+      match Cse_table.find_opt avail i with
+      | Some b -> b
+      | None ->
+          let b = { entries = [] } in
+          Cse_table.add avail i b;
+          b
+    in
+    let i' =
+      match newest bucket.entries with
+      | { d = prev; _ } :: _ when Types.equal prev.rty d.rty && prev.rid <> d.rid ->
+          incr changed;
+          Mov (d, Reg prev)
+      | _ -> i
+    in
+    invalidate d;
+    (* [%r1 = add %r1, 1] leaves no available value: its key names the
+       old [%r1], which [d] has just overwritten. *)
+    if not (exists_operand (function Reg r -> r.rid = d.rid | _ -> false) i) then begin
+      let e = { d; live = true } in
+      bucket.entries <- e :: newest bucket.entries;
+      mention e d.rid;
+      iter_operands (function Reg r -> mention e r.rid | _ -> ()) i
+    end;
+    i'
+  in
+  let step i =
+    match i with
+    | Binop (d, _, _, _) | Fbinop (d, _, _, _) | Icmp (d, _, _, _) | Fcmp (d, _, _, _)
+    | Cast (d, _, _) | Select (d, _, _, _) | Extractlane (d, _, _) | Broadcast (d, _)
+    | Shuffle (d, _, _) ->
+        candidate i d
+    | _ ->
+        iter_dest invalidate i;
+        i
+  in
   List.iter
     (fun (_, (blk : block)) ->
-      blk.instrs <-
-        List.map
-          (fun i ->
-            match cse_key i with
-            | None ->
-                (match dest i with Some r -> invalidate r.rid | None -> ());
-                i
-            | Some ((_, ops) as key) ->
-                let d = Option.get (dest i) in
-                let bucket =
-                  match Cse_table.find_opt avail key with
-                  | Some b -> b
-                  | None ->
-                      let b = { entries = [] } in
-                      Cse_table.add avail key b;
-                      b
-                in
-                let i' =
-                  match newest bucket.entries with
-                  | { d = prev; _ } :: _ when Types.equal prev.rty d.rty && prev.rid <> d.rid ->
-                      incr changed;
-                      Mov (d, Reg prev)
-                  | _ -> i
-                in
-                invalidate d.rid;
-                (* [%r1 = add %r1, 1] leaves no available value: its key
-                   names the old [%r1], which [d] has just overwritten. *)
-                if not (List.exists (function Reg r -> r.rid = d.rid | _ -> false) ops)
-                then begin
-                  let e = { d; live = true } in
-                  bucket.entries <- e :: newest bucket.entries;
-                  mention d.rid e;
-                  List.iter (function Reg r -> mention r.rid e | _ -> ()) ops
-                end;
-                i')
-          blk.instrs;
+      blk.instrs <- map_shared step blk.instrs;
       (* available values are block-local *)
       Cse_table.reset avail;
       List.iter (fun rid -> mentions.(rid - lo) <- []) !touched;
@@ -338,35 +430,51 @@ let is_pure (i : t) : bool =
   | Scatter _ ->
       false
 
-let dead_code_eliminate_in ~span (f : func) : int =
-  let removed = ref 0 in
-  let lo, used = reg_table span false in
-  let rec fixpoint () =
-    Array.fill used 0 (Array.length used) false;
-    let see = function Reg r -> used.(r.rid - lo) <- true | _ -> () in
-    List.iter
-      (fun (_, (blk : block)) ->
-        List.iter (fun i -> List.iter see (operands i)) blk.instrs;
-        List.iter see (term_operands blk.term))
-      f.blocks;
-    (* keep induction variables: the vectorizer's loop metadata names them *)
-    List.iter (fun li -> used.(li.l_ivar.rid - lo) <- true) f.loops;
-    let changed = ref false in
-    List.iter
-      (fun (_, (blk : block)) ->
-        let keep i =
-          match dest i with
-          | Some r when is_pure i && not used.(r.rid - lo) ->
-              incr removed;
-              changed := true;
-              false
-          | _ -> true
-        in
-        blk.instrs <- List.filter keep blk.instrs)
-      f.blocks;
-    if !changed then fixpoint ()
+let dead_code_eliminate_in (s : scratch) (f : func) : int =
+  let removed = ref 0 and freed = ref false in
+  let lo = s.lo and uses = s.uses in
+  (* reads of each register by the instructions and terminators left *)
+  Array.fill uses 0 (Array.length uses) 0;
+  let use = function Reg r -> uses.(r.rid - lo) <- uses.(r.rid - lo) + 1 | _ -> () in
+  let unuse = function
+    | Reg r ->
+        let k = r.rid - lo in
+        uses.(k) <- uses.(k) - 1;
+        if uses.(k) = 0 then freed := true
+    | _ -> ()
   in
-  fixpoint ();
+  let use_instr = iter_operands use in
+  List.iter
+    (fun (_, (blk : block)) ->
+      List.iter use_instr blk.instrs;
+      iter_term_operands use blk.term)
+    f.blocks;
+  (* keep induction variables: the vectorizer's loop metadata names them *)
+  List.iter (fun li -> uses.(li.l_ivar.rid - lo) <- uses.(li.l_ivar.rid - lo) + 1) f.loops;
+  let dead = ref false in
+  let unread (r : reg) = dead := uses.(r.rid - lo) = 0 in
+  (* every pure instruction has a destination *)
+  let keep i =
+    (not (is_pure i))
+    || begin
+         iter_dest unread i;
+         if !dead then begin
+           incr removed;
+           iter_operands unuse i
+         end;
+         not !dead
+       end
+  in
+  (* Removing an instruction only takes reads away, so what a sweep
+     removes stays removable and any order of sweeps ends with the same
+     instructions.  A definition dies only when the last read of its
+     register goes: another sweep is due only when a count reached zero. *)
+  let rec sweep () =
+    freed := false;
+    List.iter (fun (_, (blk : block)) -> blk.instrs <- filter_shared keep blk.instrs) f.blocks;
+    if !freed then sweep ()
+  in
+  sweep ();
   !removed
 
 (* ---- loop-invariant code motion ---- *)
@@ -379,89 +487,101 @@ let hoistable (i : t) : bool =
   | Binop _ | Fbinop _ | Icmp _ | Fcmp _ | Select _ | Cast _ | Mov _ -> true
   | _ -> false
 
+let branches_to (l : string) (t : terminator) =
+  match t with
+  | Ret _ | Unreachable -> false
+  | Br a -> String.equal a l
+  | Cond_br (_, a, b) | Vbr_unchecked (_, a, b) -> String.equal a l || String.equal b l
+  | Vbr (_, a, b, c) -> String.equal a l || String.equal b l || String.equal c l
+
 (* Hoists invariant computations of single-block loop bodies recorded by
    the builder into the block that jumps into the loop header. *)
-let licm_in ~span (f : func) : int =
+let licm_in (s : scratch) (f : func) : int =
   if f.loops = [] then 0
   else
   let hoisted = ref 0 in
+  let labels = Lazy.force s.labels in
+  let block_of l =
+    let i = Dataflow.Labels.find labels l in
+    if i < 0 then None else Some (Dataflow.Labels.block labels i)
+  in
   (* Per-register facts of the loop at hand live in register-indexed
-     arrays: a flag is set, and a count valid, only where its slot holds
-     the loop's stamp, so no array is cleared between loops. *)
-  let lo, defs = reg_table span 0 in
-  let n = Array.length defs in
-  let stamp = ref 0 in
-  let flag () = Array.make n 0 in
-  let in_loop = flag () and seen_def = flag () and read_first = flag () in
-  let counter () = (Array.make n 0, Array.make n 0) in
-  let label_defs = counter () and own_defs = counter () in
-  let set (a : int array) rid = a.(rid - lo) <- !stamp in
-  let is_set (a : int array) rid = a.(rid - lo) = !stamp in
-  let count (c, at) rid = if at.(rid - lo) = !stamp then c.(rid - lo) else 0 in
-  let bump ((c, at) as ctr) rid =
-    c.(rid - lo) <- count ctr rid + 1;
-    at.(rid - lo) <- !stamp
+     arrays: a flag is set only where its slot holds the loop's stamp, so
+     no array is cleared between loops. *)
+  let lo = s.lo and defs = s.defs in
+  let set (a : int array) (r : reg) = a.(r.rid - lo) <- s.stamp in
+  let is_set (a : int array) rid = a.(rid - lo) = s.stamp in
+  let in_loop = set s.in_loop and seen_def = set s.seen_def in
+  let read_first = function
+    | Reg r when not (is_set s.seen_def r.rid) -> set s.read_first r
+    | _ -> ()
   in
-  let iter_defs g (b : block) =
-    List.iter (fun i -> match dest i with Some r -> g r.rid | None -> ()) b.instrs
+  let variant_op = function
+    | Reg r -> is_set s.in_loop r.rid
+    | Imm _ | Fimm _ | Glob _ | Fref _ -> false
   in
-  (* writes of each register in the whole function; hoisting only moves
-     instructions between blocks, so the counts stay exact *)
-  List.iter (fun (_, b) -> iter_defs (fun rid -> defs.(rid - lo) <- defs.(rid - lo) + 1) b) f.blocks;
+  (* writes of a register in the whole function, counted on the first
+     candidate; hoisting only moves instructions between blocks, so the
+     counts stay exact *)
+  let counted = ref false in
+  let count (r : reg) = defs.(r.rid - lo) <- defs.(r.rid - lo) + 1 in
+  let count_instr = iter_dest count in
+  let writes (r : reg) =
+    if not !counted then begin
+      counted := true;
+      Array.fill defs 0 (Array.length defs) 0;
+      List.iter (fun (_, (b : block)) -> List.iter count_instr b.instrs) f.blocks
+    end;
+    defs.(r.rid - lo)
+  in
   List.iter
     (fun (li : loop_info) ->
-      match List.assoc_opt li.l_body f.blocks with
-      | Some body when body.term = Br li.l_latch ->
-          incr stamp;
+      match block_of li.l_body with
+      | Some body when (match body.term with Br l -> String.equal l li.l_latch | _ -> false) -> (
+          s.stamp <- s.stamp + 1;
           (* registers redefined anywhere inside the loop are not invariant *)
           List.iter
             (fun lbl ->
-              match List.assoc_opt lbl f.blocks with
-              | Some b -> iter_defs (set in_loop) b
+              match block_of lbl with
+              | Some b -> List.iter (iter_dest in_loop) b.instrs
               | None -> ())
             [ li.l_header; li.l_body; li.l_latch ];
-          set in_loop li.l_ivar.rid;
-          let invariant_op = function
-            | Reg r -> not (is_set in_loop r.rid)
-            | Imm _ | Fimm _ | Glob _ | Fref _ -> true
-          in
+          in_loop li.l_ivar;
           (* find the unique preheader: a block other than the latch whose
              terminator targets the header *)
-          let preheader =
-            List.filter
-              (fun (l, (b : block)) ->
-                l <> li.l_latch && List.mem li.l_header (successors b.term))
-              f.blocks
-          in
-          (match preheader with
-          | [ (_, pre) ] ->
+          let preheaders = ref 0 and pre = ref body in
+          List.iter
+            (fun (l, (b : block)) ->
+              if (not (String.equal l li.l_latch)) && branches_to li.l_header b.term then begin
+                incr preheaders;
+                pre := b
+              end)
+            f.blocks;
+          match !preheaders with
+          | 1 ->
+              let pre = !pre in
               (* a destination is only safe to hoist when the body is its
                  sole writer in the whole function (no pre-loop value can
                  be observed), writes it once, and never reads it before
                  writing *)
-              List.iter (fun (l, b) -> if l = li.l_body then iter_defs (bump label_defs) b) f.blocks;
-              iter_defs (bump own_defs) body;
               List.iter
                 (fun i ->
-                  List.iter
-                    (function Reg r when not (is_set seen_def r.rid) -> set read_first r.rid | _ -> ())
-                    (operands i);
-                  match dest i with Some r -> set seen_def r.rid | None -> ())
+                  iter_operands read_first i;
+                  iter_dest seen_def i)
                 body.instrs;
               let moved = ref [] in
               body.instrs <-
-                List.filter
+                filter_shared
                   (fun i ->
                     if
                       hoistable i
-                      && List.for_all invariant_op (operands i)
+                      && (not (exists_operand variant_op i))
                       &&
-                      match dest i with
-                      | Some d ->
-                          defs.(d.rid - lo) = count label_defs d.rid
-                          && (not (is_set read_first d.rid))
-                          && count own_defs d.rid = 1
-                      | None -> false
+                      match i with
+                      | Binop (d, _, _, _) | Fbinop (d, _, _, _) | Icmp (d, _, _, _)
+                      | Fcmp (d, _, _, _) | Select (d, _, _, _) | Cast (d, _, _) | Mov (d, _) ->
+                          (not (is_set s.read_first d.rid)) && writes d = 1
+                      | _ -> false
                     then begin
                       moved := i :: !moved;
                       incr hoisted;
@@ -469,16 +589,16 @@ let licm_in ~span (f : func) : int =
                     end
                     else true)
                   body.instrs;
-              pre.instrs <- pre.instrs @ List.rev !moved
+              if !moved <> [] then pre.instrs <- pre.instrs @ List.rev !moved
           | _ -> ())
       | _ -> ())
     f.loops;
   !hoisted
 
-let copy_propagate f = copy_propagate_in ~span:(Dataflow.reg_span f) f
-let local_cse f = local_cse_in ~span:(Dataflow.reg_span f) f
-let dead_code_eliminate f = dead_code_eliminate_in ~span:(Dataflow.reg_span f) f
-let licm f = licm_in ~span:(Dataflow.reg_span f) f
+let copy_propagate f = copy_propagate_in (scratch f) f
+let local_cse f = local_cse_in (scratch f) f
+let dead_code_eliminate f = dead_code_eliminate_in (scratch f) f
+let licm f = licm_in (scratch f) f
 
 (* ---- driver ---- *)
 
@@ -486,14 +606,14 @@ type stats = { folded : int; propagated : int; cse_hits : int; dce_removed : int
 
 let run_func (f : func) : stats =
   let folded = ref 0 and propagated = ref 0 and cse_hits = ref 0 and dce = ref 0 in
-  let span = Dataflow.reg_span f in
+  let s = scratch f in
   for _ = 1 to 2 do
-    propagated := !propagated + copy_propagate_in ~span f;
+    propagated := !propagated + copy_propagate_in s f;
     folded := !folded + constant_fold f;
-    propagated := !propagated + copy_propagate_in ~span f;
-    cse_hits := !cse_hits + local_cse_in ~span f;
-    cse_hits := !cse_hits + licm_in ~span f;
-    dce := !dce + dead_code_eliminate_in ~span f
+    propagated := !propagated + copy_propagate_in s f;
+    cse_hits := !cse_hits + local_cse_in s f;
+    cse_hits := !cse_hits + licm_in s f;
+    dce := !dce + dead_code_eliminate_in s f
   done;
   { folded = !folded; propagated = !propagated; cse_hits = !cse_hits; dce_removed = !dce }
 

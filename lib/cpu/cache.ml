@@ -42,11 +42,17 @@ let copy (c : t) : t =
 let hit_latency = 4
 let miss_latency = 44
 
+(* The way of the set at [base] that holds [line], or -1.  A top-level
+   function of all it reads, so that a lookup allocates no closure. *)
+let rec find_way (tags : int array) ~base ~ways line i =
+  if i = ways then -1
+  else if tags.(base + i) = line then i
+  else find_way tags ~base ~ways line (i + 1)
+
 let insert (c : t) (line : int) =
   let set = line land (c.sets - 1) in
   let base = set * c.ways in
-  let rec find i = if i = c.ways then -1 else if c.tags.(base + i) = line then i else find (i + 1) in
-  match find 0 with
+  match find_way c.tags ~base ~ways:c.ways line 0 with
   | i when i >= 0 -> c.stamps.(base + i) <- c.tick
   | _ ->
       let victim = ref 0 in
@@ -66,8 +72,7 @@ let access (c : t) (addr : int64) : int =
   let line = Int64.to_int (Int64.shift_right_logical addr line_bits) in
   let set = line land (c.sets - 1) in
   let base = set * c.ways in
-  let rec find i = if i = c.ways then -1 else if c.tags.(base + i) = line then i else find (i + 1) in
-  match find 0 with
+  match find_way c.tags ~base ~ways:c.ways line 0 with
   | i when i >= 0 ->
       c.stamps.(base + i) <- c.tick;
       hit_latency

@@ -456,8 +456,15 @@ let note_recovered (m : t) =
 
 (* ---- re-execution checkpoints ---- *)
 
-let ck_invalidate (th : thread) =
-  match th.ck with Some ck -> ck.ck_valid <- false | None -> ()
+(* Ends a checkpoint's coverage.  [reexec_rollback] never reads the undo
+   log of an invalid checkpoint, so it is dropped here rather than kept
+   (up to [ck_log_cap] entries) until the checkpointed call returns. *)
+let ck_drop (ck : ckpt) =
+  ck.ck_valid <- false;
+  ck.ck_log <- [];
+  ck.ck_log_len <- 0
+
+let ck_invalidate (th : thread) = match th.ck with Some ck -> ck_drop ck | None -> ()
 
 (* Program output is a single shared buffer: rollback truncates it to the
    checkpointed length, which is only sound if no *other* thread appended
@@ -469,7 +476,7 @@ let ck_invalidate_others (m : t) (th : thread) =
 let ck_log_write (m : t) (th : thread) ~(width : int) (addr : int64) =
   match th.ck with
   | Some ck when ck.ck_valid ->
-      if ck.ck_log_len >= ck_log_cap then ck.ck_valid <- false
+      if ck.ck_log_len >= ck_log_cap then ck_drop ck
       else begin
         ck.ck_log <- (addr, width, Memory.read m.mem ~width addr) :: ck.ck_log;
         ck.ck_log_len <- ck.ck_log_len + 1
@@ -1722,12 +1729,25 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
         Profile.add prof cls ~cycles:(Timing.cycle th.timing - c0);
         r
 
-(* Compiles one function, on its first entry: [kcode.(cf_id).(pc)] runs
-   that instruction.  Compiling per function
-   rather than per module keeps a restored campaign experiment from
-   translating code it never reaches. *)
+(* Installs one function's row on its first entry: [kcode.(cf_id).(pc)]
+   runs that instruction.  The row starts as one stub per instruction,
+   which compiles it on its first execution, stores the closure in its
+   slot and runs it.  Compiling per instruction rather than per function
+   or module keeps a restored campaign experiment from translating code it
+   never reaches (recovery blocks, the part of a function its tail has
+   already left). *)
 let compile_func (m : t) (cf : Code.cfunc) =
-  m.kcode.(cf.Code.cf_id) <- Array.mapi (compile_item m cf) cf.Code.code
+  let code = cf.Code.code in
+  let row = Array.make (Array.length code) (fun _ _ -> k_yield) in
+  let stub pc th fr =
+    let k = compile_item m cf pc code.(pc) in
+    row.(pc) <- k;
+    k th fr
+  in
+  for pc = 0 to Array.length code - 1 do
+    row.(pc) <- stub pc
+  done;
+  m.kcode.(cf.Code.cf_id) <- row
 
 (* ---- scheduler ---- *)
 

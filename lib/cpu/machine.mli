@@ -173,7 +173,9 @@ type t = {
   mutable by_tid : thread array;  (** tid-indexed view of [threads] *)
   kcode : (thread -> frame -> int) array array;
       (** per-instruction closures, by [cf_id] then pc; a function's row
-          is empty until a thread first enters it *)
+          is empty until a thread first enters it, then holds a stub per
+          instruction that compiles it on its first execution and
+          replaces itself with the result *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;

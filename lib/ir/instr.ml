@@ -172,16 +172,105 @@ let operands = function
   | Call_ind (_, _, f, args) -> f :: args
   | Alloca _ -> []
 
+(* The allocation-free walks below visit what [dest], [operands] and
+   [term_operands] return, in the same order, and a terminator's branch
+   targets in the order they are written. *)
+let iter_dest (g : reg -> unit) = function
+  | Binop (r, _, _, _)
+  | Fbinop (r, _, _, _)
+  | Icmp (r, _, _, _)
+  | Fcmp (r, _, _, _)
+  | Select (r, _, _, _)
+  | Cast (r, _, _)
+  | Mov (r, _)
+  | Load (r, _)
+  | Alloca (r, _)
+  | Atomic_rmw (r, _, _, _)
+  | Cmpxchg (r, _, _, _)
+  | Extractlane (r, _, _)
+  | Insertlane (r, _, _, _)
+  | Broadcast (r, _)
+  | Shuffle (r, _, _)
+  | Ptestz (r, _)
+  | Gather (r, _)
+  | Call (Some r, _, _)
+  | Call_ind (Some r, _, _, _) ->
+      g r
+  | Call (None, _, _) | Call_ind (None, _, _, _) | Store _ | Scatter _ -> ()
+
+let iter_operands (g : operand -> unit) = function
+  | Binop (_, _, a, b)
+  | Fbinop (_, _, a, b)
+  | Icmp (_, _, a, b)
+  | Fcmp (_, _, a, b)
+  | Atomic_rmw (_, _, a, b)
+  | Insertlane (_, a, _, b)
+  | Store (a, b)
+  | Scatter (a, b) ->
+      g a;
+      g b
+  | Select (_, c, a, b) | Cmpxchg (_, c, a, b) ->
+      g c;
+      g a;
+      g b
+  | Cast (_, _, a)
+  | Mov (_, a)
+  | Load (_, a)
+  | Broadcast (_, a)
+  | Shuffle (_, a, _)
+  | Ptestz (_, a)
+  | Gather (_, a)
+  | Extractlane (_, a, _) ->
+      g a
+  | Call (_, _, args) -> List.iter g args
+  | Call_ind (_, _, f, args) ->
+      g f;
+      List.iter g args
+  | Alloca _ -> ()
+
+let exists_operand (p : operand -> bool) = function
+  | Binop (_, _, a, b)
+  | Fbinop (_, _, a, b)
+  | Icmp (_, _, a, b)
+  | Fcmp (_, _, a, b)
+  | Atomic_rmw (_, _, a, b)
+  | Insertlane (_, a, _, b)
+  | Store (a, b)
+  | Scatter (a, b) ->
+      p a || p b
+  | Select (_, c, a, b) | Cmpxchg (_, c, a, b) -> p c || p a || p b
+  | Cast (_, _, a)
+  | Mov (_, a)
+  | Load (_, a)
+  | Broadcast (_, a)
+  | Shuffle (_, a, _)
+  | Ptestz (_, a)
+  | Gather (_, a)
+  | Extractlane (_, a, _) ->
+      p a
+  | Call (_, _, args) -> List.exists p args
+  | Call_ind (_, _, f, args) -> p f || List.exists p args
+  | Alloca _ -> false
+
+let iter_term_operands (g : operand -> unit) = function
+  | Ret (Some o) | Cond_br (o, _, _) | Vbr (o, _, _, _) | Vbr_unchecked (o, _, _) -> g o
+  | Ret None | Br _ | Unreachable -> ()
+
+let iter_successors (g : string -> unit) = function
+  | Ret _ | Unreachable -> ()
+  | Br l -> g l
+  | Cond_br (_, a, b) | Vbr_unchecked (_, a, b) ->
+      g a;
+      g b
+  | Vbr (_, a, b, c) ->
+      g a;
+      g b;
+      g c
+
 let term_operands = function
   | Ret (Some o) -> [ o ]
   | Ret None | Br _ | Unreachable -> []
   | Cond_br (o, _, _) | Vbr (o, _, _, _) | Vbr_unchecked (o, _, _) -> [ o ]
-
-let successors = function
-  | Ret _ | Unreachable -> []
-  | Br l -> [ l ]
-  | Cond_br (_, a, b) | Vbr_unchecked (_, a, b) -> [ a; b ]
-  | Vbr (_, a, b, c) -> [ a; b; c ]
 
 (* Instruction classification used by the hardening passes (paper §III-B):
    synchronization instructions (memory and call-like operations, plus all

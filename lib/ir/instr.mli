@@ -118,7 +118,22 @@ val dest : t -> reg option
 val operands : t -> operand list
 
 val term_operands : terminator -> operand list
-val successors : terminator -> string list
+
+(** {2 Allocation-free walks}
+
+    Each calls its function on what the list-returning function above
+    returns, in the same order, without building the list. *)
+
+val iter_dest : (reg -> unit) -> t -> unit
+val iter_operands : (operand -> unit) -> t -> unit
+
+(** [List.exists p (operands i)], stopping at the first hit. *)
+val exists_operand : (operand -> bool) -> t -> bool
+
+val iter_term_operands : (operand -> unit) -> terminator -> unit
+
+(** A terminator's branch targets, in the order they are written. *)
+val iter_successors : (string -> unit) -> terminator -> unit
 
 (** Hardening classification (paper §III-B): synchronization instructions
     (memory and call-like, plus all terminators) are not replicated. *)

@@ -82,7 +82,7 @@ let test_cfg_shape () =
   let cfg = Dataflow.build_cfg f in
   (* entry, head, body, latch, exit *)
   check_int "five blocks" 5 (Array.length cfg.Dataflow.labels);
-  let head = Hashtbl.find cfg.Dataflow.index "for.head1" in
+  let head = Dataflow.Labels.find cfg.Dataflow.index "for.head1" in
   check_int "loop header has two predecessors" 2 (List.length cfg.Dataflow.preds.(head))
 
 (* ---- the Set-based analyses as oracles ---- *)

@@ -217,11 +217,12 @@ let check_machine_alloc () =
 
 (* The compiled engine's per-instruction path allocates nothing: the
    register file is unboxed bytes and lane semantics run inline.  What
-   is left is per function (its closures, compiled on first entry), per
-   call (frame, arguments), per builtin and per memory access (the boxed
-   address and value handed to [Memory] and [Cache]).  Minor words per
-   retired instruction over a whole run are deterministic, so this bound
-   guards the allocation-free path without timing noise. *)
+   is left is per executed instruction (its closures, compiled on first
+   execution), per call (frame, arguments), per builtin and per memory
+   access (the boxed address and value handed to [Memory]; the cache
+   model's lookup allocates nothing).  Minor words per retired
+   instruction over a whole run are deterministic, so this bound guards
+   the allocation-free path without timing noise. *)
 let check_run_alloc () =
   let w = Workloads.Registry.find "km" in
   List.iter
@@ -236,7 +237,7 @@ let check_run_alloc () =
       if per_instr > bound then
         Alcotest.failf "km/%s: %.2f minor words per instruction (limit %.1f)"
           (Elzar.build_name build) per_instr bound)
-    [ (Elzar.Hardened Elzar.Harden_config.default, 3.0); (Elzar.Native, 1.5) ]
+    [ (Elzar.Hardened Elzar.Harden_config.default, 0.6); (Elzar.Native, 0.8) ]
 
 (* campaigns: each counted outcome must equal a from-scratch run of its
    experiment on the reference engine — no snapshot, the whole fault-free
@@ -387,13 +388,50 @@ let check_compile_on_entry () =
   let m = make Cpu.Machine.Compiled in
   Alcotest.(check int) "nothing compiled before the run" 0 (compiled_rows m);
   let snap = ref None in
+  (* each row as it was at the first quantum boundary after its entry *)
+  let first_rows = Array.make (Array.length m.Cpu.Machine.kcode) [||] in
   let _ =
     Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry ~on_quantum:(fun mm ->
-        if !snap = None then snap := Some (Cpu.Machine.snapshot mm))
+        if !snap = None then snap := Some (Cpu.Machine.snapshot mm);
+        Array.iteri
+          (fun i row -> if Array.length first_rows.(i) = 0 then first_rows.(i) <- Array.copy row)
+          mm.Cpu.Machine.kcode)
   in
   check_rows "compiled" m;
   Alcotest.(check bool) "entry function compiled" true
     (Array.length m.Cpu.Machine.kcode.(entry_id m) > 0);
+  (* instructions compile on their first execution: after a row's first
+     quantum boundary some of its slots are replaced by their compiled
+     closures, while the slots of recovery code, which a fault-free run
+     never executes, keep the stub they had at first entry *)
+  let recovery_slots = ref 0 and compiled_later = ref false in
+  Array.iteri
+    (fun i row ->
+      let first = first_rows.(i) in
+      if Array.length first > 0 then begin
+        let cf = m.Cpu.Machine.code.Cpu.Code.cfuncs.(i) in
+        Array.iteri
+          (fun pc (it : Cpu.Code.citem) ->
+            let recovery =
+              match it.Cpu.Code.op with
+              | Cpu.Code.Rcall (Cpu.Code.Builtin b, _, _, _) -> (
+                  match (Cpu.Builtins.get b).Cpu.Builtins.name with
+                  | "elzar_fatal" | "elzar_recovered" -> true
+                  | _ -> false)
+              | _ -> false
+            in
+            if recovery then begin
+              incr recovery_slots;
+              if row.(pc) != first.(pc) then
+                Alcotest.failf "%s: recovery slot %d compiled without being executed"
+                  cf.Cpu.Code.cf_name pc
+            end
+            else if row.(pc) != first.(pc) then compiled_later := true)
+          cf.Cpu.Code.code
+      end)
+    m.Cpu.Machine.kcode;
+  Alcotest.(check bool) "recovery code is present" true (!recovery_slots > 0);
+  Alcotest.(check bool) "a slot is compiled after its row's first quantum" true !compiled_later;
   let m_ref = make Cpu.Machine.Reference in
   let _ = Cpu.Machine.run ~args:spec.Fault.args m_ref spec.Fault.entry in
   check_rows "reference" m_ref;
@@ -407,6 +445,42 @@ let check_compile_on_entry () =
       let _ = Cpu.Machine.resume m2 in
       check_rows "resumed" m2;
       Alcotest.(check bool) "resume recompiles" true (compiled_rows m2 > 0)
+
+(* [Fault.pick_snapshot] takes the latest snapshot whose site counter is
+   strictly below the experiment's [at]: a snapshot whose counter equals
+   [at] was captured after the [at]-th site fired, so resuming from it
+   would never inject.  For each fault kind, an experiment aimed exactly
+   at a snapshot's counter must fast-forward to the same result as its
+   from-scratch run, with the fault injected. *)
+let check_pick_snapshot_boundary () =
+  let w = Workloads.Registry.find "linreg" in
+  let spec =
+    Workloads.Workload.fi_spec w ~build:(Elzar.Hardened Elzar.Harden_config.default) ()
+  in
+  let _, snapshots = Fault.golden_capture spec in
+  List.iter
+    (fun kind ->
+      let count sn =
+        let inj, mem, br = Cpu.Machine.snapshot_sites sn in
+        match kind with
+        | Cpu.Machine.Reg_flip -> inj
+        | Cpu.Machine.Mem_flip | Cpu.Machine.Addr_flip -> mem
+        | Cpu.Machine.Branch_flip -> br
+      in
+      let name = Cpu.Machine.fault_kind_to_string kind in
+      (* the newest such snapshot, so that an older one is restored *)
+      match List.find_opt (fun sn -> count sn > 0) (List.rev (Array.to_list snapshots)) with
+      | None -> Alcotest.failf "%s: no snapshot past a site" name
+      | Some sn ->
+          let e = { Fault.at = count sn; lane = 0; bit = 3; second = None; kind } in
+          let scratch = Fault.run_experiment spec e in
+          Alcotest.(check bool) (name ^ ": injected from scratch") true
+            scratch.Cpu.Machine.fault_injected;
+          check_result
+            (Printf.sprintf "%s: at = snapshot count %d" name e.Fault.at)
+            scratch
+            (Fault.run_experiment_from ~snapshots spec e))
+    Cpu.Machine.[ Reg_flip; Mem_flip; Addr_flip; Branch_flip ]
 
 (* supervision boundary discipline under the compiled engine: the abort
    hook is polled exactly once per scheduling quantum (not once per
@@ -784,6 +858,7 @@ let tests =
       Alcotest.test_case "golden capture contract" `Quick check_golden_capture;
       Alcotest.test_case "default engine has one source" `Quick check_default_engine;
       Alcotest.test_case "compile on first entry" `Quick check_compile_on_entry;
+      Alcotest.test_case "snapshot pick at a site boundary" `Quick check_pick_snapshot_boundary;
       Alcotest.test_case "supervision quantum discipline" `Quick check_supervision;
       QCheck_alcotest.to_alcotest prop_single_op;
     ]

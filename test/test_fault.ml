@@ -423,6 +423,43 @@ let test_reexec_reduces_crashes () =
   check_bool "reexec converts them into corrections" true
     (rr.Campaign.stats.Fault.corrected > re.Campaign.stats.Fault.corrected)
 
+(* An invalidated checkpoint keeps no undo log: rollback never reads it,
+   so the log is dropped where coverage ends instead of when the
+   checkpointed call returns.  In a fault-free run of streamcluster's
+   re-execution build, hardened calls reach builtins that end coverage
+   mid-call; at every quantum boundary each invalid checkpoint must hold an
+   empty log.  Dropping it changes no result: the output is the native
+   build's, and nothing rolls back. *)
+let test_invalid_checkpoint_drops_log () =
+  let w = Workloads.Registry.find "scluster" in
+  let spec_for build = Workloads.Workload.fi_spec w ~build () in
+  let spec = spec_for (Elzar.Hardened Elzar.Harden_config.reexec) in
+  let cfg =
+    { Cpu.Machine.default_config with Cpu.Machine.reexec_retries = spec.Fault.reexec_retries }
+  in
+  let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+  spec.Fault.init m;
+  let invalid = ref 0 in
+  let r =
+    Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry ~on_quantum:(fun mm ->
+        List.iter
+          (fun (th : Cpu.Machine.thread) ->
+            match th.Cpu.Machine.ck with
+            | Some ck when not ck.Cpu.Machine.ck_valid ->
+                incr invalid;
+                if ck.Cpu.Machine.ck_log <> [] || ck.Cpu.Machine.ck_log_len <> 0 then
+                  Alcotest.failf "thread %d: invalid checkpoint holds %d undo entries"
+                    th.Cpu.Machine.tid ck.Cpu.Machine.ck_log_len
+            | _ -> ())
+          mm.Cpu.Machine.threads)
+  in
+  check_bool "some checkpoint was invalidated mid-call" true (!invalid > 0);
+  check_bool "no trap" true (r.Cpu.Machine.trap = None);
+  Alcotest.(check int) "nothing rolled back" 0 r.Cpu.Machine.reexecutions;
+  Alcotest.(check string)
+    "output is the native build's"
+    (Fault.golden (spec_for Elzar.Native)).Cpu.Machine.output_digest r.Cpu.Machine.output_digest
+
 let tests =
   [
     Alcotest.test_case "pure compute fully protected" `Slow test_pure_compute_always_protected;
@@ -437,6 +474,8 @@ let tests =
     Alcotest.test_case "majority4 vote" `Quick test_majority4;
     Alcotest.test_case "reexec corrects no-majority faults" `Quick
       test_reexec_corrects_no_majority;
+    Alcotest.test_case "reexec: invalid checkpoint drops its undo log" `Quick
+      test_invalid_checkpoint_drops_log;
     Alcotest.test_case "model campaigns worker-invariant" `Quick
       test_model_campaigns_deterministic;
     Alcotest.test_case "deadlocks counted separately" `Quick test_deadlock_counted_separately;

@@ -278,3 +278,224 @@ let tests =
       Alcotest.test_case "parser: parsed module runs" `Quick test_parsed_module_runs;
       Alcotest.test_case "parser: rejects garbage" `Quick test_parser_rejects_garbage;
     ]
+
+(* ---- the verifier against its oracle ---- *)
+
+(* Random modules for the verifier: a function [f] plus a callee.  One in
+   five functions has hundreds of blocks, so label tables of any initial
+   size must grow.  Labels repeat (some twice, some three times or more)
+   and branch targets include unknown labels.  Half of the functions are
+   typed: every register id has one type and each instruction is
+   well-typed, so that their errors are label errors or reads before any
+   definition (the definite-assignment check runs only on functions free
+   of other errors).  The rest draw types, register ids (negative ones and
+   ids past [next_reg] included), lanes, casts and shapes at random. *)
+let gen_verifier_module : Instr.modul QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* big = frequency [ (4, return false); (1, return true) ] in
+  let* nblocks = if big then int_range 100 400 else int_range 0 8 in
+  let* typed = bool in
+  (* most typed functions have unique, known labels, so that the
+     definite-assignment check runs *)
+  let* clean = if typed then frequency [ (3, return true); (1, return false) ] else return false in
+  let* next_reg = int_range 1 16 in
+  let label =
+    let* k = int_range 0 (if big then nblocks + 2 else max 0 (nblocks - 1)) in
+    return (Printf.sprintf "b%d" k)
+  in
+  let target =
+    if clean then map (Printf.sprintf "b%d") (int_range 0 (max 0 (nblocks - 1)))
+    else frequency [ (12, label); (1, return "nowhere") ]
+  in
+  let vty s n = Types.Vector (s, n) in
+  let tys =
+    Types.[ i64; i32; i1; f64; ptr; vty I64 4; vty F64 4; vty I32 8; vty Ptr 4 ]
+  in
+  let typed_ty rid = if rid mod 3 = 0 then Types.i1 else Types.i64 in
+  let reg_of rid ty = { Instr.rid; rname = Printf.sprintf "r%d" rid; rty = ty } in
+  let rid = if typed then int_range 0 (next_reg - 1) else int_range (-1) (next_reg + 2) in
+  let reg =
+    let* k = rid in
+    if typed then return (reg_of k (typed_ty k))
+    else map (reg_of k) (oneofl tys)
+  in
+  (* a typed register of type [ty] *)
+  let typed_reg ty =
+    let* k = int_range 0 (next_reg - 1) in
+    let k =
+      if Types.equal ty Types.i1 then k - (k mod 3)
+      else if k mod 3 <> 0 then k
+      else if k + 1 < next_reg then k + 1
+      else k - 1
+    in
+    return (reg_of k ty)
+  in
+  let operand =
+    if typed then
+      frequency
+        [ (4, map (fun r -> Instr.Reg r) (typed_reg Types.i64)); (1, return (Instr.Imm (Types.i64, 7L))) ]
+    else
+      frequency
+        [
+          (5, map (fun r -> Instr.Reg r) reg);
+          (1, map (fun t -> Instr.Imm (t, 1L)) (oneofl tys));
+          (1, map (fun t -> Instr.Fimm (t, 0.5)) (oneofl tys));
+          (1, return (Instr.Glob "g"));
+          (1, return (Instr.Fref "callee"));
+        ]
+  in
+  let args = list_size (int_range 0 3) operand in
+  let instr =
+    if typed then
+      frequency
+        [
+          (3, map2 (fun d a -> Instr.Mov (d, a)) (typed_reg Types.i64) operand);
+          (3, map3 (fun d a b -> Instr.Binop (d, Instr.Add, a, b)) (typed_reg Types.i64) operand operand);
+          (2, map3 (fun d a b -> Instr.Icmp (d, Instr.Islt, a, b)) (typed_reg Types.i1) operand operand);
+          (1, map (fun a -> Instr.Store (a, Instr.Glob "g")) operand);
+          ( 1,
+            map2
+              (fun d a -> Instr.Call (Some d, "callee", [ a; Instr.Glob "g" ]))
+              (typed_reg Types.i64) operand );
+        ]
+    else
+      frequency
+        [
+          (3, map2 (fun d a -> Instr.Mov (d, a)) reg operand);
+          (2, map3 (fun d a b -> Instr.Binop (d, Instr.Add, a, b)) reg operand operand);
+          (1, map3 (fun d a b -> Instr.Binop (d, Instr.Xor, a, b)) reg operand operand);
+          (1, map3 (fun d a b -> Instr.Fbinop (d, Instr.Fmul, a, b)) reg operand operand);
+          (1, map3 (fun d a b -> Instr.Icmp (d, Instr.Ieq, a, b)) reg operand operand);
+          (1, map3 (fun d a b -> Instr.Fcmp (d, Instr.Folt, a, b)) reg operand operand);
+          ( 1,
+            map3 (fun d c (a, b) -> Instr.Select (d, c, a, b)) reg operand (pair operand operand) );
+          ( 1,
+            map3
+              (fun d k a -> Instr.Cast (d, k, a))
+              reg
+              (oneofl Instr.[ Trunc; Zext; Sext; Fptosi; Sitofp; Fpext; Fptrunc; Bitcast ])
+              operand );
+          (1, map2 (fun d a -> Instr.Load (d, a)) reg operand);
+          (1, map2 (fun v a -> Instr.Store (v, a)) operand operand);
+          (1, map2 (fun d n -> Instr.Alloca (d, n)) reg (int_range (-1) 16));
+          (1, map3 (fun d n a -> Instr.Call (d, n, a)) (opt reg) (oneofl [ "callee"; "putc" ]) args);
+          ( 1,
+            map3 (fun d f a -> Instr.Call_ind (d, Some Types.i64, f, a)) (opt reg) operand args );
+          (1, map3 (fun d a x -> Instr.Atomic_rmw (d, Instr.Rmw_add, a, x)) reg operand operand);
+          ( 1,
+            map3 (fun d a (e, x) -> Instr.Cmpxchg (d, a, e, x)) reg operand (pair operand operand) );
+          (1, map3 (fun d v l -> Instr.Extractlane (d, v, l)) reg operand (int_range (-1) 8));
+          ( 1,
+            map3
+              (fun d (v, l) x -> Instr.Insertlane (d, v, l, x))
+              reg
+              (pair operand (int_range (-1) 8))
+              operand );
+          (1, map2 (fun d x -> Instr.Broadcast (d, x)) reg operand);
+          ( 1,
+            map3
+              (fun d v p -> Instr.Shuffle (d, v, Array.of_list p))
+              reg operand
+              (list_size (int_range 0 9) (int_range (-1) 8)) );
+          (1, map2 (fun d v -> Instr.Ptestz (d, v)) reg operand);
+          (1, map2 (fun d a -> Instr.Gather (d, a)) reg operand);
+          (1, map2 (fun v a -> Instr.Scatter (v, a)) operand operand);
+        ]
+  in
+  (* registers outside [0, next_reg) that only terminators read, or only
+     parameters name, are not range-checked: the definite-assignment check
+     must still cover them *)
+  let stray = oneofl [ -1; next_reg + 64 ] in
+  let cond =
+    if typed then
+      frequency
+        [
+          (8, map (fun r -> Instr.Reg r) (typed_reg Types.i1));
+          (1, map (fun k -> Instr.Reg (reg_of k Types.i1)) stray);
+        ]
+    else operand
+  in
+  let term =
+    frequency
+      [
+        (1, return (Instr.Ret None));
+        (if typed then (0, return Instr.Unreachable) else (1, map (fun o -> Instr.Ret (Some o)) operand));
+        (3, map (fun l -> Instr.Br l) target);
+        (4, map3 (fun c a b -> Instr.Cond_br (c, a, b)) cond target target);
+        ( (if typed then 0 else 1),
+          map2 (fun c (a, b, x) -> Instr.Vbr (c, a, b, x)) operand (triple target target target) );
+        ((if typed then 0 else 1), map3 (fun c a b -> Instr.Vbr_unchecked (c, a, b)) operand target target);
+        (1, return Instr.Unreachable);
+      ]
+  in
+  let block =
+    map2 (fun instrs term -> { Instr.instrs; term }) (list_size (int_range 0 5) instr) term
+  in
+  let* blocks = list_repeat nblocks block in
+  (* big functions: layout labels b0, b1, ... with a few repeats of earlier
+     ones; small ones draw every label from a pool of their own size *)
+  let* labels =
+    if clean then return (List.init nblocks (Printf.sprintf "b%d"))
+    else if big then
+      flatten_l
+        (List.init nblocks (fun i ->
+             frequency
+               [ (30, return (Printf.sprintf "b%d" i)); (1, map (Printf.sprintf "b%d") (int_range 0 i)) ]))
+    else list_repeat nblocks label
+  in
+  let* nparams = int_range 0 (min 2 next_reg) in
+  let* params =
+    list_repeat nparams
+      (if typed then
+         frequency [ (6, typed_reg Types.i64); (1, map (fun k -> reg_of k Types.i64) stray) ]
+       else reg)
+  in
+  let* loops =
+    if typed then return []
+    else
+      map
+        (fun ivar ->
+          [
+            {
+              Instr.l_header = "b0";
+              l_body = "b1";
+              l_latch = "b2";
+              l_exit = "b3";
+              l_ivar = ivar;
+              l_lo = Instr.Imm (Types.i64, 0L);
+              l_hi = Instr.Imm (Types.i64, 4L);
+            };
+          ])
+        (map (fun k -> reg_of k Types.i64) (int_range 0 (next_reg + 4)))
+  in
+  let f =
+    {
+      Instr.fname = "f";
+      params;
+      ret_ty = None;
+      blocks = List.combine labels blocks;
+      next_reg;
+      loops;
+      hardened = true;
+    }
+  in
+  let p0 = reg_of 0 Types.i64 and p1 = reg_of 1 Types.ptr in
+  let callee =
+    {
+      Instr.fname = "callee";
+      params = [ p0; p1 ];
+      ret_ty = Some Types.i64;
+      blocks = [ ("entry", { Instr.instrs = []; term = Instr.Ret (Some (Instr.Reg p0)) }) ];
+      next_reg = 2;
+      loops = [];
+      hardened = true;
+    }
+  in
+  return { Instr.funcs = [ f; callee ]; globals = [ { Instr.gname = "g"; gsize = 8; ginit = None } ] }
+
+let prop_verifier_matches_oracle =
+  QCheck.Test.make ~count:400 ~name:"verifier reports the oracle's errors, in order"
+    (QCheck.make ~print:Printer.modul_to_string gen_verifier_module)
+    (fun m -> Verifier.verify m = Verifier_oracle.verify m)
+
+let tests = tests @ [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_verifier_matches_oracle ]
