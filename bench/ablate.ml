@@ -26,7 +26,10 @@ let ablate_store_checks () =
    2-2 tie and fail-stops. *)
 let ablate_recovery () =
   Common.heading
-    "Ablation: recovery strategy under DOUBLE-bit injection (same bit, two lanes)";
+    (Printf.sprintf
+       "Ablation: recovery strategy under DOUBLE-bit injection (same bit, two lanes, %s \
+        inputs)"
+       (Workloads.Workload.size_to_string Common.fi_size));
   let extended =
     Elzar.Hardened { Elzar.Harden_config.default with recovery = Elzar.Harden_config.Extended }
   in
@@ -36,14 +39,9 @@ let ablate_recovery () =
     (fun name ->
       let w = Workloads.Registry.find name in
       let camp b =
-        let r =
-          Campaign.double ~same_bit:true ~n:(!Common.fi_injections / 2)
-            ~jobs:(Common.fi_effective_jobs ())
-            ?progress:(Common.fi_progress_cb (name ^ "/double"))
-            (Workloads.Workload.fi_spec w ~build:b ())
-        in
-        Common.fi_account totals r;
-        r.Campaign.stats
+        (Common.campaign totals ~n:(!Common.fi_injections / 2)
+           ~model:(Fault.Double { same_bit = true }) w b)
+          .Campaign.stats
       in
       let basic = camp (Elzar.Hardened Elzar.Harden_config.default) in
       let ext = camp extended in

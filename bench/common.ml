@@ -51,6 +51,29 @@ let fi_account (t : fi_totals) (r : Campaign.report) =
   t.t_cycles <- t.t_cycles + r.Campaign.cycles_simulated;
   t.t_not_reached <- t.t_not_reached + r.Campaign.not_reached
 
+(* Input size of every fault campaign: the paper injects into its
+   smallest inputs, whatever --size says. *)
+let fi_size = Workloads.Workload.Tiny
+
+(* One fault campaign on [w] under [build] at [fi_size], with the
+   harness's engine, worker pool and progress meter, folded into
+   [totals]. *)
+let campaign (totals : fi_totals) ~(n : int) ~(model : Fault.model)
+    (w : Workloads.Workload.t) (build : Elzar.build) : Campaign.report =
+  let tag =
+    Printf.sprintf "%s/%s/%s" w.Workloads.Workload.name (Elzar.build_name build)
+      (Fault.model_to_string model)
+  in
+  let spec =
+    { (Workloads.Workload.fi_spec w ~build ~size:fi_size ()) with Fault.engine = !engine }
+  in
+  let r =
+    Campaign.model_campaign ~n ~jobs:(fi_effective_jobs ()) ?progress:(fi_progress_cb tag)
+      ~model spec
+  in
+  fi_account totals r;
+  r
+
 let fi_print_totals (t : fi_totals) =
   Printf.printf
     "campaign totals: %d experiments, %.1fs wall, %.2f Gcycles simulated, %d workers%s\n"

@@ -5,18 +5,14 @@
     (--injections), and campaigns fan out over --fi-jobs worker domains
     with bit-identical results for any worker count. *)
 
-let campaign (w : Workloads.Workload.t) (b : Elzar.build) : Campaign.report =
-  let spec = Workloads.Workload.fi_spec w ~build:b () in
-  Campaign.single ~n:!Common.fi_injections
-    ~jobs:(Common.fi_effective_jobs ())
-    ?progress:(Common.fi_progress_cb (w.Workloads.Workload.name ^ "/" ^ Elzar.build_name b))
-    spec
-
 let run () =
   Common.heading
     (Printf.sprintf
-       "Figure 13: fault injection outcomes (%d injections per bar, 2 threads, %d workers)"
-       !Common.fi_injections (Common.fi_effective_jobs ()));
+       "Figure 13: fault injection outcomes (%d injections per bar, %s inputs, 2 threads, \
+        %d workers)"
+       !Common.fi_injections
+       (Workloads.Workload.size_to_string Common.fi_size)
+       (Common.fi_effective_jobs ()));
   Printf.printf "%-10s | %28s | %38s | %14s\n" "bench" "native" "elzar" "campaign cost";
   Printf.printf "%-10s | %8s %8s %8s | %8s %8s %8s %10s | %6s %7s\n" "" "crashed%" "correct%"
     "SDC%" "crashed%" "correct%" "SDC%" "corrected%" "wall-s" "Gcycles";
@@ -25,10 +21,9 @@ let run () =
   List.iter
     (fun w ->
       if w.Workloads.Workload.fi_ok then begin
-        let rn = campaign w Elzar.Native_novec in
-        let re = campaign w (Elzar.Hardened Elzar.Harden_config.default) in
-        Common.fi_account totals rn;
-        Common.fi_account totals re;
+        let campaign = Common.campaign totals ~n:!Common.fi_injections ~model:Fault.Reg w in
+        let rn = campaign Elzar.Native_novec in
+        let re = campaign (Elzar.Hardened Elzar.Harden_config.default) in
         let n = rn.Campaign.stats and e = re.Campaign.stats in
         agg := (n, e) :: !agg;
         Printf.printf "%-10s | %8.1f %8.1f %8.1f | %8.1f %8.1f %8.1f %10.1f | %6.1f %7.2f\n"

@@ -14,25 +14,6 @@
 let grid_workloads = [ "hist"; "linreg"; "wc" ]
 let grid_models = [ Fault.Reg; Fault.Mem; Fault.Addr; Fault.Cf ]
 
-let model_report (w : Workloads.Workload.t) (b : Elzar.build) (model : Fault.model)
-    ~(n : int) : Campaign.report =
-  let spec = Workloads.Workload.fi_spec w ~build:b () in
-  Campaign.model_campaign ~n
-    ~jobs:(Common.fi_effective_jobs ())
-    ?progress:
-      (Common.fi_progress_cb
-         (Printf.sprintf "%s/%s/%s" w.Workloads.Workload.name (Elzar.build_name b)
-            (Fault.model_to_string model)))
-    ~model spec
-
-let double_report (w : Workloads.Workload.t) (b : Elzar.build) ~(n : int) :
-    Campaign.report =
-  let spec = Workloads.Workload.fi_spec w ~build:b () in
-  Campaign.double ~n ~same_bit:true
-    ~jobs:(Common.fi_effective_jobs ())
-    ?progress:(Common.fi_progress_cb (w.Workloads.Workload.name ^ "/" ^ Elzar.build_name b))
-    spec
-
 let cell (s : Fault.stats) =
   Printf.sprintf "%5.1f %5.1f %5.1f" (Fault.crashed_pct s) (Fault.correct_pct s)
     (Fault.sdc_pct s)
@@ -41,10 +22,12 @@ let run () =
   let n_grid = max 25 (!Common.fi_injections / 5) in
   let n_double = max 40 (!Common.fi_injections / 3) in
   let totals = Common.fi_totals () in
+  let size = Workloads.Workload.size_to_string Common.fi_size in
   Common.heading
     (Printf.sprintf
-       "Figure 13x: fault-model grid (%d injections per cell, crashed/correct/SDC %%)"
-       n_grid);
+       "Figure 13x: fault-model grid (%d injections per cell, %s inputs, \
+        crashed/correct/SDC %%)"
+       n_grid size);
   Printf.printf "%-8s %-5s | %17s | %17s | %17s\n" "bench" "model" "native-novec" "elzar"
     "swift-r";
   List.iter
@@ -52,12 +35,10 @@ let run () =
       let w = Workloads.Registry.find name in
       List.iter
         (fun model ->
-          let rn = model_report w Elzar.Native_novec model ~n:n_grid in
-          let re =
-            model_report w (Elzar.Hardened Elzar.Harden_config.default) model ~n:n_grid
-          in
-          let rs = model_report w Elzar.Swiftr model ~n:n_grid in
-          List.iter (Common.fi_account totals) [ rn; re; rs ];
+          let campaign = Common.campaign totals ~n:n_grid ~model w in
+          let rn = campaign Elzar.Native_novec in
+          let re = campaign (Elzar.Hardened Elzar.Harden_config.default) in
+          let rs = campaign Elzar.Swiftr in
           Printf.printf "%-8s %-5s | %s | %s | %s\n" name (Fault.model_to_string model)
             (cell rn.Campaign.stats) (cell re.Campaign.stats) (cell rs.Campaign.stats))
         grid_models)
@@ -65,17 +46,20 @@ let run () =
 
   Common.heading
     (Printf.sprintf
-       "Figure 13x: Extended vs Reexec recovery (double-bit same-bit, %d injections)"
-       n_double);
+       "Figure 13x: Extended vs Reexec recovery (double-bit same-bit, %d injections, %s \
+        inputs)"
+       n_double size);
   Printf.printf "%-8s | %26s | %26s\n" "bench" "extended" "reexec(2)";
   Printf.printf "%-8s | %8s %8s %8s | %8s %8s %8s %9s\n" "" "crashed%" "corr%" "SDC%"
     "crashed%" "corr%" "SDC%" "latency";
   List.iter
     (fun name ->
       let w = Workloads.Registry.find name in
-      let re = double_report w (Elzar.Hardened Elzar.Harden_config.extended) ~n:n_double in
-      let rr = double_report w (Elzar.Hardened Elzar.Harden_config.reexec) ~n:n_double in
-      List.iter (Common.fi_account totals) [ re; rr ];
+      let campaign =
+        Common.campaign totals ~n:n_double ~model:(Fault.Double { same_bit = true }) w
+      in
+      let re = campaign (Elzar.Hardened Elzar.Harden_config.extended) in
+      let rr = campaign (Elzar.Hardened Elzar.Harden_config.reexec) in
       let se = re.Campaign.stats and sr = rr.Campaign.stats in
       let lat =
         match Fault.mean_latency (Array.map snd rr.Campaign.outcomes) with
@@ -90,12 +74,13 @@ let run () =
         (Fault.sdc_pct sr) lat)
     grid_workloads;
 
-  Common.heading "Figure 13x: AVF by instruction class (elzar, hist, mixed model)";
-  let w = Workloads.Registry.find "hist" in
+  Common.heading
+    (Printf.sprintf "Figure 13x: AVF by instruction class (elzar, hist, mixed model, %s inputs)"
+       size);
   let r =
-    model_report w (Elzar.Hardened Elzar.Harden_config.default) Fault.Mixed
-      ~n:(max 100 !Common.fi_injections)
+    Common.campaign totals ~n:(max 100 !Common.fi_injections) ~model:Fault.Mixed
+      (Workloads.Registry.find "hist")
+      (Elzar.Hardened Elzar.Harden_config.default)
   in
-  Common.fi_account totals r;
   Format.printf "%a" Fault.pp_avf (Fault.avf_table (Array.map snd r.Campaign.outcomes));
   Common.fi_print_totals totals

@@ -79,8 +79,11 @@ let () =
   in
   parse (List.tl args);
   let todo = if !selected = [] then List.map fst experiments else List.rev !selected in
-  Printf.printf "ELZAR experiment harness (size=%s, engine=%s, injections=%d, fi-jobs=%d)\n"
+  Printf.printf
+    "ELZAR experiment harness (size=%s, fault campaigns at %s, engine=%s, injections=%d, \
+     fi-jobs=%d)\n"
     (Workloads.Workload.size_to_string !Common.size)
+    (Workloads.Workload.size_to_string Common.fi_size)
     (Cpu.Machine.engine_to_string !Common.engine)
     !Common.fi_injections
     (Common.fi_effective_jobs ());

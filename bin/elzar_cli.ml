@@ -273,17 +273,10 @@ let inject_cmd =
       { Supervisor.retries; deadline_factor; deadline_floor; max_tool_errors }
     in
     let report =
-      if double then
-        Campaign.double ~seed ~n ~same_bit ?jobs ?progress ?checkpoint ~supervise ~chaos
-          ~cancel spec
-      else
-        match model with
-        | Fault.Reg ->
-            Campaign.single ~seed ~n ?jobs ?progress ?checkpoint ~supervise ~chaos ~cancel
-              spec
-        | m ->
-            Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~supervise ~chaos
-              ~cancel ~model:m spec
+      Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~supervise ~chaos
+        ~cancel
+        ~model:(if double then Fault.Double { same_bit } else model)
+        spec
     in
     Format.printf "%a@." Fault.pp_stats report.Campaign.stats;
     let obs = Array.map snd report.Campaign.outcomes in

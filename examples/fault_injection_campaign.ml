@@ -13,9 +13,10 @@ let () =
   let w = Workloads.Registry.find name in
   let campaign tag build =
     let spec = Workloads.Workload.fi_spec w ~build () in
-    (* experiments fan out over all recommended domains; for a fixed seed
-       the stats are bit-identical no matter how many workers run them *)
-    let r = Campaign.single ~n spec in
+    (* register SEUs, the paper's fault model; experiments fan out over
+       all recommended domains, and for a fixed seed the stats are
+       bit-identical no matter how many workers run them *)
+    let r = Campaign.model_campaign ~n ~model:Fault.Reg spec in
     let stats = r.Campaign.stats in
     Printf.printf
       "%-14s crashed %5.1f%%  correct %5.1f%% (corrected %4.1f%%)  SDC %5.1f%%  [%.1fs, %d \

@@ -53,9 +53,15 @@ let () =
   Printf.printf "golden run: %d injectable instructions\n"
     golden.Cpu.Machine.inject_sites;
   let outcome =
-    Fault.inject_one spec ~golden
-      ~at:(golden.Cpu.Machine.inject_sites / 2)
-      ~lane:2 ~bit:17
+    Fault.classify ~golden
+      (Fault.run_experiment spec
+         {
+           Fault.at = golden.Cpu.Machine.inject_sites / 2;
+           lane = 2;
+           bit = 17;
+           second = None;
+           kind = Cpu.Machine.Reg_flip;
+         })
   in
   Printf.printf "fault at instruction %d, lane 2, bit 17: %s\n"
     (golden.Cpu.Machine.inject_sites / 2)

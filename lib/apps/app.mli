@@ -13,8 +13,6 @@ type t = {
   clients : client list;  (** the client configurations the paper plots *)
 }
 
-val clock_hz : float
-
 val execute :
   ?machine_cfg:Cpu.Machine.config ->
   t ->

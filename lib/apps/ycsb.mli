@@ -8,9 +8,6 @@ val workload_to_string : workload -> string
 
 type op = Read | Update
 
-(** Zipfian sampler over [0, n), theta = 0.99. *)
-val zipf_sampler : Random.State.t -> int -> unit -> int
-
 val generate : ?seed:int -> workload -> nkeys:int -> nreq:int -> (op * int) array
 
 (** Writes the stream into the app's "reqs" global (16 bytes/request). *)

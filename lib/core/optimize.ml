@@ -597,7 +597,6 @@ let licm_in (s : scratch) (f : func) : int =
 
 let copy_propagate f = copy_propagate_in (scratch f) f
 let local_cse f = local_cse_in (scratch f) f
-let dead_code_eliminate f = dead_code_eliminate_in (scratch f) f
 let licm f = licm_in (scratch f) f
 
 (* ---- driver ---- *)

@@ -6,15 +6,12 @@
 
 type stats = { folded : int; propagated : int; cse_hits : int; dce_removed : int }
 
-val constant_fold : Ir.Instr.func -> int
 val copy_propagate : Ir.Instr.func -> int
 val local_cse : Ir.Instr.func -> int
 
 (** Loop-invariant code motion over builder-recorded loops. *)
 val licm : Ir.Instr.func -> int
 
-val dead_code_eliminate : Ir.Instr.func -> int
-val run_func : Ir.Instr.func -> stats
 
 (** Optimizes every function in place; returns aggregate statistics. *)
 val run : Ir.Instr.modul -> stats

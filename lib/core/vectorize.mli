@@ -7,8 +7,6 @@
     studies, there is no profitability model — legal loops are vectorized
     even when that is slower. *)
 
-val vf : int
-
 (** Attempts every recorded loop of every function (in place); returns how
     many loops were vectorized. *)
 val run : Ir.Instr.modul -> int

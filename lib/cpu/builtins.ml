@@ -39,4 +39,3 @@ let specs =
 
 let find name = Array.find_opt (fun s -> s.name = name) specs
 let get id = specs.(id)
-let is_builtin name = find name <> None

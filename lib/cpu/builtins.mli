@@ -15,4 +15,3 @@ type spec = {
 val specs : spec array
 val find : string -> spec option
 val get : int -> spec
-val is_builtin : string -> bool

@@ -8,6 +8,10 @@
     campaign driver — they fan out over a pool of workers, here OCaml 5
     domains.
 
+    One call, [model_campaign], runs every campaign: the fault model
+    ({!Fault.model}) picks how [draw] samples experiments from the golden
+    run's site streams, and everything after the draw is shared.
+
     Determinism: the full experiment list is pre-drawn from the seeded RNG
     before any worker starts, and outcomes are folded back in plan order,
     so the resulting statistics are bit-identical regardless of the worker
@@ -43,52 +47,72 @@ let save_every = 32
 
 (* ---- experiment drawing (one RNG, fixed draw order) ---- *)
 
-let draw_single (rng : Random.State.t) ~(sites : int) : Fault.experiment =
-  let at = 1 + Random.State.int rng sites in
-  let lane = Random.State.int rng 32 in
-  let bit = Random.State.int rng 64 in
-  { Fault.at; lane; bit; second = None; kind = Cpu.Machine.Reg_flip }
-
-(* The second lane is drawn at a non-zero offset from the first; the final
-   non-aliasing guarantee (for any destination lane count) is enforced at
-   injection time by {!Cpu.Machine.second_flip}. *)
-let draw_double ?(same_bit = true) (rng : Random.State.t) ~(sites : int) : Fault.experiment =
-  let at = 1 + Random.State.int rng sites in
-  let lane = Random.State.int rng 32 in
-  let lane2 = lane + 1 + Random.State.int rng 3 in
-  let bit = Random.State.int rng 64 in
-  let bit2 = if same_bit then bit else Random.State.int rng 64 in
-  { Fault.at; lane; bit; second = Some (lane2, bit2); kind = Cpu.Machine.Reg_flip }
-
-(* One draw under a fault model.  Every branch consumes the same RNG
-   stream in a fixed order, so a plan is reproducible from (seed, golden
-   site counts) alone.  [Mixed] first picks a kind uniformly among those
-   with at least one site, then draws that kind's experiment. *)
-let draw_model (rng : Random.State.t) ~(model : Fault.model) ~(sites : int)
-    ~(mem_sites : int) ~(branch_sites : int) : Fault.experiment =
-  let draw_kind (kind : Cpu.Machine.fault_kind) : Fault.experiment =
+(* A campaign's experiment drawer: the first [n] calls are its plan, later
+   calls its redraws.  Each draw consumes the RNG in a fixed order, so a
+   plan is reproducible from (model, seed, golden site counts) alone.
+   Register and double-bit plans are seeded with [seed] alone, the other
+   models' with [seed] salted by the model's name.  Each model's site
+   stream is checked once, here, so no draw below can see an empty one. *)
+let draw ?seed ~(model : Fault.model) (golden : Cpu.Machine.result) :
+    unit -> Fault.experiment =
+  let sites = golden.Cpu.Machine.inject_sites in
+  let mem_sites = golden.Cpu.Machine.mem_sites in
+  let branch_sites = golden.Cpu.Machine.branch_sites in
+  let need count what =
+    if count = 0 then invalid_arg ("Campaign.draw: no hardened " ^ what)
+  in
+  (match model with
+  | Fault.Reg | Fault.Double _ | Fault.Mixed -> need sites "code to inject into"
+  | Fault.Mem | Fault.Addr -> need mem_sites "memory accesses"
+  | Fault.Cf -> need branch_sites "conditional branches");
+  let rng =
+    match model with
+    | Fault.Reg -> Random.State.make [| Option.value seed ~default:42 |]
+    | Fault.Double _ -> Random.State.make [| Option.value seed ~default:43 |]
+    | Fault.Mem | Fault.Addr | Fault.Cf | Fault.Mixed ->
+        Random.State.make
+          [| Option.value seed ~default:44; Hashtbl.hash (Fault.model_to_string model) |]
+  in
+  let int = Random.State.int rng in
+  let of_kind (kind : Cpu.Machine.fault_kind) () : Fault.experiment =
     match kind with
-    | Cpu.Machine.Reg_flip -> draw_single rng ~sites
+    | Cpu.Machine.Reg_flip ->
+        let at = 1 + int sites in
+        let lane = int 32 in
+        let bit = int 64 in
+        { Fault.at; lane; bit; second = None; kind }
     | Cpu.Machine.Mem_flip ->
-        let at = 1 + Random.State.int rng (max 1 mem_sites) in
-        let bit = Random.State.int rng 64 in
-        { Fault.at; lane = 0; bit; second = None; kind = Cpu.Machine.Mem_flip }
+        let at = 1 + int mem_sites in
+        let bit = int 64 in
+        { Fault.at; lane = 0; bit; second = None; kind }
     | Cpu.Machine.Addr_flip ->
-        let at = 1 + Random.State.int rng (max 1 mem_sites) in
+        let at = 1 + int mem_sites in
         (* low 21 address bits: higher flips almost always segfault
            immediately and teach nothing about the checks *)
-        let bit = Random.State.int rng 21 in
-        { Fault.at; lane = 0; bit; second = None; kind = Cpu.Machine.Addr_flip }
+        let bit = int 21 in
+        { Fault.at; lane = 0; bit; second = None; kind }
     | Cpu.Machine.Branch_flip ->
-        let at = 1 + Random.State.int rng (max 1 branch_sites) in
-        { Fault.at; lane = 0; bit = 0; second = None; kind = Cpu.Machine.Branch_flip }
+        { Fault.at = 1 + int branch_sites; lane = 0; bit = 0; second = None; kind }
   in
   match model with
-  | Fault.Reg -> draw_kind Cpu.Machine.Reg_flip
-  | Fault.Mem -> draw_kind Cpu.Machine.Mem_flip
-  | Fault.Addr -> draw_kind Cpu.Machine.Addr_flip
-  | Fault.Cf -> draw_kind Cpu.Machine.Branch_flip
+  | Fault.Reg -> of_kind Cpu.Machine.Reg_flip
+  | Fault.Mem -> of_kind Cpu.Machine.Mem_flip
+  | Fault.Addr -> of_kind Cpu.Machine.Addr_flip
+  | Fault.Cf -> of_kind Cpu.Machine.Branch_flip
+  | Fault.Double { same_bit } ->
+      (* the second lane is drawn at a non-zero offset from the first; the
+         final non-aliasing guarantee (for any destination lane count) is
+         enforced at injection time by {!Cpu.Machine.second_flip} *)
+      fun () ->
+        let at = 1 + int sites in
+        let lane = int 32 in
+        let lane2 = lane + 1 + int 3 in
+        let bit = int 64 in
+        let bit2 = if same_bit then bit else int 64 in
+        { Fault.at; lane; bit; second = Some (lane2, bit2); kind = Cpu.Machine.Reg_flip }
   | Fault.Mixed ->
+      (* a kind uniformly among those with at least one site (registers
+         always have one), then that kind's experiment *)
       let kinds =
         List.filter_map
           (fun (k, s) -> if s > 0 then Some k else None)
@@ -99,8 +123,7 @@ let draw_model (rng : Random.State.t) ~(model : Fault.model) ~(sites : int)
             (Cpu.Machine.Branch_flip, branch_sites);
           ]
       in
-      let kinds = if kinds = [] then [ Cpu.Machine.Reg_flip ] else kinds in
-      draw_kind (List.nth kinds (Random.State.int rng (List.length kinds)))
+      fun () -> of_kind (List.nth kinds (int (List.length kinds))) ()
 
 (* ---- progress and reporting ---- *)
 
@@ -281,7 +304,7 @@ let ck_close (w : ck_writer) : unit =
 (* Mutable campaign-wide state, shared by the workers under [mutex]. *)
 type shared = {
   mutex : Mutex.t;
-  t0 : float;
+  t0 : float;  (** start of the exec phase, the origin of progress [elapsed] *)
   mutable completed : int;
   mutable total : int;
   mutable running : Fault.stats;
@@ -515,22 +538,27 @@ let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.resu
   Array.iter Domain.join others;
   out
 
-(* Runs a pre-drawn experiment list.  [redraw] supplies replacements for
-   [Not_reached] experiments (drawn between rounds, on the calling domain,
-   in plan-slot order — deterministic for any [jobs]).  Each experiment
-   resumes from the latest of [snapshots] (a {!Fault.golden_capture}
-   array) preceding its injection site instead of replaying the whole
-   fault-free prefix.  [recorder] already holds the golden and plan spans;
-   the execution phases fold into it.  [checkpoint] names a file used to
-   persist and resume partial campaigns.  Every experiment runs under a
-   {!Supervisor} configured by [supervise]; [chaos] (test-only) injects
-   harness failures; [cancel] stops the campaign at the next quantum
-   boundary. *)
-let run ?jobs ?progress ?checkpoint ~redraw ~snapshots ~recorder:spans
-    ?(supervise = Supervisor.default) ?(chaos = []) ?cancel ~(spec : Fault.run_spec)
-    ~(golden : Cpu.Machine.result) (exps : Fault.experiment array) : report =
+(* ---- whole campaigns (the paper's Fig. 13 / §III-C experiments) ---- *)
+
+(* The golden run — capturing the snapshot chain every injection run
+   restores from — is timed under the "golden" span (captures also under
+   "golden/snapshot") with its simulated cycles attributed to it, the
+   plan under "plan", and the redraw rounds under "exec".  [Not_reached]
+   redraws happen between rounds, on the calling domain, in plan-slot
+   order, so they are deterministic for any [jobs].  [wall_seconds] spans
+   all three phases; progress [elapsed] and [eta] time only "exec". *)
+let model_campaign ?seed ?(n = 300) ?jobs ?progress ?checkpoint
+    ?(supervise = Supervisor.default) ?(chaos = []) ?cancel ~(model : Fault.model)
+    (spec : Fault.run_spec) : report =
+  let t_start = Unix.gettimeofday () in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let n = Array.length exps in
+  let spans = Obs.Span.make () in
+  let golden, snapshots =
+    Obs.Span.time spans "golden" (fun () -> Fault.golden_capture ~spans spec)
+  in
+  Obs.Span.add_cycles spans "golden" golden.Cpu.Machine.wall_cycles;
+  let draw = draw ?seed ~model golden in
+  let exps = Obs.Span.time spans "plan" (fun () -> Array.init n (fun _ -> draw ())) in
   let max_instrs = Fault.hang_budget ~golden spec in
   let key = ck_key ~golden exps in
   let sup = Supervisor.start ?cancel supervise in
@@ -604,7 +632,7 @@ let run ?jobs ?progress ?checkpoint ~redraw ~snapshots ~recorder:spans
                       match o.Fault.o_outcome with
                       | Fault.Not_reached ->
                           if !round < max_rounds - 1 then
-                            next := (slot, redraw ()) :: !next
+                            next := (slot, draw ()) :: !next
                       | _ -> final.(slot) <- Some (e, o))
                   | C_poison te -> poison.(slot) <- Some te
                   | C_none -> ())
@@ -633,7 +661,7 @@ let run ?jobs ?progress ?checkpoint ~redraw ~snapshots ~recorder:spans
   {
     stats;
     outcomes;
-    wall_seconds = Unix.gettimeofday () -. shared.t0;
+    wall_seconds = Unix.gettimeofday () -. t_start;
     cycles_simulated = shared.cycles;
     experiments_run = shared.executed;
     restored = shared.restored;
@@ -644,85 +672,6 @@ let run ?jobs ?progress ?checkpoint ~redraw ~snapshots ~recorder:spans
     jobs;
     spans = Obs.Span.rows spans;
   }
-
-(* ---- whole campaigns (the paper's Fig. 13 / §III-C experiments) ---- *)
-
-let plan ~(n : int) (draw : unit -> Fault.experiment) : Fault.experiment array =
-  (* explicit loop: Array.init's evaluation order is unspecified and the
-     draws must consume the RNG in plan order *)
-  let exps =
-    Array.make n
-      { Fault.at = 1; lane = 0; bit = 0; second = None; kind = Cpu.Machine.Reg_flip }
-  in
-  for i = 0 to n - 1 do
-    exps.(i) <- draw ()
-  done;
-  exps
-
-(* The sequence every whole campaign follows: the golden run — also
-   capturing the snapshot chain every injection run will restore from,
-   timed under the "golden" span (snapshot captures additionally under
-   "golden/snapshot") with the golden run's simulated cycles attributed
-   to it — then a plan of [n] draws, then the run.
-   [drawer] sees the golden result, rejects site streams it cannot draw
-   from, and returns the experiment drawer (also used for redraws). *)
-let golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~(n : int)
-    (spec : Fault.run_spec) (drawer : Cpu.Machine.result -> unit -> Fault.experiment) :
-    report =
-  let recorder = Obs.Span.make () in
-  let g, snapshots =
-    Obs.Span.time recorder "golden" (fun () -> Fault.golden_capture ~spans:recorder spec)
-  in
-  Obs.Span.add_cycles recorder "golden" g.Cpu.Machine.wall_cycles;
-  let draw = drawer g in
-  let exps = Obs.Span.time recorder "plan" (fun () -> plan ~n draw) in
-  run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~snapshots ~recorder
-    ~redraw:draw ~spec ~golden:g exps
-
-(* A full campaign of [n] independent single-bit injections. *)
-let single ?(seed = 42) ?(n = 300) ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel
-    (spec : Fault.run_spec) : report =
-  golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~n spec
-    (fun g ->
-      let sites = g.Cpu.Machine.inject_sites in
-      if sites = 0 then invalid_arg "Campaign.single: no hardened code to inject into";
-      let rng = Random.State.make [| seed |] in
-      fun () -> draw_single rng ~sites)
-
-(* Campaign of double-bit faults; [same_bit] flips the same bit in two
-   different lanes (two replicas agreeing on a wrong value). *)
-let double ?(seed = 43) ?(n = 150) ?(same_bit = true) ?jobs ?progress ?checkpoint
-    ?supervise ?chaos ?cancel (spec : Fault.run_spec) : report =
-  golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~n spec
-    (fun g ->
-      let sites = g.Cpu.Machine.inject_sites in
-      if sites = 0 then invalid_arg "Campaign.double: no hardened code to inject into";
-      let rng = Random.State.make [| seed |] in
-      fun () -> draw_double ~same_bit rng ~sites)
-
-(* Campaign under a fault-model axis: reg (same as {!single}), mem, addr,
-   cf, or mixed.  The site streams come from the golden run's counters;
-   models whose stream is empty for this build (e.g. cf on a branch-free
-   kernel) are rejected up front rather than silently degenerating. *)
-let model_campaign ?(seed = 44) ?(n = 300) ?jobs ?progress ?checkpoint ?supervise
-    ?chaos ?cancel ~(model : Fault.model) (spec : Fault.run_spec) : report =
-  golden_plan_run ?jobs ?progress ?checkpoint ?supervise ?chaos ?cancel ~n spec
-    (fun g ->
-      let sites = g.Cpu.Machine.inject_sites in
-      let mem_sites = g.Cpu.Machine.mem_sites in
-      let branch_sites = g.Cpu.Machine.branch_sites in
-      (match model with
-      | Fault.Reg | Fault.Mixed ->
-          if sites = 0 then
-            invalid_arg "Campaign.model_campaign: no hardened code to inject into"
-      | Fault.Mem | Fault.Addr ->
-          if mem_sites = 0 then
-            invalid_arg "Campaign.model_campaign: no hardened memory accesses"
-      | Fault.Cf ->
-          if branch_sites = 0 then
-            invalid_arg "Campaign.model_campaign: no hardened conditional branches");
-      let rng = Random.State.make [| seed; Hashtbl.hash (Fault.model_to_string model) |] in
-      fun () -> draw_model rng ~model ~sites ~mem_sites ~branch_sites)
 
 (* One-line observability summary for bench tables. *)
 let pp_totals fmt (r : report) =

@@ -14,28 +14,20 @@
     is not given. *)
 val default_jobs : unit -> int
 
-(** Draw one single-bit experiment: site uniform in [1, sites], lane in
-    [0, 32), bit in [0, 64). *)
-val draw_single : Random.State.t -> sites:int -> Fault.experiment
-
-(** Draw one double-bit experiment (same destination register).  The
-    second lane is drawn at a non-zero offset from the first;
-    {!Cpu.Machine.second_flip} guarantees the pair cannot alias (and
-    cancel) after the wrap to the destination's actual lane count. *)
-val draw_double : ?same_bit:bool -> Random.State.t -> sites:int -> Fault.experiment
-
-(** Draw one experiment under a fault model, against the golden run's
-    site streams ([sites] = injection-eligible instructions, [mem_sites] =
-    hardened memory accesses, [branch_sites] = hardened conditional
-    branches).  Every branch consumes the RNG in a fixed order, so a plan
-    is reproducible from (seed, site counts) alone. *)
-val draw_model :
-  Random.State.t ->
-  model:Fault.model ->
-  sites:int ->
-  mem_sites:int ->
-  branch_sites:int ->
-  Fault.experiment
+(** [draw ~model golden] is a campaign's experiment drawer: the first [n]
+    calls are the plan {!model_campaign} draws for [n] experiments, later
+    calls its [Not_reached] redraws.  Each call consumes the RNG in a fixed
+    order against [golden]'s site streams ([inject_sites] for [Reg],
+    [Double] and [Mixed]'s register draws, [mem_sites] for [Mem] and
+    [Addr], [branch_sites] for [Cf]), so a plan is reproducible from
+    (model, seed, site counts) alone.  [seed] defaults to 42 for [Reg], 43
+    for [Double] and 44 for the others; [Reg] and [Double] seed the RNG
+    with [seed] alone, the other models with [seed] salted by the model's
+    name.  A [Double] draw's second lane sits at a non-zero offset from the
+    first; {!Cpu.Machine.second_flip} guarantees the pair cannot alias (and
+    cancel) after the wrap to the destination's actual lane count.
+    @raise Invalid_argument if the model's site stream is empty. *)
+val draw : ?seed:int -> model:Fault.model -> Cpu.Machine.result -> unit -> Fault.experiment
 
 type progress = {
   completed : int;  (** experiments finished, including redraws *)
@@ -44,7 +36,9 @@ type progress = {
       (** of [completed], how many were replayed from a checkpoint rather
           than executed — they finish instantly, so [eta] is computed from
           the executed-only rate *)
-  elapsed : float;  (** seconds since the campaign started *)
+  elapsed : float;
+      (** seconds since the exec phase started (after the golden run and
+          the plan) *)
   eta : float;
       (** estimated seconds to completion.  [nan] while no experiment has
           actually executed yet (e.g. the checkpoint-replay prefix of a
@@ -62,6 +56,7 @@ type report = {
           the observations feed {!Fault.avf_table} and
           {!Fault.mean_latency} *)
   wall_seconds : float;
+      (** the whole campaign: golden run, plan and execution *)
   cycles_simulated : int;  (** simulated cycles over all injection runs *)
   experiments_run : int;  (** injection runs executed, including redraws *)
   restored : int;  (** experiments replayed from the checkpoint *)
@@ -91,15 +86,20 @@ type report = {
           completed. *)
 }
 
-(** [single ~seed ~n spec] — the paper's Fig. 13 campaign: [n] independent
-    single-bit injections.  The golden run captures a snapshot chain
-    ({!Fault.golden_capture}) and every injection run starts from the
-    latest snapshot preceding its site, so it never replays the
-    fault-free prefix; every observation is bit-identical to running its
-    experiment from scratch.  Not-reached experiments are redrawn from
-    the same RNG, between rounds, in plan-slot order.  The optional
-    arguments, shared by every campaign below:
+(** [model_campaign ~model spec] — a campaign of [n] (default 300)
+    injections under a fault model: register SEUs ([Reg], the paper's
+    Fig. 13 campaign), double-bit SEUs ([Double], §III-C), memory bit-flips
+    ([Mem]), effective-address faults ([Addr]), control-flow faults ([Cf]),
+    or a uniform mix ([Mixed]).  The plan is {!draw}'s first [n] draws
+    against the golden run, which also captures a snapshot chain
+    ({!Fault.golden_capture}); every injection run starts from the latest
+    snapshot preceding its site, so it never replays the fault-free
+    prefix, and every observation is bit-identical to running its
+    experiment from scratch.  Not-reached experiments are redrawn from the
+    same RNG, between rounds, in plan-slot order.  Outcomes fold back in
+    plan order, so the report is bit-identical for any worker count.
 
+    - [seed]: see {!draw}.
     - [jobs]: worker count (default {!default_jobs}).  Worker 0 runs on
       the calling domain and the others on spawned domains, so [jobs = N]
       uses exactly N domains; [1] runs serially on the caller.
@@ -121,44 +121,8 @@ type report = {
       quantum boundary, no new ones start, and the report comes back
       with [interrupted = true].
 
-    @raise Invalid_argument if [spec] has no hardened code to inject
-    into. *)
-val single :
-  ?seed:int ->
-  ?n:int ->
-  ?jobs:int ->
-  ?progress:(progress -> unit) ->
-  ?checkpoint:string ->
-  ?supervise:Supervisor.config ->
-  ?chaos:Supervisor.chaos_plan ->
-  ?cancel:bool Atomic.t ->
-  Fault.run_spec ->
-  report
-
-(** [double ~seed ~n ~same_bit spec] — double-bit campaign (§III-C);
-    [same_bit] flips the same bit in two lanes (the adversarial
-    two-agreeing-corrupt-replicas pattern). *)
-val double :
-  ?seed:int ->
-  ?n:int ->
-  ?same_bit:bool ->
-  ?jobs:int ->
-  ?progress:(progress -> unit) ->
-  ?checkpoint:string ->
-  ?supervise:Supervisor.config ->
-  ?chaos:Supervisor.chaos_plan ->
-  ?cancel:bool Atomic.t ->
-  Fault.run_spec ->
-  report
-
-(** [model_campaign ~model spec] — campaign under a fault-model axis:
-    register SEUs ([Reg], same distribution as {!single}), memory
-    bit-flips ([Mem]), effective-address faults ([Addr]), control-flow
-    faults ([Cf]), or a uniform mix ([Mixed]).  Sites are drawn against
-    the golden run's per-kind site streams, pre-drawn and folded in plan
-    order, so the stats are bit-identical for any worker count.
     @raise Invalid_argument if the model's site stream is empty for this
-    build. *)
+    build (see {!draw}). *)
 val model_campaign :
   ?seed:int ->
   ?n:int ->

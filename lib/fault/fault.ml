@@ -33,14 +33,16 @@ let outcome_to_string = function
   | Sdc -> "SDC"
   | Not_reached -> "not-reached"
 
-(** Fault-model axis of a campaign.  The first four select one
-    {!Cpu.Machine.fault_kind}; [Mixed] draws a kind per experiment
-    (uniformly among the kinds with at least one site in the golden
-    run). *)
-type model = Reg | Mem | Addr | Cf | Mixed
+(** Fault-model axis of a campaign.  [Reg], [Mem], [Addr] and [Cf] select
+    one {!Cpu.Machine.fault_kind}; [Double] is the two-flip register SEU of
+    §III-C; [Mixed] draws a kind per experiment (uniformly among the kinds
+    with at least one site in the golden run). *)
+type model = Reg | Double of { same_bit : bool } | Mem | Addr | Cf | Mixed
 
 let model_to_string = function
   | Reg -> "reg"
+  | Double { same_bit = true } -> "double"
+  | Double { same_bit = false } -> "double-any-bit"
   | Mem -> "mem"
   | Addr -> "addr"
   | Cf -> "cf"
@@ -246,13 +248,6 @@ let run_experiment_from ?max_instrs ?spans ?abort
         | Some r -> Obs.Span.time r "exec/restore" (fun () -> Cpu.Machine.restore ~cfg sn)
       in
       Cpu.Machine.resume m
-
-(* One experiment: flip [bit] of one lane of the destination of the [at]-th
-   injection-eligible instruction. *)
-let inject_one (spec : run_spec) ~(golden : Cpu.Machine.result) ~(at : int) ~(lane : int)
-    ~(bit : int) : outcome =
-  classify ~golden
-    (run_experiment spec { at; lane; bit; second = None; kind = Cpu.Machine.Reg_flip })
 
 type stats = {
   runs : int;

@@ -22,14 +22,17 @@ type outcome =
 
 val outcome_to_string : outcome -> string
 
-(** Fault-model axis of a campaign.  The first four select one
-    {!Cpu.Machine.fault_kind}; [Mixed] draws a kind per experiment
-    (uniformly among the kinds with at least one site in the golden
-    run). *)
-type model = Reg | Mem | Addr | Cf | Mixed
+(** Fault-model axis of a campaign.  [Reg], [Mem], [Addr] and [Cf] select
+    one {!Cpu.Machine.fault_kind}; [Double] is the two-flip register SEU of
+    §III-C ([same_bit] flips the same bit in two lanes, the adversarial
+    two-agreeing-corrupt-replicas pattern); [Mixed] draws a kind per
+    experiment (uniformly among the kinds with at least one site in the
+    golden run). *)
+type model = Reg | Double of { same_bit : bool } | Mem | Addr | Cf | Mixed
 
 val model_to_string : model -> string
 
+(** Every model but [Double]: the models with one flip per experiment. *)
 val all_models : model list
 
 (** Everything needed to run one experiment deterministically. *)
@@ -124,11 +127,6 @@ val run_experiment_from :
   run_spec ->
   experiment ->
   Cpu.Machine.result
-
-(** One experiment: flip [bit] of one lane of the destination of the
-    [at]-th injection-eligible instruction. *)
-val inject_one :
-  run_spec -> golden:Cpu.Machine.result -> at:int -> lane:int -> bit:int -> outcome
 
 type stats = {
   runs : int;

@@ -19,9 +19,6 @@ let create_module () : modul = { funcs = []; globals = [] }
 
 let global (m : modul) name size = m.globals <- { gname = name; gsize = size; ginit = None } :: m.globals
 
-let global_init (m : modul) name data =
-  m.globals <- { gname = name; gsize = String.length data; ginit = Some data } :: m.globals
-
 let func (m : modul) ?(hardened = true) ?ret name params : t * reg list =
   let params =
     List.mapi (fun i (n, ty) -> { rid = i; rname = n; rty = ty }) params
@@ -67,11 +64,9 @@ let terminate b t = (cur_block b).term <- t
 
 let i1c v : operand = Imm (Types.i1, if v then 1L else 0L)
 let i8c v : operand = Imm (Types.i8, Int64.of_int v)
-let i16c v : operand = Imm (Types.i16, Int64.of_int v)
 let i32c v : operand = Imm (Types.i32, Int64.of_int v)
 let i64c v : operand = Imm (Types.i64, Int64.of_int v)
 let ptrc v : operand = Imm (Types.ptr, Int64.of_int v)
-let f32c v : operand = Fimm (Types.f32, v)
 let f64c v : operand = Fimm (Types.f64, v)
 
 let ty_of (o : operand) = operand_ty None o

@@ -19,9 +19,6 @@ val create_module : unit -> modul
 (** [global m name size] declares a zero-initialized global buffer. *)
 val global : modul -> string -> int -> unit
 
-(** Declares a global initialized with the given bytes. *)
-val global_init : modul -> string -> string -> unit
-
 (** [func m name params] starts a new function and returns its builder and
     parameter registers.  [~hardened:false] marks third-party/library code
     that the hardening passes must leave untouched. *)
@@ -34,13 +31,9 @@ val fresh : t -> ?name:string -> Types.t -> reg
 (** Fresh block label with the given prefix. *)
 val label : t -> string -> string
 
-val declare_block : t -> string -> unit
-val switch_to : t -> string -> unit
-
 (** Creates a block and makes it current. *)
 val block : t -> string -> unit
 
-val cur_block : t -> block
 val emit : t -> Instr.t -> unit
 val terminate : t -> terminator -> unit
 
@@ -48,14 +41,10 @@ val terminate : t -> terminator -> unit
 
 val i1c : bool -> operand
 val i8c : int -> operand
-val i16c : int -> operand
 val i32c : int -> operand
 val i64c : int -> operand
 val ptrc : int -> operand
-val f32c : float -> operand
 val f64c : float -> operand
-
-val ty_of : operand -> Types.t
 
 (** {1 Value-producing emitters}
 

@@ -294,13 +294,14 @@ let check_campaign_from_scratch () =
             true
             (r.Campaign.outcomes = base.Campaign.outcomes))
         [ 2; 4 ])
-    (("single", 24, fun jobs -> Campaign.single ~seed:19 ~n:24 ~jobs spec)
+    (("single", 24, fun jobs -> Campaign.model_campaign ~seed:19 ~n:24 ~jobs ~model:Fault.Reg spec)
     :: List.map
          (fun model ->
            ( Fault.model_to_string model,
              8,
              fun jobs -> Campaign.model_campaign ~seed:23 ~n:8 ~jobs ~model spec ))
-         Fault.all_models)
+         (Fault.Double { same_bit = true } :: Fault.Double { same_bit = false }
+        :: Fault.all_models))
 
 (* the golden-capture contract fast-forward relies on: the capturing run
    is the golden run (plans are drawn from it); it keeps 1 to 24

@@ -9,10 +9,10 @@ let check_bool = Alcotest.(check bool)
    computation, one output.  No loads inside the hardened region means no
    extracted-address window: EVERY single-lane fault must be corrected or
    masked — never an SDC, never a crash. *)
-let pure_compute_module () =
+let pure_compute_module ?(hardened = true) () =
   let m = Ir.Builder.create_module () in
   let open Ir.Builder in
-  let b, ps = func m "kernel" [ ("x", Ir.Types.i64) ] ~ret:Ir.Types.i64 in
+  let b, ps = func m ~hardened "kernel" [ ("x", Ir.Types.i64) ] ~ret:Ir.Types.i64 in
   let x = match ps with [ p ] -> Ir.Instr.Reg p | _ -> assert false in
   let acc = fresh b ~name:"acc" Ir.Types.i64 in
   assign b acc x;
@@ -31,6 +31,13 @@ let spec_of build =
   Fault.make_spec (Elzar.prepare build (pure_compute_module ())) "main" ~args:[| 1L |]
     ~flags_cmp:(Elzar.uses_flags_cmp build) ~reexec_retries:(Elzar.reexec_retries build)
 
+(* Outcome of one register SEU: flip [bit] of one lane of the destination
+   of the [at]-th injection-eligible instruction. *)
+let reg_flip spec ~golden ~at ~lane ~bit =
+  Fault.classify ~golden
+    (Fault.run_experiment spec
+       { Fault.at; lane; bit; second = None; kind = Cpu.Machine.Reg_flip })
+
 let test_pure_compute_always_protected () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
   let golden = Fault.golden spec in
@@ -41,7 +48,7 @@ let test_pure_compute_always_protected () =
   for k = 0 to 80 do
     let at = 1 + (k * 7 mod sites) in
     let outcome =
-      Fault.inject_one spec ~golden ~at ~lane:(k mod 4) ~bit:((k * 11) mod 64)
+      reg_flip spec ~golden ~at ~lane:(k mod 4) ~bit:((k * 11) mod 64)
     in
     match outcome with
     | Fault.Elzar_corrected ->
@@ -62,7 +69,7 @@ let test_native_is_vulnerable () =
   let sdc = ref 0 in
   for k = 0 to 60 do
     let at = 1 + (k * 5 mod sites) in
-    match Fault.inject_one spec ~golden ~at ~lane:0 ~bit:(k mod 64) with
+    match reg_flip spec ~golden ~at ~lane:0 ~bit:(k mod 64) with
     | Fault.Sdc -> incr sdc
     | _ -> ()
   done;
@@ -70,7 +77,7 @@ let test_native_is_vulnerable () =
 
 let test_campaign_stats_consistent () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
-  let r = Campaign.single ~seed:7 ~n:40 ~jobs:1 spec in
+  let r = Campaign.model_campaign ~model:Fault.Reg ~seed:7 ~n:40 ~jobs:1 spec in
   let s = r.Campaign.stats in
   Alcotest.(check int) "runs counted" 40 s.Fault.runs;
   Alcotest.(check int) "outcomes partition runs" 40
@@ -82,17 +89,18 @@ let test_campaign_stats_consistent () =
    bit-identical no matter how many worker domains execute them. *)
 let test_campaign_parallel_deterministic () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
-  let r1 = Campaign.single ~seed:13 ~n:24 ~jobs:1 spec in
-  let r2 = Campaign.single ~seed:13 ~n:24 ~jobs:2 spec in
-  let r4 = Campaign.single ~seed:13 ~n:24 ~jobs:4 spec in
+  let r1 = Campaign.model_campaign ~model:Fault.Reg ~seed:13 ~n:24 ~jobs:1 spec in
+  let r2 = Campaign.model_campaign ~model:Fault.Reg ~seed:13 ~n:24 ~jobs:2 spec in
+  let r4 = Campaign.model_campaign ~model:Fault.Reg ~seed:13 ~n:24 ~jobs:4 spec in
   check_bool "1 vs 2 workers: same stats" true (r1.Campaign.stats = r2.Campaign.stats);
   check_bool "1 vs 4 workers: same stats" true (r1.Campaign.stats = r4.Campaign.stats);
   check_bool "1 vs 2 workers: same per-experiment outcomes" true
     (r1.Campaign.outcomes = r2.Campaign.outcomes);
   check_bool "1 vs 4 workers: same per-experiment outcomes" true
     (r1.Campaign.outcomes = r4.Campaign.outcomes);
-  let d1 = Campaign.double ~seed:17 ~n:12 ~jobs:1 spec in
-  let d4 = Campaign.double ~seed:17 ~n:12 ~jobs:4 spec in
+  let double = Fault.Double { same_bit = true } in
+  let d1 = Campaign.model_campaign ~model:double ~seed:17 ~n:12 ~jobs:1 spec in
+  let d4 = Campaign.model_campaign ~model:double ~seed:17 ~n:12 ~jobs:4 spec in
   check_bool "double campaign: 1 vs 4 workers identical" true
     (d1.Campaign.stats = d4.Campaign.stats && d1.Campaign.outcomes = d4.Campaign.outcomes)
 
@@ -125,16 +133,18 @@ let test_checkpoint_resume () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
   let path = Filename.temp_file "elzar_campaign" ".ck" in
   Sys.remove path;
-  let baseline = Campaign.single ~seed:21 ~n:40 ~jobs:1 spec in
+  let baseline = Campaign.model_campaign ~model:Fault.Reg ~seed:21 ~n:40 ~jobs:1 spec in
   let cancel = Atomic.make false in
   let partial =
-    Campaign.single ~seed:21 ~n:40 ~jobs:1 ~checkpoint:path ~cancel
+    Campaign.model_campaign ~model:Fault.Reg ~seed:21 ~n:40 ~jobs:1 ~checkpoint:path ~cancel
       ~progress:(fun p -> if p.Campaign.completed >= 35 then Atomic.set cancel true)
       spec
   in
   check_bool "campaign interrupted" true partial.Campaign.interrupted;
   check_bool "checkpoint file written" true (Sys.file_exists path);
-  let resumed = Campaign.single ~seed:21 ~n:40 ~jobs:1 ~checkpoint:path spec in
+  let resumed =
+    Campaign.model_campaign ~model:Fault.Reg ~seed:21 ~n:40 ~jobs:1 ~checkpoint:path spec
+  in
   check_bool "resumed campaign matches uninterrupted stats" true
     (resumed.Campaign.stats = baseline.Campaign.stats);
   check_bool "resume re-executed only the remainder" true
@@ -156,12 +166,13 @@ let prop_second_flip_never_cancels =
 
 (* The campaign's own draw: the raw second lane is always at a non-zero
    offset so the common 4-lane destinations never alias even pre-wrap. *)
-let prop_draw_double_distinct =
-  QCheck.Test.make ~count:300 ~name:"draw_double lanes distinct for 4-lane destinations"
-    QCheck.(pair small_nat (int_range 1 5000))
-    (fun (seed, sites) ->
-      let rng = Random.State.make [| seed |] in
-      let e = Campaign.draw_double rng ~sites in
+let prop_double_draw_distinct =
+  let golden = lazy (Fault.golden (spec_of (Elzar.Hardened Elzar.Harden_config.default))) in
+  QCheck.Test.make ~count:300 ~name:"double draws: lanes distinct for 4-lane destinations"
+    QCheck.(triple small_nat (int_range 1 5000) bool)
+    (fun (seed, sites, same_bit) ->
+      let golden = { (Lazy.force golden) with Cpu.Machine.inject_sites = sites } in
+      let e = Campaign.draw ~seed ~model:(Fault.Double { same_bit }) golden () in
       match e.Fault.second with
       | Some (lane2, _) -> (lane2 - e.Fault.lane) mod 4 <> 0 && lane2 <> e.Fault.lane
       | None -> false)
@@ -219,7 +230,7 @@ let test_extended_recovery () =
   let bad = ref 0 in
   for k = 0 to 50 do
     let at = 1 + (k * 13 mod sites) in
-    match Fault.inject_one spec ~golden ~at ~lane:(k mod 4) ~bit:((k * 3) mod 64) with
+    match reg_flip spec ~golden ~at ~lane:(k mod 4) ~bit:((k * 3) mod 64) with
     | Fault.Hang | Fault.Deadlock | Fault.Os_detected | Fault.Sdc | Fault.Not_reached ->
         incr bad
     | Fault.Elzar_corrected | Fault.Masked -> ()
@@ -253,7 +264,7 @@ let test_future_avx_corrects () =
   let bad = ref 0 in
   for k = 0 to 60 do
     let at = 1 + (k * 3 mod sites) in
-    match Fault.inject_one spec ~golden ~at ~lane:(k mod 4) ~bit:((k * 7) mod 64) with
+    match reg_flip spec ~golden ~at ~lane:(k mod 4) ~bit:((k * 7) mod 64) with
     | Fault.Sdc -> incr bad
     | _ -> ()
   done;
@@ -336,13 +347,13 @@ let loads_and_branches_module () =
   ret b None;
   m
 
+let loads_and_branches_spec () =
+  Fault.make_spec
+    (Elzar.prepare (Elzar.Hardened Elzar.Harden_config.default) (loads_and_branches_module ()))
+    "main" ~args:[| 1L |]
+
 let test_model_campaigns_deterministic () =
-  let spec =
-    Fault.make_spec
-      (Elzar.prepare (Elzar.Hardened Elzar.Harden_config.default)
-         (loads_and_branches_module ()))
-      "main" ~args:[| 1L |]
-  in
+  let spec = loads_and_branches_spec () in
   let golden = Fault.golden spec in
   check_bool "mem sites counted" true (golden.Cpu.Machine.mem_sites > 0);
   check_bool "branch sites counted" true (golden.Cpu.Machine.branch_sites > 0);
@@ -357,6 +368,79 @@ let test_model_campaigns_deterministic () =
       check_bool (tag ^ ": 1 vs 4 workers identical") true
         (r1.Campaign.stats = r4.Campaign.stats && r1.Campaign.outcomes = r4.Campaign.outcomes))
     Fault.all_models
+
+(* ---- plan pin: the MD5 of the (at, lane, bit, second, kind) of the 64
+   experiments each model draws for seed 42 against one fixed golden run,
+   the loads-and-branches kernel's.  [Reg] and [Double] plans are seeded
+   with the seed alone, the other models' with the seed salted by the
+   model's name.  A change to any model's seeding or draw order shows up
+   here; regenerate the table only in a change that means to alter plans,
+   and say so in CHANGES.md. *)
+
+let expected_plans =
+  [
+    (Fault.Reg, "89d8ec8525db2e4ca5c5084bfb9e3e72");
+    (Fault.Double { same_bit = true }, "b2b34ca5cbde5299d3eb972e1eb4a744");
+    (Fault.Double { same_bit = false }, "e3228fe56a508c48061d428c525eec6d");
+    (Fault.Mem, "b30c2549baaa1e709c1bf5693da99e5a");
+    (Fault.Addr, "72eec8587411751e81573fe6bb1f529f");
+    (Fault.Cf, "836198c0bee656a0f740edc55c8716b0");
+    (Fault.Mixed, "20e4b8c0587c750973469322f87e11d0");
+  ]
+
+let test_plan_pin () =
+  let golden = Fault.golden (loads_and_branches_spec ()) in
+  Alcotest.(check (list int))
+    "golden site streams (register, memory, branch)" [ 858; 50; 102 ]
+    Cpu.Machine.[ golden.inject_sites; golden.mem_sites; golden.branch_sites ];
+  List.iter
+    (fun (model, md5) ->
+      let draw = Campaign.draw ~seed:42 ~model golden in
+      let b = Buffer.create 1024 in
+      for _ = 1 to 64 do
+        let e = draw () in
+        Printf.bprintf b "%d %d %d %s %s\n" e.Fault.at e.Fault.lane e.Fault.bit
+          (match e.Fault.second with
+          | None -> "-"
+          | Some (l, b) -> Printf.sprintf "%d:%d" l b)
+          (Cpu.Machine.fault_kind_to_string e.Fault.kind)
+      done;
+      Alcotest.(check string)
+        (Fault.model_to_string model)
+        md5
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    expected_plans
+
+(* ---- a model whose site stream is empty is rejected up front ---- *)
+
+let test_empty_stream_rejected () =
+  let rejects what spec model =
+    match Campaign.model_campaign ~n:1 ~jobs:1 ~model spec with
+    | _ -> Alcotest.failf "%s: %s campaign ran" what (Fault.model_to_string model)
+    | exception Invalid_argument _ -> ()
+  in
+  (* nothing hardened: every stream is empty *)
+  let unhardened =
+    Fault.make_spec
+      (Elzar.prepare (Elzar.Hardened Elzar.Harden_config.default)
+         (pure_compute_module ~hardened:false ()))
+      "main" ~args:[| 1L |]
+  in
+  List.iter
+    (rejects "unhardened module" unhardened)
+    (Fault.Double { same_bit = true } :: Fault.Double { same_bit = false } :: Fault.all_models);
+  (* a straight-line kernel hardened without checks has no conditional
+     branch to divert (with checks, the vote before its return is one),
+     but its register stream is not empty *)
+  let straight =
+    Fault.make_spec
+      (Elzar.prepare (Elzar.Hardened Elzar.Harden_config.no_checks)
+         (bijective_chain_module ()))
+      "main" ~args:[| 1L |]
+  in
+  rejects "branch-free kernel" straight Fault.Cf;
+  Alcotest.(check int) "branch-free kernel: reg campaign runs" 4
+    (Campaign.model_campaign ~n:4 ~jobs:1 ~model:Fault.Reg straight).Campaign.stats.Fault.runs
 
 (* ---- deadlocks are their own bucket, folded into crashed% ---- *)
 
@@ -393,12 +477,12 @@ let test_hang_budget () =
 
 let test_corrupt_checkpoint_restarts () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
-  let baseline = Campaign.single ~seed:31 ~n:12 ~jobs:1 spec in
+  let baseline = Campaign.model_campaign ~model:Fault.Reg ~seed:31 ~n:12 ~jobs:1 spec in
   let path = Filename.temp_file "elzar_campaign" ".ck" in
   let oc = open_out_bin path in
   output_string oc "not a checkpoint at all";
   close_out oc;
-  let r = Campaign.single ~seed:31 ~n:12 ~jobs:1 ~checkpoint:path spec in
+  let r = Campaign.model_campaign ~model:Fault.Reg ~seed:31 ~n:12 ~jobs:1 ~checkpoint:path spec in
   check_bool "campaign completed from scratch" true
     (r.Campaign.stats = baseline.Campaign.stats);
   Alcotest.(check int) "all experiments re-executed" baseline.Campaign.experiments_run
@@ -412,8 +496,9 @@ let test_corrupt_checkpoint_restarts () =
 let test_reexec_reduces_crashes () =
   let ext = spec_of (Elzar.Hardened Elzar.Harden_config.extended) in
   let rex = spec_of (Elzar.Hardened Elzar.Harden_config.reexec) in
-  let re = Campaign.double ~seed:29 ~n:30 ~same_bit:true ~jobs:2 ext in
-  let rr = Campaign.double ~seed:29 ~n:30 ~same_bit:true ~jobs:2 rex in
+  let double = Fault.Double { same_bit = true } in
+  let re = Campaign.model_campaign ~model:double ~seed:29 ~n:30 ~jobs:2 ext in
+  let rr = Campaign.model_campaign ~model:double ~seed:29 ~n:30 ~jobs:2 rex in
   let ce = Fault.crashed_pct re.Campaign.stats
   and cr = Fault.crashed_pct rr.Campaign.stats in
   check_bool "extended fail-stops some 2-2 faults" true (ce > 0.0);
@@ -478,10 +563,12 @@ let tests =
       test_invalid_checkpoint_drops_log;
     Alcotest.test_case "model campaigns worker-invariant" `Quick
       test_model_campaigns_deterministic;
+    Alcotest.test_case "plan pin per model" `Quick test_plan_pin;
+    Alcotest.test_case "empty site stream rejected" `Quick test_empty_stream_rejected;
     Alcotest.test_case "deadlocks counted separately" `Quick test_deadlock_counted_separately;
     Alcotest.test_case "hang budget from golden run" `Quick test_hang_budget;
     Alcotest.test_case "corrupt checkpoint restarts" `Quick test_corrupt_checkpoint_restarts;
     Alcotest.test_case "reexec reduces crashed% vs extended" `Slow test_reexec_reduces_crashes;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_second_flip_never_cancels; prop_draw_double_distinct; prop_flip_changes_register ]
+      [ prop_second_flip_never_cancels; prop_double_draw_distinct; prop_flip_changes_register ]

@@ -190,7 +190,9 @@ let spec () = Test_fault.spec_of (Elzar.Hardened Elzar.Harden_config.default)
 let test_results_bit_identical_across_jobs () =
   let spec = spec () in
   let render jobs =
-    J.to_string (Report.campaign_results (Campaign.single ~seed:19 ~n:24 ~jobs spec))
+    J.to_string
+      (Report.campaign_results
+         (Campaign.model_campaign ~model:Fault.Reg ~seed:19 ~n:24 ~jobs spec))
   in
   let r1 = render 1 in
   check_str "1 vs 2 workers" r1 (render 2);
@@ -198,7 +200,7 @@ let test_results_bit_identical_across_jobs () =
 
 let test_campaign_schema () =
   let spec = spec () in
-  let r = Campaign.single ~seed:3 ~n:12 ~jobs:2 spec in
+  let r = Campaign.model_campaign ~model:Fault.Reg ~seed:3 ~n:12 ~jobs:2 spec in
   let doc =
     parse (J.to_string (Report.campaign ~params:[ ("workload", J.Str "pure") ] r))
   in
@@ -226,18 +228,33 @@ let test_campaign_schema () =
         rows
   | _ -> Alcotest.fail "spans missing or empty"
 
+(* the top-level spans (golden, plan, exec) tile the campaign: together
+   they cover at least 95% of its wall time *)
 let test_span_coverage () =
   let spec = spec () in
-  let t0 = Unix.gettimeofday () in
-  let r = Campaign.single ~seed:11 ~n:60 ~jobs:2 spec in
-  let wall = Unix.gettimeofday () -. t0 in
-  let cov = Obs.Span.coverage ~rows:r.Campaign.spans ~wall in
+  let r = Campaign.model_campaign ~model:Fault.Reg ~seed:11 ~n:60 ~jobs:2 spec in
+  let cov = Obs.Span.coverage ~rows:r.Campaign.spans ~wall:r.Campaign.wall_seconds in
   if cov < 0.95 then
     Alcotest.failf "top-level spans cover %.1f%% of campaign wall time" (100.0 *. cov);
   check_bool "nested spans present" true
     (List.exists
        (fun (row : Obs.Span.row) -> String.contains row.Obs.Span.path '/')
        r.Campaign.spans)
+
+(* [wall_seconds] times the whole campaign, golden run included: it is at
+   least the sum of the top-level spans, which run one after another
+   inside it (a nanosecond of slack absorbs float rounding) *)
+let test_wall_covers_spans () =
+  let r = Campaign.model_campaign ~model:Fault.Reg ~seed:11 ~n:12 ~jobs:1 (spec ()) in
+  let top =
+    List.fold_left
+      (fun acc (row : Obs.Span.row) ->
+        if String.contains row.Obs.Span.path '/' then acc else acc +. row.Obs.Span.wall)
+      0.0 r.Campaign.spans
+  in
+  if top > r.Campaign.wall_seconds +. 1e-9 then
+    Alcotest.failf "wall_seconds %.6f s < top-level spans %.6f s" r.Campaign.wall_seconds
+      top
 
 (* ---- progress/checkpoint accounting ---- *)
 
@@ -253,7 +270,7 @@ let test_resume_eta_uses_executed_rate () =
   Sys.remove path;
   let cancel = Atomic.make false in
   let partial =
-    Campaign.single ~seed:23 ~n:40 ~jobs:1 ~checkpoint:path ~cancel
+    Campaign.model_campaign ~model:Fault.Reg ~seed:23 ~n:40 ~jobs:1 ~checkpoint:path ~cancel
       ~progress:(fun p -> if p.Campaign.completed >= 35 then Atomic.set cancel true)
       spec
   in
@@ -261,7 +278,7 @@ let test_resume_eta_uses_executed_rate () =
   check_bool "checkpoint written" true (Sys.file_exists path);
   let records = ref [] in
   let _ =
-    Campaign.single ~seed:23 ~n:40 ~jobs:1 ~checkpoint:path
+    Campaign.model_campaign ~model:Fault.Reg ~seed:23 ~n:40 ~jobs:1 ~checkpoint:path
       ~progress:(fun p -> records := p :: !records)
       spec
   in
@@ -297,9 +314,9 @@ let test_resume_eta_uses_executed_rate () =
    it warns once on stderr and completes with the same results. *)
 let test_unwritable_checkpoint () =
   let spec = spec () in
-  let baseline = Campaign.single ~seed:27 ~n:12 ~jobs:1 spec in
+  let baseline = Campaign.model_campaign ~model:Fault.Reg ~seed:27 ~n:12 ~jobs:1 spec in
   let r =
-    Campaign.single ~seed:27 ~n:12 ~jobs:1
+    Campaign.model_campaign ~model:Fault.Reg ~seed:27 ~n:12 ~jobs:1
       ~checkpoint:"/nonexistent_dir_elzar_test/campaign.ck" spec
   in
   check_bool "campaign completed with baseline stats" true
@@ -373,6 +390,7 @@ let tests =
       test_results_bit_identical_across_jobs;
     Alcotest.test_case "campaign schema" `Quick test_campaign_schema;
     Alcotest.test_case "span coverage" `Quick test_span_coverage;
+    Alcotest.test_case "wall time covers the spans" `Quick test_wall_covers_spans;
     Alcotest.test_case "resume eta uses executed rate" `Quick
       test_resume_eta_uses_executed_rate;
     Alcotest.test_case "unwritable checkpoint" `Quick test_unwritable_checkpoint;

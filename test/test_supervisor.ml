@@ -17,31 +17,27 @@ let check_int = Alcotest.(check int)
 
 let spec () = Test_fault.spec_of (Elzar.Hardened Elzar.Harden_config.default)
 
+(* The campaign every test here runs: 16 register SEUs drawn from seed 51. *)
+let campaign = Campaign.model_campaign ~model:Fault.Reg ~seed:51 ~n:16
+
 (* Tight deadline knobs for the deadline tests: cold-start deadline
    factor x floor = 0.4 s, so a hung run is cut off quickly. *)
 let tight =
   { Supervisor.default with Supervisor.deadline_factor = 2.0; deadline_floor = 0.2 }
 
 (* The reference the campaign is checked against, built without the
-   campaign engine: the plan [Campaign.single ~seed:51 ~n:16] draws,
-   each experiment run by a direct full replay and observed against the
-   golden run. *)
+   campaign engine: the plan [campaign] draws, each experiment run by a
+   direct full replay and observed against the golden run. *)
 let reference =
   let r =
     lazy
       (let spec = spec () in
        let golden = Fault.golden spec in
        let max_instrs = Fault.hang_budget ~golden spec in
-       let rng = Random.State.make [| 51 |] in
-       (* an explicit loop: the draws must consume the RNG in plan order *)
-       let plan = ref [] in
-       for _ = 1 to 16 do
-         plan := Campaign.draw_single rng ~sites:golden.Cpu.Machine.inject_sites :: !plan
-       done;
-       Array.of_list
-         (List.rev_map
-            (fun e -> (e, Fault.observe ~golden (Fault.run_experiment ~max_instrs spec e)))
-            !plan))
+       let draw = Campaign.draw ~seed:51 ~model:Fault.Reg golden in
+       Array.map
+         (fun e -> (e, Fault.observe ~golden (Fault.run_experiment ~max_instrs spec e)))
+         (Array.init 16 (fun _ -> draw ())))
   in
   fun () -> Lazy.force r
 
@@ -75,7 +71,7 @@ let test_campaign_matches_direct_replay () =
         let d = (Domain.self () :> int) in
         if not (List.mem d !seen) then seen := d :: !seen
       in
-      let r = Campaign.single ~seed:51 ~n:16 ~jobs ~progress (spec ()) in
+      let r = campaign ~jobs ~progress (spec ()) in
       check_bool
         (Printf.sprintf "campaign jobs=%d matches direct replay" jobs)
         true
@@ -92,7 +88,7 @@ let test_campaign_matches_direct_replay () =
 let test_chaos_raise_retried () =
   let c = Supervisor.chaos ~slot:3 Supervisor.Chaos_raise in
   let r =
-    Campaign.single ~seed:51 ~n:16 ~jobs:1 ~chaos:[ c ] (spec ())
+    campaign ~jobs:1 ~chaos:[ c ] (spec ())
   in
   (* one-shot: the first execution raised, the deterministic re-execution
      succeeded, and nothing reached the report *)
@@ -106,7 +102,7 @@ let test_chaos_raise_retried () =
 let test_chaos_raise_persistent_quarantines () =
   let c = Supervisor.chaos ~persistent:true ~slot:2 Supervisor.Chaos_raise in
   let r =
-    Campaign.single ~seed:51 ~n:16 ~jobs:1 ~chaos:[ c ] (spec ())
+    campaign ~jobs:1 ~chaos:[ c ] (spec ())
   in
   (match r.Campaign.quarantined with
   | [ te ] ->
@@ -124,7 +120,7 @@ let test_chaos_raise_persistent_quarantines () =
 
 let test_chaos_hang_deadline () =
   let c = Supervisor.chaos ~persistent:true ~slot:1 Supervisor.Chaos_hang in
-  let r = Campaign.single ~seed:51 ~n:16 ~jobs:1 ~supervise:tight ~chaos:[ c ] (spec ()) in
+  let r = campaign ~jobs:1 ~supervise:tight ~chaos:[ c ] (spec ()) in
   (match r.Campaign.quarantined with
   | [ te ] ->
       check_bool "kind" true (te.Supervisor.te_kind = Supervisor.Deadline);
@@ -137,7 +133,7 @@ let test_chaos_hang_deadline () =
 
 let test_chaos_hang_once_retried () =
   let c = Supervisor.chaos ~slot:6 Supervisor.Chaos_hang in
-  let r = Campaign.single ~seed:51 ~n:16 ~jobs:1 ~supervise:tight ~chaos:[ c ] (spec ()) in
+  let r = campaign ~jobs:1 ~supervise:tight ~chaos:[ c ] (spec ()) in
   check_bool "report identical to the reference" true
     (results_equal r (reference ()));
   check_bool "no quarantine" true (r.Campaign.quarantined = [])
@@ -148,7 +144,7 @@ let test_chaos_slow_tolerated () =
   let c = Supervisor.chaos ~slot:4 (Supervisor.Chaos_slow 0.05) in
   let r =
     (* floor 0.5 s: the 50 ms stall stays well inside every deadline *)
-    Campaign.single ~seed:51 ~n:16 ~jobs:1
+    campaign ~jobs:1
       ~supervise:{ tight with Supervisor.deadline_floor = 0.5 }
       ~chaos:[ c ] (spec ())
   in
@@ -168,10 +164,7 @@ let test_chaos_once_per_attempt () =
   in
   let golden = Fault.golden spec in
   let max_instrs = Fault.hang_budget ~golden spec in
-  let e =
-    Campaign.draw_single (Random.State.make [| 51 |])
-      ~sites:golden.Cpu.Machine.inject_sites
-  in
+  let e = Campaign.draw ~seed:51 ~model:Fault.Reg golden () in
   let polls = ref 0 in
   let direct =
     Fault.run_experiment ~max_instrs
@@ -206,7 +199,7 @@ let test_chaos_kill_restarts () =
   List.iter
     (fun jobs ->
       let c = Supervisor.chaos ~slot:5 Supervisor.Chaos_kill in
-      let r = Campaign.single ~seed:51 ~n:16 ~jobs ~chaos:[ c ] (spec ()) in
+      let r = campaign ~jobs ~chaos:[ c ] (spec ()) in
       check_int
         (Printf.sprintf "jobs=%d: one worker death" jobs)
         1 r.Campaign.worker_deaths;
@@ -219,7 +212,7 @@ let test_chaos_kill_persistent_quarantines () =
   List.iter
     (fun jobs ->
       let c = Supervisor.chaos ~persistent:true ~slot:0 Supervisor.Chaos_kill in
-      let r = Campaign.single ~seed:51 ~n:16 ~jobs ~chaos:[ c ] (spec ()) in
+      let r = campaign ~jobs ~chaos:[ c ] (spec ()) in
       (match r.Campaign.quarantined with
       | [ te ] ->
           check_bool "kind" true (te.Supervisor.te_kind = Supervisor.Worker_death);
@@ -238,7 +231,7 @@ let test_chaos_kill_persistent_quarantines () =
 
 let test_chaos_storm_worker_invariant () =
   let run jobs =
-    Campaign.single ~seed:51 ~n:16 ~jobs ~supervise:tight
+    campaign ~jobs ~supervise:tight
       ~chaos:
         [
           Supervisor.chaos ~persistent:true ~slot:3 Supervisor.Chaos_raise;
@@ -273,7 +266,7 @@ let test_quarantine_persists_across_resume () =
   Sys.remove path;
   let cancel = Atomic.make false in
   let r1 =
-    Campaign.single ~seed:51 ~n:16 ~jobs:1 ~checkpoint:path ~cancel
+    campaign ~jobs:1 ~checkpoint:path ~cancel
       ~chaos:[ Supervisor.chaos ~persistent:true ~slot:0 Supervisor.Chaos_raise ]
       ~progress:(fun p -> if p.Campaign.completed >= 10 then Atomic.set cancel true)
       (spec ())
@@ -287,7 +280,7 @@ let test_quarantine_persists_across_resume () =
      and its hit counter would advance *)
   let probe = Supervisor.chaos ~persistent:true ~slot:0 Supervisor.Chaos_raise in
   let r2 =
-    Campaign.single ~seed:51 ~n:16 ~jobs:1 ~checkpoint:path ~chaos:[ probe ] (spec ())
+    campaign ~jobs:1 ~checkpoint:path ~chaos:[ probe ] (spec ())
   in
   check_int "quarantined slot never re-executed" 0 (Supervisor.chaos_hits probe);
   (match r2.Campaign.quarantined with
@@ -306,7 +299,7 @@ let test_quarantine_persists_across_resume () =
 let test_progress_exception_safe () =
   let calls = ref 0 in
   let r =
-    Campaign.single ~seed:51 ~n:16 ~jobs:1
+    campaign ~jobs:1
       ~progress:(fun _ ->
         incr calls;
         failwith "progress consumer bug")
@@ -339,7 +332,7 @@ let test_cancel_interrupts () =
             Atomic.set cancel true)
       in
       let r =
-        Campaign.single ~seed:51 ~n:16 ~jobs ~cancel
+        campaign ~jobs ~cancel
           (* a missed cancel would leave the hang running for 60 s *)
           ~supervise:{ Supervisor.default with Supervisor.deadline_floor = 60.0 }
           ~chaos:[ c ]
