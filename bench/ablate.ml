@@ -6,8 +6,7 @@ let store_heavy = [ "hist"; "smatch"; "wc"; "dedup" ]
 let ablate_store_checks () =
   Common.heading "Ablation: store checks value+address vs address-only (16 threads)";
   let addr_only =
-    Common.elzar_with "elzar-storeaddr"
-      { Elzar.Harden_config.default with store_check_value = false }
+    Elzar.Hardened { Elzar.Harden_config.default with store_check_value = false }
   in
   Printf.printf "%-10s %12s %12s\n" "bench" "value+addr" "addr-only";
   List.iter
@@ -53,13 +52,12 @@ let ablate_recovery () =
 (* (c) SWIFT-R voting: repair-all-copies vs use-majority-only *)
 let ablate_swiftr_repair () =
   Common.heading "Ablation: SWIFT-R voting repairs copies vs majority-only (16 threads)";
-  let norepair = { Common.tag = "swift-r-norepair"; build = Elzar.Swiftr_norepair } in
   Printf.printf "%-10s %12s %12s\n" "bench" "repair" "no-repair";
   List.iter
     (fun (w : Workloads.Workload.t) ->
       Printf.printf "%-10s %12.2f %12.2f\n" w.Workloads.Workload.name
-        (Common.norm ~nthreads:16 w Common.swiftr)
-        (Common.norm ~nthreads:16 w norepair))
+        (Common.norm ~nthreads:16 w Elzar.Swiftr)
+        (Common.norm ~nthreads:16 w Elzar.Swiftr_norepair))
     Common.all_workloads
 
 (* (d) register pressure: what an infinite-register simulator hides.  Real

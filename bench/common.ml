@@ -1,6 +1,5 @@
 (** Shared plumbing for the experiment harness: prepared-module and result
-    caches (so figures can reuse each other's runs), build flavours, and
-    table formatting. *)
+    caches (so figures can reuse each other's runs) and table formatting. *)
 
 let size = ref Workloads.Workload.Medium
 let fi_injections = ref 150
@@ -84,70 +83,60 @@ let fi_print_totals (t : fi_totals) =
        Printf.sprintf ", %d not-reached redrawn" t.t_not_reached
      else "")
 
-type flavour = {
-  tag : string;
-  build : Elzar.build;
-}
-
-let native = { tag = "native"; build = Elzar.Native }
-let native_novec = { tag = "native-novec"; build = Elzar.Native_novec }
-let elzar = { tag = "elzar"; build = Elzar.Hardened Elzar.Harden_config.default }
-let swiftr = { tag = "swift-r"; build = Elzar.Swiftr }
-
-let elzar_with tag cfg = { tag; build = Elzar.Hardened cfg }
+let elzar = Elzar.Hardened Elzar.Harden_config.default
 
 (* ---- caches ---- *)
 
-let prepared_cache : (string, Ir.Instr.modul) Hashtbl.t = Hashtbl.create 64
-let result_cache : (string, Cpu.Machine.result) Hashtbl.t = Hashtbl.create 256
+(* Keyed by the workload's name (a workload holds closures, which
+   structural equality rejects) and the build value itself. *)
+let prepared_cache : (string * Elzar.build * Workloads.Workload.size, Ir.Instr.modul) Hashtbl.t =
+  Hashtbl.create 64
 
-let prepared (w : Workloads.Workload.t) (f : flavour) (size : Workloads.Workload.size) =
-  let key =
-    Printf.sprintf "%s/%s/%s" w.Workloads.Workload.name f.tag
-      (Workloads.Workload.size_to_string size)
-  in
+let result_cache :
+    ( string * Elzar.build * Workloads.Workload.size * int * Cpu.Machine.engine_kind,
+      Cpu.Machine.result )
+    Hashtbl.t =
+  Hashtbl.create 256
+
+let prepared (w : Workloads.Workload.t) (build : Elzar.build) (size : Workloads.Workload.size) =
+  let key = (w.Workloads.Workload.name, build, size) in
   match Hashtbl.find_opt prepared_cache key with
   | Some m -> m
   | None ->
-      let m = Elzar.prepare f.build (w.Workloads.Workload.build size) in
+      let m = Elzar.prepare build (w.Workloads.Workload.build size) in
       Hashtbl.replace prepared_cache key m;
       m
 
-(* Runs a workload under a flavour, caching results across figures. *)
-let run ?(nthreads = 16) ?size:size_opt (w : Workloads.Workload.t) (f : flavour) :
+(* Runs a workload under a build, caching results across figures. *)
+let run ?(nthreads = 16) ?size:size_opt (w : Workloads.Workload.t) (build : Elzar.build) :
     Cpu.Machine.result =
   let size = Option.value size_opt ~default:!size in
-  let key =
-    Printf.sprintf "%s/%s/%s/%d/%s" w.Workloads.Workload.name f.tag
-      (Workloads.Workload.size_to_string size)
-      nthreads
-      (Cpu.Machine.engine_to_string !engine)
-  in
+  let key = (w.Workloads.Workload.name, build, size, nthreads, !engine) in
   match Hashtbl.find_opt result_cache key with
   | Some r -> r
   | None ->
-      let m = prepared w f size in
+      let m = prepared w build size in
       let machine_cfg =
         { Cpu.Machine.default_config with Cpu.Machine.engine = !engine }
       in
       let r =
-        Workloads.Workload.execute_prepared w ~machine_cfg ~build:f.build ~prepared:m ~nthreads
-          ~size
+        Workloads.Workload.execute_prepared w ~machine_cfg ~build ~prepared:m ~nthreads ~size
       in
       (match r.Cpu.Machine.trap with
       | Some t ->
           failwith
-            (Printf.sprintf "bench: %s trapped: %s" key (Cpu.Machine.string_of_trap t))
+            (Printf.sprintf "bench: %s/%s/%s/%d trapped: %s" w.Workloads.Workload.name
+               (Elzar.build_name build)
+               (Workloads.Workload.size_to_string size)
+               nthreads (Cpu.Machine.string_of_trap t))
       | None -> ());
       Hashtbl.replace result_cache key r;
       r
 
 (* Normalized runtime w.r.t. the vectorized native build at the same thread
    count (the paper's unit). *)
-let norm ?(nthreads = 16) (w : Workloads.Workload.t) (f : flavour) : float =
-  let r = run ~nthreads w f in
-  let n = run ~nthreads w native in
-  float_of_int r.Cpu.Machine.wall_cycles /. float_of_int (max 1 n.Cpu.Machine.wall_cycles)
+let norm ?(nthreads = 16) (w : Workloads.Workload.t) (build : Elzar.build) : float =
+  Elzar.normalized_runtime ~native:(run ~nthreads w Elzar.Native) (run ~nthreads w build)
 
 let gmean xs =
   match xs with

@@ -9,7 +9,7 @@ let run () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let e = Common.norm ~nthreads:16 w Common.elzar in
-      let s = Common.norm ~nthreads:16 w Common.swiftr in
+      let s = Common.norm ~nthreads:16 w Elzar.Swiftr in
       Printf.printf "%-10s %10.2f %10.2f %+7.0f%%\n" w.Workloads.Workload.name s e
         (100.0 *. ((e /. s) -. 1.0)))
     Workloads.Registry.extended

@@ -6,10 +6,9 @@ let speedup_pct (w : Workloads.Workload.t) : float =
   let best =
     List.fold_left
       (fun acc nthreads ->
-        let v = Common.run ~nthreads w Common.native in
-        let n = Common.run ~nthreads w Common.native_novec in
-        max acc
-          (float_of_int n.Cpu.Machine.wall_cycles /. float_of_int v.Cpu.Machine.wall_cycles))
+        let v = Common.run ~nthreads w Elzar.Native in
+        let n = Common.run ~nthreads w Elzar.Native_novec in
+        max acc (Elzar.normalized_runtime ~native:v n))
       0.0 [ 1; 4 ]
   in
   100.0 *. (best -. 1.0)

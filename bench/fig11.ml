@@ -27,8 +27,8 @@ let run () =
   (* the paper's special case: string match vs the no-AVX native build *)
   let w = Workloads.Registry.find "smatch" in
   let na =
-    let e = Common.run ~nthreads:16 w Common.elzar in
-    let n = Common.run ~nthreads:16 w Common.native_novec in
-    float_of_int e.Cpu.Machine.wall_cycles /. float_of_int n.Cpu.Machine.wall_cycles
+    Elzar.normalized_runtime
+      ~native:(Common.run ~nthreads:16 w Elzar.Native_novec)
+      (Common.run ~nthreads:16 w Common.elzar)
   in
   Printf.printf "%-10s %6.2f   (string match vs native without AVX, 16T)\n" "smatch-na" na

@@ -4,10 +4,10 @@
 let configs =
   [
     ("all-checks", Common.elzar);
-    ("no-loads", Common.elzar_with "elzar-noload" Elzar.Harden_config.no_load_checks);
-    ("+no-stores", Common.elzar_with "elzar-nomem" Elzar.Harden_config.no_memory_checks);
-    ("+no-branches", Common.elzar_with "elzar-nomembr" Elzar.Harden_config.no_mem_branch_checks);
-    ("no-checks", Common.elzar_with "elzar-nochecks" Elzar.Harden_config.no_checks);
+    ("no-loads", Elzar.Hardened Elzar.Harden_config.no_load_checks);
+    ("+no-stores", Elzar.Hardened Elzar.Harden_config.no_memory_checks);
+    ("+no-branches", Elzar.Hardened Elzar.Harden_config.no_mem_branch_checks);
+    ("no-checks", Elzar.Hardened Elzar.Harden_config.no_checks);
   ]
 
 let run () =

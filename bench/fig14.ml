@@ -8,7 +8,7 @@ let run () =
   List.iter
     (fun w ->
       let e = Common.norm ~nthreads:16 w Common.elzar in
-      let s = Common.norm ~nthreads:16 w Common.swiftr in
+      let s = Common.norm ~nthreads:16 w Elzar.Swiftr in
       es := e :: !es;
       ss := s :: !ss;
       Printf.printf "%-10s %10.2f %10.2f %+7.0f%%\n" w.Workloads.Workload.name s e

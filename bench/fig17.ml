@@ -4,7 +4,7 @@
     "decelerated-native" estimation, the proposed instructions are
     simulated directly. *)
 
-let flavour = Common.elzar_with "elzar-future" Elzar.Harden_config.future_avx
+let future = Elzar.Hardened Elzar.Harden_config.future_avx
 
 let run () =
   Common.heading "Figure 17: ELZAR with proposed AVX extensions (16 threads)";
@@ -13,7 +13,7 @@ let run () =
   List.iter
     (fun w ->
       let e = Common.norm ~nthreads:16 w Common.elzar in
-      let f = Common.norm ~nthreads:16 w flavour in
+      let f = Common.norm ~nthreads:16 w future in
       cur := e :: !cur;
       fut := f :: !fut;
       Printf.printf "%-10s %10.2f %14.2f\n" w.Workloads.Workload.name e f)

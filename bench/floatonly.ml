@@ -2,7 +2,7 @@
     floats/doubles on the FP-heavy PARSEC benchmarks (paper: 9-35% for
     blackscholes, 10-18% for fluidanimate, 40-60% for swaptions). *)
 
-let flavour = Common.elzar_with "elzar-floats" Elzar.Harden_config.floats_only
+let floats = Elzar.Hardened Elzar.Harden_config.floats_only
 
 let run () =
   Common.heading "Floats-only protection overhead over native (%)";
@@ -14,7 +14,7 @@ let run () =
       Printf.printf "%-10s" w.Workloads.Workload.name;
       List.iter
         (fun nthreads ->
-          let x = Common.norm ~nthreads w flavour in
+          let x = Common.norm ~nthreads w floats in
           Printf.printf " %+5.0f%%" (100.0 *. (x -. 1.0)))
         Common.threads_sweep;
       print_newline ())

@@ -26,10 +26,11 @@ let experiments =
 
 let usage () =
   Printf.printf
-    "usage: main.exe [%s] [--size tiny|small|medium|large] \
+    "usage: main.exe [%s] [--size %s] \
      [--engine reference|compiled] [--injections N] [--fi-jobs J] \
      [--fi-progress]\n"
-    (String.concat "|" (List.map fst experiments));
+    (String.concat "|" (List.map fst experiments))
+    (String.concat "|" (List.map Workloads.Workload.size_to_string Workloads.Workload.sizes));
   exit 1
 
 (* The value of a numeric flag, at least [min], or the usage message. *)
@@ -42,12 +43,13 @@ let () =
     | [] -> ()
     | "--size" :: s :: rest ->
         (Common.size :=
-           match s with
-           | "tiny" -> Workloads.Workload.Tiny
-           | "small" -> Workloads.Workload.Small
-           | "medium" -> Workloads.Workload.Medium
-           | "large" -> Workloads.Workload.Large
-           | _ -> usage ());
+           match
+             List.find_opt
+               (fun z -> Workloads.Workload.size_to_string z = s)
+               Workloads.Workload.sizes
+           with
+           | Some z -> z
+           | None -> usage ());
         parse rest
     | "--engine" :: e :: rest ->
         (Common.engine :=

@@ -8,7 +8,7 @@ let run () =
     "branches";
   List.iter
     (fun w ->
-      let r = Common.run ~nthreads:16 w Common.native in
+      let r = Common.run ~nthreads:16 w Elzar.Native in
       let c = r.Cpu.Machine.totals in
       Printf.printf "%-10s %8.2f %8.2f %8.2f %8.2f %8.2f\n" w.Workloads.Workload.name
         (Cpu.Counters.l1_miss_pct c) (Cpu.Counters.branch_miss_pct c)

@@ -27,9 +27,9 @@ let run () =
     "ILP-swiftr" "incr-elzar" "incr-swiftr";
   List.iter
     (fun w ->
-      let n = Common.run ~nthreads:16 w Common.native in
+      let n = Common.run ~nthreads:16 w Elzar.Native in
       let e = Common.run ~nthreads:16 w Common.elzar in
-      let s = Common.run ~nthreads:16 w Common.swiftr in
+      let s = Common.run ~nthreads:16 w Elzar.Swiftr in
       let ni = float_of_int n.Cpu.Machine.totals.Cpu.Counters.uops in
       Printf.printf "%-10s %10.2f %10.2f %10.2f %11.2fx %11.2fx\n" w.Workloads.Workload.name
         (ilp n) (ilp e) (ilp s)

@@ -2,16 +2,16 @@
     the AVX-based versions of the microbenchmarks w.r.t. native — checks
     disabled, so only the wrapper cost is measured, as in the paper. *)
 
-let flavour = Common.elzar_with "elzar-nochecks" Elzar.Harden_config.no_checks
+let nochecks = Elzar.Hardened Elzar.Harden_config.no_checks
 
 (* Normalized against the no-SIMD native build: the paper's microbenchmarks
    are hand-written volatile assembly that the compiler cannot
    auto-vectorize. *)
 let row name avg worst =
   let overhead (w : Workloads.Workload.t) =
-    let e = Common.run ~nthreads:1 w flavour in
-    let n = Common.run ~nthreads:1 w Common.native_novec in
-    float_of_int e.Cpu.Machine.wall_cycles /. float_of_int n.Cpu.Machine.wall_cycles
+    Elzar.normalized_runtime
+      ~native:(Common.run ~nthreads:1 w Elzar.Native_novec)
+      (Common.run ~nthreads:1 w nochecks)
   in
   Printf.printf "%-12s %12.2f %12.2f\n" name (overhead avg) (overhead worst)
 

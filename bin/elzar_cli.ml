@@ -44,42 +44,22 @@ let workload_arg =
   in
   Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
 
-let size_conv =
-  let parse = function
-    | "tiny" -> Ok Workloads.Workload.Tiny
-    | "small" -> Ok Workloads.Workload.Small
-    | "medium" -> Ok Workloads.Workload.Medium
-    | "large" -> Ok Workloads.Workload.Large
-    | s -> Error (`Msg ("unknown size " ^ s))
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Workloads.Workload.size_to_string s))
-
-(* Build flavours by CLI name.  The six hardened flavours share one
-   [Elzar.build_name], so [run], [inject] and [app] print, and their
-   reports record, the name chosen here. *)
-let builds =
-  let h c = Elzar.Hardened c in
-  Elzar.Harden_config.
-    [
-      ("native", Elzar.Native);
-      ("novec", Elzar.Native_novec);
-      ("elzar", h default);
-      ("elzar-nochecks", h no_checks);
-      ("elzar-floats", h floats_only);
-      ("elzar-future", h future_avx);
-      ("elzar-extended", h extended);
-      ("elzar-reexec", h reexec);
-      ("swiftr", Elzar.Swiftr);
-    ]
-
-(* A (name, build) pair from [builds]; [elzar] by default. *)
+(* A build from [Elzar.builds]; [elzar] by default.  [run], [inject] and
+   [app] print, and their reports record, its [Elzar.build_name]. *)
 let build_arg =
-  Arg.(value & opt (named_conv ~what:"build" fst builds) ("elzar", List.assoc "elzar" builds)
+  Arg.(value
+       & opt
+           (named_conv ~what:"build" Elzar.build_name (List.map snd Elzar.builds))
+           (List.assoc "elzar" Elzar.builds)
        & info [ "b"; "build" ]
-           ~doc:("Build flavour: " ^ String.concat ", " (List.map fst builds) ^ "."))
+           ~doc:("Build flavour: " ^ String.concat ", " (List.map fst Elzar.builds) ^ "."))
 
 let size_arg =
-  Arg.(value & opt size_conv Workloads.Workload.Small & info [ "s"; "size" ] ~doc:"Input size.")
+  Arg.(value
+       & opt
+           (named_conv ~what:"size" Workloads.Workload.size_to_string Workloads.Workload.sizes)
+           Workloads.Workload.Small
+       & info [ "s"; "size" ] ~doc:"Input size.")
 
 let engine_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Cpu.Machine.engine_of_string s) in
@@ -117,7 +97,7 @@ let list_cmd =
 (* ---- run ---- *)
 
 let run_cmd =
-  let run w (bname, build) nthreads size profile engine json =
+  let run w build nthreads size profile engine json =
     let prof = if profile then Some (Cpu.Profile.create ()) else None in
     let machine_cfg =
       { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
@@ -127,7 +107,7 @@ let run_cmd =
     | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
     | None -> ());
     let c = r.Cpu.Machine.totals in
-    Printf.printf "build        %s\n" bname;
+    Printf.printf "build        %s\n" (Elzar.build_name build);
     Printf.printf "wall cycles  %d\n" r.Cpu.Machine.wall_cycles;
     Printf.printf "instructions %d (avx %d)\n" c.Cpu.Counters.instrs c.Cpu.Counters.avx_instrs;
     Printf.printf "loads/stores %d / %d (L1 miss %.2f%%)\n" c.Cpu.Counters.loads
@@ -141,7 +121,7 @@ let run_cmd =
         let params =
           [
             ("workload", Obs.Json.Str w.Workloads.Workload.name);
-            ("build", Obs.Json.Str bname);
+            ("build", Obs.Json.Str (Elzar.build_name build));
             ("threads", Obs.Json.Int nthreads);
             ("size", Obs.Json.Str (Workloads.Workload.size_to_string size));
             ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
@@ -230,8 +210,8 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
       Format.fprintf fmt "<%d chaos specs>" (List.length l))
 
 let inject_cmd =
-  let run w (bname, build) n seed jobs double same_bit model avf checkpoint quiet engine
-      json retries deadline_factor deadline_floor max_tool_errors chaos =
+  let run w build n seed jobs model avf checkpoint quiet engine json retries
+      deadline_factor deadline_floor max_tool_errors chaos =
     let spec = { (Workloads.Workload.fi_spec w ~build ()) with Fault.engine } in
     (* Ctrl-C / SIGTERM: cooperative cancellation.  The flag stops the
        campaign at the next experiment boundary; the engine flushes and
@@ -269,14 +249,10 @@ let inject_cmd =
                  else "");
             if p.Campaign.completed >= p.Campaign.total then prerr_newline ())
     in
-    let supervise =
-      { Supervisor.retries; deadline_factor; deadline_floor; max_tool_errors }
-    in
+    let supervise = { Supervisor.retries; deadline_factor; deadline_floor } in
     let report =
       Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~supervise ~chaos
-        ~cancel
-        ~model:(if double then Fault.Double { same_bit } else model)
-        spec
+        ~cancel ~model spec
     in
     Format.printf "%a@." Fault.pp_stats report.Campaign.stats;
     let obs = Array.map snd report.Campaign.outcomes in
@@ -308,10 +284,9 @@ let inject_cmd =
         let params =
           [
             ("workload", Obs.Json.Str w.Workloads.Workload.name);
-            ("build", Obs.Json.Str bname);
+            ("build", Obs.Json.Str (Elzar.build_name build));
             ("n", Obs.Json.Int n);
             ("seed", Obs.Json.Int seed);
-            ("double", Obs.Json.Bool double);
             ("fault_model", Obs.Json.Str (Fault.model_to_string model));
             ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
           ]
@@ -338,29 +313,22 @@ let inject_cmd =
              ~doc:"Worker domains, at least 1 (default: one per recommended domain). \
                    Results are bit-identical for any value.")
   in
-  let double =
-    Arg.(value & flag & info [ "double" ] ~doc:"Double-bit campaign (two flips, §III-C).")
-  in
   let model =
     let model_conv =
       named_conv ~what:"fault model" Fault.model_to_string Fault.all_models
     in
     Arg.(value & opt model_conv Fault.Reg
          & info [ "fault-model" ] ~docv:"MODEL"
-             ~doc:"Fault model: reg (register SEUs, the paper's §IV-B campaign), mem \
-                   (memory bit-flips), addr (effective-address faults), cf (control-flow \
-                   faults), or mixed. Ignored with --double.")
+             ~doc:"Fault model: reg (register SEUs, the paper's §IV-B campaign), double \
+                   (two flips of the same bit in two lanes, §III-C's multi-bit SEU), \
+                   double-any-bit (two flips, the second at any bit), mem (memory \
+                   bit-flips), addr (effective-address faults), cf (control-flow \
+                   faults), or mixed.")
   in
   let avf =
     Arg.(value & flag
          & info [ "avf" ]
              ~doc:"Print the per-instruction-class vulnerability (AVF) table.")
-  in
-  let same_bit =
-    Arg.(value & opt bool true
-         & info [ "same-bit" ]
-             ~doc:"With --double, flip the same bit in both lanes (adversarial \
-                   agreeing-replicas pattern).")
   in
   let checkpoint =
     Arg.(value & opt (some string) None
@@ -396,7 +364,7 @@ let inject_cmd =
                    least 0).")
   in
   let max_tool_errors =
-    Arg.(value & opt (at_least int 0) Supervisor.default.Supervisor.max_tool_errors
+    Arg.(value & opt (at_least int 0) 0
          & info [ "max-tool-errors" ]
              ~doc:"Exit nonzero (3) when more than this many (at least 0) experiments \
                    were quarantined. The campaign still completes and reports either \
@@ -411,14 +379,14 @@ let inject_cmd =
   in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
-    Term.(const run $ workload_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
-          $ avf $ checkpoint $ quiet $ engine_arg $ json $ retries $ deadline_factor
-          $ deadline_floor $ max_tool_errors $ chaos)
+    Term.(const run $ workload_arg $ build_arg $ n $ seed $ jobs $ model $ avf $ checkpoint
+          $ quiet $ engine_arg $ json $ retries $ deadline_factor $ deadline_floor
+          $ max_tool_errors $ chaos)
 
 (* ---- show ---- *)
 
 let show_cmd =
-  let run w fname (_, build) size =
+  let run w fname build size =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     match Ir.Instr.find_func m fname with
     | Some f -> print_string (Ir.Printer.func_to_string f)
@@ -434,7 +402,7 @@ let show_cmd =
 (* ---- trace ---- *)
 
 let trace_cmd =
-  let run w (_, build) nthreads size limit =
+  let run w build nthreads size limit =
     let m = Elzar.prepare build (w.Workloads.Workload.build size) in
     let buf = Buffer.create 4096 in
     let cfg = { Cpu.Machine.default_config with trace = Some buf } in
@@ -452,13 +420,13 @@ let trace_cmd =
 (* ---- app ---- *)
 
 let app_cmd =
-  let run app (bname, build) nthreads (_, client) =
+  let run app build nthreads (_, client) =
     let r = Apps.App.execute app ~build ~client ~nthreads in
     (match r.Cpu.Machine.trap with
     | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
     | None -> ());
     Printf.printf "%s %s %s %dT: %.0f req/s (%d cycles)\n" app.Apps.App.name
-      (Apps.App.client_to_string client) bname nthreads
+      (Apps.App.client_to_string client) (Elzar.build_name build) nthreads
       (Apps.App.throughput app r) r.Cpu.Machine.wall_cycles
   in
   let app_arg =

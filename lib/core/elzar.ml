@@ -21,12 +21,30 @@ type build =
       (** SWIFT-R with voting that picks the majority but does not write it
           back into the three copies (ablation) *)
 
-let build_name = function
-  | Native -> "native"
-  | Native_novec -> "native-novec"
-  | Hardened _ -> "elzar"
-  | Swiftr -> "swift-r"
-  | Swiftr_norepair -> "swift-r-norepair"
+(* The named builds: the CLI's [-b] values, under the names its reports
+   record. *)
+let builds =
+  let h c = Hardened c in
+  Harden_config.
+    [
+      ("native", Native);
+      ("novec", Native_novec);
+      ("elzar", h default);
+      ("elzar-nochecks", h no_checks);
+      ("elzar-floats", h floats_only);
+      ("elzar-future", h future_avx);
+      ("elzar-extended", h extended);
+      ("elzar-reexec", h reexec);
+      ("swiftr", Swiftr);
+    ]
+
+(* A build's name in [builds].  No front end names the builds outside it:
+   [Swiftr_norepair] is "swiftr-norepair" and any other check ablation
+   keeps the family name "elzar". *)
+let build_name (b : build) =
+  match List.find_opt (fun (_, b') -> b' = b) builds with
+  | Some (name, _) -> name
+  | None -> ( match b with Swiftr_norepair -> "swiftr-norepair" | _ -> "elzar")
 
 (* Applies the pass pipeline for a build flavour to (a copy of) [m] and
    verifies the result.  Every flavour first runs the scalar optimizer —

@@ -181,7 +181,6 @@ type config = {
   max_instrs : int;
   inject : inject option;
   count_inject_sites : bool;
-  stack_size : int;
   reexec_retries : int;
       (** re-execution recovery budget: >0 checkpoints each outermost
           hardened call (registers, stack pointer, a memory undo log) so
@@ -208,7 +207,6 @@ let default_config =
     max_instrs = 400_000_000;
     inject = None;
     count_inject_sites = false;
-    stack_size = 1 lsl 17;
     reexec_retries = 0;
     trace = None;
     engine = Compiled;
@@ -371,9 +369,12 @@ let new_ckpt (cf : Code.cfunc) (args : int64 array) ~ret_off ~sp ~caller ~out_le
     ck_tries = 0;
   }
 
+(* Bytes of simulated stack per thread. *)
+let stack_size = 1 lsl 17
+
 let spawn_thread (m : t) (cf : Code.cfunc) (args : int64 array) ~(start_cycle : int) : thread =
-  let stack_base = Memory.alloc_stack m.mem m.cfg.stack_size in
-  let sp = Int64.add stack_base (Int64.of_int m.cfg.stack_size) in
+  let stack_base = Memory.alloc_stack m.mem stack_size in
+  let sp = Int64.add stack_base (Int64.of_int stack_size) in
   let fr = new_frame cf ~ret_off:(-1) ~sp in
   fill_params fr args;
   let timing = Timing.create () in

@@ -137,7 +137,6 @@ type config = {
   max_instrs : int;  (** exceeded -> Hang *)
   inject : inject option;
   count_inject_sites : bool;
-  stack_size : int;  (** per-thread *)
   reexec_retries : int;
       (** re-execution recovery budget: >0 checkpoints each outermost
           hardened call so [elzar_reexec] can roll back and retry that

@@ -48,7 +48,8 @@ let model_to_string = function
   | Cf -> "cf"
   | Mixed -> "mixed"
 
-let all_models = [ Reg; Mem; Addr; Cf; Mixed ]
+let all_models =
+  [ Reg; Double { same_bit = true }; Double { same_bit = false }; Mem; Addr; Cf; Mixed ]
 
 (* Everything needed to run one experiment deterministically. *)
 type run_spec = {

@@ -32,7 +32,9 @@ type model = Reg | Double of { same_bit : bool } | Mem | Addr | Cf | Mixed
 
 val model_to_string : model -> string
 
-(** Every model but [Double]: the models with one flip per experiment. *)
+(** Every model, [Double] under both [same_bit] values.  Their
+    {!model_to_string} names (reg, double, double-any-bit, mem, addr, cf,
+    mixed) are the values of the CLI's [--fault-model]. *)
 val all_models : model list
 
 (** Everything needed to run one experiment deterministically. *)

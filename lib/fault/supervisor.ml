@@ -32,11 +32,9 @@ type config = {
   retries : int;
   deadline_factor : float;
   deadline_floor : float;
-  max_tool_errors : int;
 }
 
-let default =
-  { retries = 2; deadline_factor = 10.0; deadline_floor = 5.0; max_tool_errors = 0 }
+let default = { retries = 2; deadline_factor = 10.0; deadline_floor = 5.0 }
 
 (* ---- chaos plans (test-only) ---- *)
 

@@ -53,13 +53,9 @@ type config = {
   retries : int;  (** re-executions of a raising run before quarantine *)
   deadline_factor : float;  (** deadline = factor x running median *)
   deadline_floor : float;  (** never deadline below this many seconds *)
-  max_tool_errors : int;
-      (** campaign-level tolerance: more quarantines than this is a
-          nonzero exit for the CLI (the library only reports) *)
 }
 
-(** [{ retries = 2; deadline_factor = 10.0; deadline_floor = 5.0;
-    max_tool_errors = 0 }] *)
+(** [{ retries = 2; deadline_factor = 10.0; deadline_floor = 5.0 }] *)
 val default : config
 
 (** {2 Chaos plans (test-only)} *)

@@ -15,6 +15,8 @@ let size_to_string = function
   | Medium -> "medium"
   | Large -> "large"
 
+let sizes = [ Tiny; Small; Medium; Large ]
+
 type t = {
   name : string;
   description : string;

@@ -6,6 +6,9 @@ type size = Tiny | Small | Medium | Large
 
 val size_to_string : size -> string
 
+(** Every size, smallest first. *)
+val sizes : size list
+
 type t = {
   name : string;
   description : string;

@@ -300,8 +300,7 @@ let check_campaign_from_scratch () =
            ( Fault.model_to_string model,
              8,
              fun jobs -> Campaign.model_campaign ~seed:23 ~n:8 ~jobs ~model spec ))
-         (Fault.Double { same_bit = true } :: Fault.Double { same_bit = false }
-        :: Fault.all_models))
+         Fault.all_models)
 
 (* the golden-capture contract fast-forward relies on: the capturing run
    is the golden run (plans are drawn from it); it keeps 1 to 24

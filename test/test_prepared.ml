@@ -1,25 +1,11 @@
 (* Prepared-IR identity: [Elzar.prepare] on every registry workload at
-   [Tiny], under each of the nine CLI builds, must print exactly the IR
+   [Tiny], under each of the nine named builds ([Elzar.builds], the CLI's
+   [-b] values), must print exactly the IR
    recorded in [expected].  The table pins the output of the optimizer,
    vectorizer and hardening passes, so a pass refactor that is meant to be
    output-preserving shows any drift here as one (workload, build) cell.
    Regenerate the table only in a change that means to alter pass output,
    and say so in CHANGES.md. *)
-
-let builds =
-  let h c = Elzar.Hardened c in
-  Elzar.Harden_config.
-    [
-      ("native", Elzar.Native);
-      ("novec", Elzar.Native_novec);
-      ("elzar", h default);
-      ("elzar-nochecks", h no_checks);
-      ("elzar-floats", h floats_only);
-      ("elzar-future", h future_avx);
-      ("elzar-extended", h extended);
-      ("elzar-reexec", h reexec);
-      ("swiftr", Elzar.Swiftr);
-    ]
 
 (* (workload, build, MD5 of Ir.Printer.modul_to_string of the prepared
    module) *)
@@ -162,7 +148,7 @@ let test_digests () =
           (fun (bn, b) ->
             let p = Elzar.prepare b m in
             (w.name, bn, Digest.to_hex (Digest.string (Ir.Printer.modul_to_string p))))
-          builds)
+          Elzar.builds)
       Workloads.Registry.all
   in
   Alcotest.(check int) "one cell per (workload, build)" (List.length expected) (List.length got);
@@ -172,5 +158,18 @@ let test_digests () =
       Alcotest.(check string) (Printf.sprintf "%s under -b %s" w b) want have)
     expected got
 
+(* Each named build has one name, and [Elzar.build_name] gives it back, so
+   what a report records is what [-b] took. *)
+let test_build_names () =
+  let names = List.map fst Elzar.builds in
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (name, b) -> Alcotest.(check string) "build_name" name (Elzar.build_name b))
+    Elzar.builds
+
 let tests =
-  [ Alcotest.test_case "prepared IR matches the recorded digests" `Quick test_digests ]
+  [
+    Alcotest.test_case "prepared IR matches the recorded digests" `Quick test_digests;
+    Alcotest.test_case "build names are unique and round-trip" `Quick test_build_names;
+  ]

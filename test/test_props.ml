@@ -139,7 +139,7 @@ let differential codes =
     (fun b ->
       let out = run b in
       if out <> reference then
-        QCheck.Test.fail_reportf "%s diverges from native-novec" (Elzar.build_name b)
+        QCheck.Test.fail_reportf "%s diverges from novec" (Elzar.build_name b)
       else true)
     builds
 
