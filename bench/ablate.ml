@@ -65,7 +65,10 @@ let ablate_swiftr_repair () =
    replication keeps pressure near native (the paper's core bet). *)
 let ablate_register_pressure () =
   Common.heading "Ablation: peak register pressure of the hot kernel (live registers)";
-  Printf.printf "%-10s %8s %8s %8s %8s\n" "bench" "native" "elzar" "swift-r" "x86-spill?";
+  let swiftr = Elzar.build_name Elzar.Swiftr in
+  Printf.printf "%-10s %8s %8s %8s %8s\n" "bench"
+    (Elzar.build_name Elzar.Native_novec)
+    (Elzar.build_name Common.elzar) swiftr "x86-spill?";
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let pressure b =
@@ -79,7 +82,7 @@ let ablate_register_pressure () =
       let s = pressure Elzar.Swiftr in
       if n > 0 then
         Printf.printf "%-10s %8d %8d %8d %8s\n" w.Workloads.Workload.name n e s
-          (if s > 16 && n <= 16 then "swift-r" else "-"))
+          (if s > 16 && n <= 16 then swiftr else "-"))
     Common.all_workloads
 
 let run () =

@@ -5,7 +5,8 @@
 
 let run () =
   Common.heading "Extension: the PARSEC benchmarks the paper could not evaluate";
-  Printf.printf "%-10s %10s %10s %8s\n" "bench" "swift-r" "elzar" "delta";
+  Printf.printf "%-10s %10s %10s %8s\n" "bench" (Elzar.build_name Elzar.Swiftr)
+    (Elzar.build_name Common.elzar) "delta";
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let e = Common.norm ~nthreads:16 w Common.elzar in

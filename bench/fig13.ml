@@ -13,7 +13,9 @@ let run () =
        !Common.fi_injections
        (Workloads.Workload.size_to_string Common.fi_size)
        (Common.fi_effective_jobs ()));
-  Printf.printf "%-10s | %28s | %38s | %14s\n" "bench" "native" "elzar" "campaign cost";
+  Printf.printf "%-10s | %28s | %38s | %14s\n" "bench"
+    (Elzar.build_name Elzar.Native_novec)
+    (Elzar.build_name Common.elzar) "campaign cost";
   Printf.printf "%-10s | %8s %8s %8s | %8s %8s %8s %10s | %6s %7s\n" "" "crashed%" "correct%"
     "SDC%" "crashed%" "correct%" "SDC%" "corrected%" "wall-s" "Gcycles";
   let agg = ref [] in

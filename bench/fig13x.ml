@@ -2,7 +2,7 @@
     re-execution recovery pipeline.
 
     Three tables:
-    - outcome grid of native-novec vs ELZAR vs SWIFT-R under each fault
+    - outcome grid of novec vs ELZAR vs SWIFT-R under each fault
       model (register SEUs, memory bit-flips, effective-address faults,
       control-flow faults) on the Phoenix kernels — registers are the only
       class ELZAR protects, so mem/addr land where §VII predicts;
@@ -28,8 +28,9 @@ let run () =
        "Figure 13x: fault-model grid (%d injections per cell, %s inputs, \
         crashed/correct/SDC %%)"
        n_grid size);
-  Printf.printf "%-8s %-5s | %17s | %17s | %17s\n" "bench" "model" "native-novec" "elzar"
-    "swift-r";
+  Printf.printf "%-8s %-5s | %17s | %17s | %17s\n" "bench" "model"
+    (Elzar.build_name Elzar.Native_novec)
+    (Elzar.build_name Common.elzar) (Elzar.build_name Elzar.Swiftr);
   List.iter
     (fun name ->
       let w = Workloads.Registry.find name in

@@ -3,7 +3,8 @@
 
 let run () =
   Common.heading "Figure 14: ELZAR vs SWIFT-R (16 threads, normalized to native)";
-  Printf.printf "%-10s %10s %10s %8s\n" "bench" "swift-r" "elzar" "delta";
+  Printf.printf "%-10s %10s %10s %8s\n" "bench" (Elzar.build_name Elzar.Swiftr)
+    (Elzar.build_name Common.elzar) "delta";
   let es = ref [] and ss = ref [] in
   List.iter
     (fun w ->

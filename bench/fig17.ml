@@ -8,7 +8,8 @@ let future = Elzar.Hardened Elzar.Harden_config.future_avx
 
 let run () =
   Common.heading "Figure 17: ELZAR with proposed AVX extensions (16 threads)";
-  Printf.printf "%-10s %10s %14s\n" "bench" "elzar" "future-elzar";
+  Printf.printf "%-10s %10s %14s\n" "bench" (Elzar.build_name Common.elzar)
+    (Elzar.build_name future);
   let cur = ref [] and fut = ref [] in
   List.iter
     (fun w ->

@@ -156,12 +156,23 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
     | Some p -> p
     | None -> raise (Unknown_function ("label " ^ l))
   in
-  let callee_of name =
+  (* a builtin call is checked against the builtin table here, at load
+     time: the verifier sees only the module's own functions *)
+  let callee_of name (r : Instr.reg option) args =
     match Hashtbl.find_opt fids name with
     | Some id -> Direct id
     | None -> (
         match Builtins.find name with
-        | Some s -> Builtin s.Builtins.id
+        | Some s ->
+            let nargs = List.length args in
+            if nargs <> s.Builtins.arity then
+              invalid_arg
+                (Printf.sprintf "Code.compile: call @%s with %d argument(s), builtin takes %d"
+                   name nargs s.Builtins.arity);
+            if r <> None && not s.Builtins.has_ret then
+              invalid_arg
+                (Printf.sprintf "Code.compile: call @%s binds the result of a void builtin" name);
+            Builtin s.Builtins.id
         | None -> raise (Unknown_function name))
   in
   let width_of (t : Types.t) = Types.bytes (Types.elem t) in
@@ -210,7 +221,7 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
     | Instr.Alloca (r, size) -> (Ralloca (offs.(r.rid), size), 0)
     | Instr.Call (r, name, args) ->
         let d, dl = match r with Some r -> (offs.(r.rid), lanes.(r.rid)) | None -> (-1, 0) in
-        (Rcall (callee_of name, Array.of_list (List.map rop args), d, dl), 0)
+        (Rcall (callee_of name r args, Array.of_list (List.map rop args), d, dl), 0)
     | Instr.Call_ind (r, _, fp, args) ->
         let d, dl = match r with Some r -> (offs.(r.rid), lanes.(r.rid)) | None -> (-1, 0) in
         (Rcall_ind (rop fp, Array.of_list (List.map rop args), d, dl), 0)

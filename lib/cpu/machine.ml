@@ -119,6 +119,14 @@ let fault_kind_to_string = function
   | Addr_flip -> "addr"
   | Branch_flip -> "cf"
 
+(* The one mapping from a fault kind to the site stream its [at] counts,
+   as a pick out of a (register, memory, branch) triple: register SEUs
+   count injection-eligible instructions, memory and address faults the
+   hardened-code loads/stores, control-flow faults the hardened-code
+   conditional branches. *)
+let kind_sites (kind : fault_kind) ((reg, mem, br) : 'a * 'a * 'a) : 'a =
+  match kind with Reg_flip -> reg | Mem_flip | Addr_flip -> mem | Branch_flip -> br
+
 type inject = {
   at : int;
   lane : int;
@@ -148,12 +156,12 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
   else (l2, b2)
 
 (* Two-tier execution engine.  Under either engine each function is
-   translated, on its first entry, into one closure per [rinstr] whose
-   trace, instruction-ceiling, counter, fault-site and profiling hooks of
-   *this* config are resolved once (a hook the config does not need is
-   compiled out, not tested per instruction).  The engines differ only in
-   the op body inside that closure: [Compiled] specializes it on operand
-   offsets, lane strides and the undo-log and fault hooks
+   translated, on its first entry, into one closure per [rinstr] that
+   does the instruction's bookkeeping: instruction ceiling, counters and
+   the three fault-site counts, which every run keeps, plus the trace and
+   profiling hooks, compiled in only when the config asks for them.  The
+   engines differ only in the op body inside that closure: [Compiled]
+   specializes it on operand offsets, lane strides and the undo-log hook
    ([compile_body]); [Reference] re-dispatches the op through the boxed
    {!Value} evaluators on every execution ([interp]), kept as the
    executable spec of lane semantics.  Both share one copy of the call,
@@ -180,7 +188,6 @@ exception Abort
 type config = {
   max_instrs : int;
   inject : inject option;
-  count_inject_sites : bool;
   reexec_retries : int;
       (** re-execution recovery budget: >0 checkpoints each outermost
           hardened call (registers, stack pointer, a memory undo log) so
@@ -206,7 +213,6 @@ let default_config =
   {
     max_instrs = 400_000_000;
     inject = None;
-    count_inject_sites = false;
     reexec_retries = 0;
     trace = None;
     engine = Compiled;
@@ -698,21 +704,18 @@ let class_of (op : Code.rinstr) : string =
 let k_switch = -1
 let k_yield = -2
 
-let k_touch (th : thread) (addr : int64) : int =
+(* One cache access of a memory instruction: its latency, counted in the
+   thread's L1 counters, plus the armed memory-bit-flip check.  Armed
+   memory fault: flip one bit of a byte this access touched, right after
+   the access — the at+1-th access of the location sees the corruption.
+   Deliberately NOT undo-logged: memory corruption persists across
+   re-execution rollback (ELZAR leaves memory to ECC, §III-A), so [Reexec]
+   cannot mask it away. *)
+let[@inline] k_touch (m : t) (th : thread) (cls : string) (width : int) (addr : int64) : int =
   let lat = Cache.access th.cache addr in
   let ctr = th.ctr in
   ctr.Counters.l1_refs <- ctr.Counters.l1_refs + 1;
   if lat > Cache.hit_latency then ctr.Counters.l1_misses <- ctr.Counters.l1_misses + 1;
-  lat
-
-(* [k_touch] plus the armed memory-bit-flip check.  Armed memory fault:
-   flip one bit of a byte this access touched, right after the access —
-   the at+1-th access of the location sees the corruption.  Deliberately
-   NOT undo-logged: memory corruption persists across re-execution
-   rollback (ELZAR leaves memory to ECC, §III-A), so [Reexec] cannot mask
-   it away.  The compiled engine uses it only in Mem_flip campaigns. *)
-let k_touch_flip (m : t) (th : thread) (cls : string) (width : int) (addr : int64) : int =
-  let lat = k_touch th addr in
   if m.mem_flip_armed then begin
     m.mem_flip_armed <- false;
     match m.cfg.inject with
@@ -729,9 +732,8 @@ let k_touch_flip (m : t) (th : thread) (cls : string) (width : int) (addr : int6
   lat
 
 (* Armed address fault: XOR one bit into the effective address of this
-   (the [at]-th) load/store.  The compiled engine uses it only in
-   Addr_flip campaigns. *)
-let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
+   (the [at]-th) load/store. *)
+let[@inline] k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
   if m.addr_mask = 0L then a
   else begin
     let a' = Int64.logxor a m.addr_mask in
@@ -739,6 +741,26 @@ let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
     mark_injected m cls;
     a'
   end
+
+(* Armed control-flow fault: true once, at the conditional branch the
+   fault diverts, whose front end then retires the wrong successor. *)
+let[@inline] k_diverted (m : t) : bool =
+  m.cf_divert
+  && begin
+       m.cf_divert <- false;
+       mark_injected m "branch";
+       true
+     end
+
+(* Arms the fault of the memory or branch site stream at its armed site,
+   before that instruction's body runs, so the fault applies to this very
+   access or branch. *)
+let arm_site (m : t) =
+  match m.cfg.inject with
+  | Some { kind = Mem_flip; _ } -> m.mem_flip_armed <- true
+  | Some { kind = Addr_flip; bit; _ } -> m.addr_mask <- Int64.shift_left 1L (bit land 63)
+  | Some { kind = Branch_flip; _ } -> m.cf_divert <- true
+  | Some { kind = Reg_flip; _ } | None -> ()
 
 let rop_lanes = function Code.Oslot (_, l) -> l | Code.Oconst _ -> 1
 
@@ -861,22 +883,24 @@ let call_builtin (m : t) (th : thread) (fr : frame) ~(pc : int) (id : int)
          thread back to its checkpoint, or fail-stop *)
       if reexec_rollback m th then k_switch else raise (Trap Elzar_fatal)
 
-(* Register SEU at the armed site: flips [inj]'s bit, and its optional
+(* Register SEU at the armed site: flips the armed bit, and its optional
    second bit, in the destination [dst] (of [dlanes] lanes) of [fr]. *)
-let flip_dest (m : t) (inj : inject) (fr : frame) ~(dst : int) ~(dlanes : int) (cls : string)
-    =
-  let dlanes = max dlanes 1 in
-  let flip lane bit =
-    let off = dst + (lane mod dlanes) in
-    fr.regs.%{off} <- Int64.logxor fr.regs.%{off} (Int64.shift_left 1L (bit land 63))
-  in
-  flip inj.lane inj.bit;
-  (match inj.second with
-  | Some (l, b) ->
-      let l, b = second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b in
-      flip l b
-  | None -> ());
-  mark_injected m cls
+let flip_dest (m : t) (fr : frame) ~(dst : int) ~(dlanes : int) (cls : string) =
+  match m.cfg.inject with
+  | None -> ()
+  | Some inj ->
+      let dlanes = max dlanes 1 in
+      let flip lane bit =
+        let off = dst + (lane mod dlanes) in
+        fr.regs.%{off} <- Int64.logxor fr.regs.%{off} (Int64.shift_left 1L (bit land 63))
+      in
+      flip inj.lane inj.bit;
+      (match inj.second with
+      | Some (l, b) ->
+          let l, b = second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b in
+          flip l b
+      | None -> ());
+      mark_injected m cls
 
 (* ---- reference interpreter ---- *)
 
@@ -926,18 +950,18 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
   | Code.Rload (d, w, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
       regs.%{d} <- Memory.read m.mem ~width:w addr;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Rvload (d, n, w, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
       for j = 0 to n - 1 do
         regs.%{d + j} <- Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
       done;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Rstore (w, v, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
       ck_log_write m th ~width:w addr;
       Memory.write m.mem ~width:w addr (get_scalar regs v);
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Rvstore (n, w, v, a) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
       for j = 0 to n - 1 do
@@ -945,7 +969,7 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
         ck_log_write m th ~width:w aj;
         Memory.write m.mem ~width:w aj (get_lane regs v j)
       done;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Ralloca (d, size) ->
       th.sp <- Int64.sub th.sp (Int64.of_int (Memory.align16 size));
       regs.%{d} <- th.sp
@@ -976,7 +1000,7 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
       ck_log_write m th ~width:w addr;
       Memory.write m.mem ~width:w addr (Value.mask_of_width (w * 8) |> Int64.logand nv);
       regs.%{d} <- old;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Rcmpxchg (d, a, e, dv, w) ->
       let addr = k_fix_addr m cls (get_scalar regs a) in
       let old = Memory.read m.mem ~width:w addr in
@@ -985,7 +1009,7 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
         Memory.write m.mem ~width:w addr (get_scalar regs dv)
       end;
       regs.%{d} <- old;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Rextract (d, v, l) -> regs.%{d} <- get_lane regs v l
   | Code.Rinsert (d, n, v, l, s) ->
       for j = 0 to n - 1 do
@@ -1025,7 +1049,7 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
       for j = 0 to n - 1 do
         regs.%{d + j} <- v
       done;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Rscatter (w, v, a) ->
       let alanes = rop_lanes a in
       let vlanes = rop_lanes v in
@@ -1042,19 +1066,12 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
       if !disagree then note_recovered m;
       ck_log_write m th ~width:w addr;
       Memory.write m.mem ~width:w addr value;
-      mem_lat := k_touch_flip m th cls w addr
+      mem_lat := k_touch m th cls w addr
   | Code.Tret o -> next := call_return m th fr it.Code.plan ~ready o
   | Code.Tbr target -> next := target
   | Code.Tcondbr (c, t, e) ->
       let taken = get_scalar regs c <> 0L in
-      let taken =
-        if m.cf_divert then begin
-          m.cf_divert <- false;
-          mark_injected m "branch";
-          not taken
-        end
-        else taken
-      in
+      let taken = if k_diverted m then not taken else taken in
       next := (if taken then t else e);
       branch_info := Some (taken, false)
   | Code.Tvbr (mask, t, e, r) ->
@@ -1078,24 +1095,13 @@ let interp (m : t) (th : thread) (fr : frame) (pc : int) (it : Code.citem) (read
       (* control-flow fault: the front end retires the wrong successor —
          a unanimous mask goes the wrong way, a mixed mask jumps straight
          past the recovery edge (the §VII unprotected-control-flow case) *)
-      if m.cf_divert then begin
-        m.cf_divert <- false;
-        mark_injected m "branch";
-        next := (if !all_true then e else t)
-      end
+      if k_diverted m then next := (if !all_true then e else t)
   | Code.Tvbr_u (mask, t, e) ->
       (* unchecked AVX branch: hardware flags reflect lane 0 on a clean run;
          a mixed mask silently follows lane 0 (the Fig. 12 no-branch-checks
          configuration gives up mixed-outcome detection) *)
       let taken = get_lane regs mask 0 <> 0L in
-      let taken =
-        if m.cf_divert then begin
-          m.cf_divert <- false;
-          mark_injected m "branch";
-          not taken
-        end
-        else taken
-      in
+      let taken = if k_diverted m then not taken else taken in
       next := (if taken then t else e);
       branch_info := Some (taken, false)
   | Code.Tunreachable -> raise (Trap Unreachable_executed));
@@ -1264,21 +1270,18 @@ let args_fn (argops : Code.rop array) : Bytes.t -> int64 array =
     args
 
 (* Compiles the operational body of one instruction — semantics, memory
-   effects, timing epilogue — into a closure specialized on its operands,
-   lane counts and this config's hook flags: operands are lane-normalised
-   once, and the fault-injection / undo-log hooks are compiled in or
-   dropped entirely instead of being re-examined on every dynamic
-   instruction.  Every operand is read through [rd] and every lane
-   computed by the inline evaluators above.  Calls, returns, builtins,
-   the fault hooks and the timing model are the helpers [interp] uses too;
-   the per-op semantics are this engine's own, and the equivalence tests
-   hold both engines to bit-identical results. *)
+   effects, timing epilogue — into a closure specialized on its operands
+   and lane counts: operands are lane-normalised once, and the undo-log
+   hook is compiled in or dropped entirely instead of being re-examined on
+   every dynamic instruction.  Every operand is read through [rd] and
+   every lane computed by the inline evaluators above.  Calls, returns,
+   builtins, the fault hooks (each a test of its armed machine field) and
+   the timing model are the helpers [interp] uses too; the per-op
+   semantics are this engine's own, and the equivalence tests hold both
+   engines to bit-identical results. *)
 let compile_body (m : t) (pc : int) (it : Code.citem) :
     thread -> frame -> int -> int =
   let reexec_on = m.cfg.reexec_retries > 0 in
-  let armed k = match m.cfg.inject with Some i -> i.kind = k | None -> false in
-  let addr_faults = armed Addr_flip and mem_faults = armed Mem_flip in
-  let cf_faults = armed Branch_flip in
   let plan = it.Code.plan in
   let dst = it.Code.dst in
   let cls = class_of it.Code.op in
@@ -1297,21 +1300,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
     end
   in
   (* the effective address of a load/store, with the armed address fault *)
-  let addr_of (a : lop) regs =
-    let x = rd regs a 0 in
-    if addr_faults then k_fix_addr m cls x else x
-  in
-  let touch th w addr = if mem_faults then k_touch_flip m th cls w addr else k_touch th addr in
-  (* true once, at the conditional branch an armed control-flow fault
-     diverts *)
-  let diverted () =
-    cf_faults && m.cf_divert
-    && begin
-         m.cf_divert <- false;
-         mark_injected m "branch";
-         true
-       end
-  in
+  let addr_of (a : lop) regs = k_fix_addr m cls (rd regs a 0) in
   match it.Code.op with
   | Code.Rbinop (d, n, op, a, b) ->
       let a = lop ~n a and b = lop ~n b in
@@ -1393,7 +1382,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         let regs = fr.regs in
         let addr = addr_of a regs in
         regs.%{d} <- Memory.read m.mem ~width:w addr;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Rvload (d, n, w, a) ->
       let a = lop ~n:1 a in
@@ -1403,7 +1392,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         for j = 0 to n - 1 do
           regs.%{d + j} <- Memory.read m.mem ~width:w (Int64.add addr (Int64.of_int (j * w)))
         done;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Rstore (w, v, a) ->
       let a = lop ~n:1 a and v = lop ~n:1 v in
@@ -1413,7 +1402,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         if reexec_on then ck_log_write m th ~width:w addr;
         let x = rd regs v 0 in
         Memory.write m.mem ~width:w addr x;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Rvstore (n, w, v, a) ->
       let a = lop ~n:1 a and v = lop ~n v in
@@ -1426,7 +1415,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
           let x = rd regs v j in
           Memory.write m.mem ~width:w aj x
         done;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Ralloca (d, size) ->
       let sz = Int64.of_int (Memory.align16 size) in
@@ -1467,7 +1456,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         if reexec_on then ck_log_write m th ~width:w addr;
         Memory.write m.mem ~width:w addr (Int64.logand nv wmask);
         regs.%{d} <- old;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Rcmpxchg (d, a, e, dv, w) ->
       let a = lop ~n:1 a and e = lop ~n:1 e and dv = lop ~n:1 dv in
@@ -1482,7 +1471,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
           Memory.write m.mem ~width:w addr x
         end;
         regs.%{d} <- old;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Rextract (d, v, l) ->
       let v = lop ~n:(l + 1) v in
@@ -1551,13 +1540,13 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
           if rd regs a j <> a0 then disagree := true
         done;
         let addr = if !disagree then majority4 ~n:alanes (fun j -> rd regs a j) else a0 in
-        let addr = if addr_faults then k_fix_addr m cls addr else addr in
+        let addr = k_fix_addr m cls addr in
         if !disagree then note_recovered m;
         let v = Memory.read m.mem ~width:w addr in
         for j = 0 to n - 1 do
           regs.%{d + j} <- v
         done;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Rscatter (w, v, a) ->
       let alanes = rop_lanes a and vlanes = rop_lanes v in
@@ -1574,12 +1563,12 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
           if rd regs v j <> v0 then disagree := true
         done;
         let addr = if !disagree then majority4 ~n:alanes (fun j -> rd regs a j) else a0 in
-        let addr = if addr_faults then k_fix_addr m cls addr else addr in
+        let addr = k_fix_addr m cls addr in
         let value = if !disagree then majority4 ~n:vlanes (fun j -> rd regs v j) else v0 in
         if !disagree then note_recovered m;
         if reexec_on then ck_log_write m th ~width:w addr;
         Memory.write m.mem ~width:w addr value;
-        finish_plain th fr ready (touch th w addr);
+        finish_plain th fr ready (k_touch m th cls w addr);
         next
   | Code.Tret o -> fun th fr ready -> call_return m th fr plan ~ready o
   | Code.Tbr target ->
@@ -1590,7 +1579,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
       let c = lop ~n:1 c in
       fun th fr ready ->
         let taken = rd fr.regs c 0 <> 0L in
-        let taken = if diverted () then not taken else taken in
+        let taken = if k_diverted m then not taken else taken in
         finish_branch th ready ~taken ~force_miss:false;
         if taken then t else e
   | Code.Tvbr (mask, t, e, r) ->
@@ -1606,7 +1595,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
         (* a diverted vector branch: a unanimous mask goes the wrong way,
            a mixed one skips the recovery edge *)
         let npc =
-          if diverted () then if at then e else t else if at then t else if af then e else r
+          if k_diverted m then if at then e else t else if at then t else if af then e else r
         in
         finish_branch th ready ~taken:(not af) ~force_miss:((not at) && not af);
         npc
@@ -1614,7 +1603,7 @@ let compile_body (m : t) (pc : int) (it : Code.citem) :
       let mask = lop ~n:1 mask in
       fun th fr ready ->
         let taken = rd fr.regs mask 0 <> 0L in
-        let taken = if diverted () then not taken else taken in
+        let taken = if k_diverted m then not taken else taken in
         finish_branch th ready ~taken ~force_miss:false;
         if taken then t else e
   | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
@@ -1636,64 +1625,27 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   let is_store = fl land Code.fl_store <> 0 in
   let is_branch = fl land Code.fl_branch <> 0 in
   let hardened = cf.Code.cf_hardened in
+  let is_inject_site = fl land Code.fl_inject <> 0 in
   let is_mem_site = hardened && (is_load || is_store) in
   let is_br_site =
     hardened
     && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
   in
+  let is_site = is_inject_site || is_mem_site || is_br_site in
   let ready_of = ready_fn it.Code.srcs in
   let body =
     match cfg.engine with
     | Compiled -> compile_body m pc it
     | Reference -> fun th fr ready -> interp m th fr pc it ready
   in
-  (* per-instruction fault-site streams, compiled to hooks (or to nothing):
-     memory accesses and conditional branches inside hardened code each
-     form their own deterministic site counter, armed *before* the body
-     runs so the fault applies to this very access or branch *)
-  let site_hook : (unit -> unit) option =
+  (* the armed site number of each stream, 0 in the streams [cfg] does
+     not arm (site numbers count from 1) *)
+  let reg_at, mem_at, br_at =
     match cfg.inject with
-    | Some inj -> (
-        match inj.kind with
-        | Mem_flip when is_mem_site ->
-            Some
-              (fun () ->
-                m.mem_count <- m.mem_count + 1;
-                if m.mem_count = inj.at then m.mem_flip_armed <- true)
-        | Addr_flip when is_mem_site ->
-            let bmask = Int64.shift_left 1L (inj.bit land 63) in
-            Some
-              (fun () ->
-                m.mem_count <- m.mem_count + 1;
-                if m.mem_count = inj.at then m.addr_mask <- bmask)
-        | Branch_flip when is_br_site ->
-            Some
-              (fun () ->
-                m.br_count <- m.br_count + 1;
-                if m.br_count = inj.at then m.cf_divert <- true)
-        | _ -> None)
-    | None ->
-        if not cfg.count_inject_sites then None
-        else if is_mem_site then Some (fun () -> m.mem_count <- m.mem_count + 1)
-        else if is_br_site then Some (fun () -> m.br_count <- m.br_count + 1)
-        else None
+    | Some inj -> kind_sites inj.kind ((inj.at, 0, 0), (0, inj.at, 0), (0, 0, inj.at))
+    | None -> (0, 0, 0)
   in
-  (* register-SEU stream: applied to the (caller) frame after the op body *)
-  let reg_hook : (frame -> unit) option =
-    if fl land Code.fl_inject = 0 then None
-    else
-      match cfg.inject with
-      | Some inj when inj.kind = Reg_flip ->
-          let dlanes = it.Code.dlanes in
-          Some
-            (fun fr ->
-              m.inj_count <- m.inj_count + 1;
-              if m.inj_count = inj.at then flip_dest m inj fr ~dst ~dlanes cls)
-      | Some _ -> None
-      | None ->
-          if cfg.count_inject_sites then Some (fun _ -> m.inj_count <- m.inj_count + 1)
-          else None
-  in
+  let dlanes = it.Code.dlanes in
   let trace_hook : (thread -> unit) option =
     match cfg.trace with
     | Some buf when Array.length cf.Code.texts > pc -> Some (fun th -> trace_line m buf th cf pc)
@@ -1711,15 +1663,30 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     if is_load then ctr.Counters.loads <- ctr.Counters.loads + 1;
     if is_store then ctr.Counters.stores <- ctr.Counters.stores + 1;
     if is_branch then ctr.Counters.branches <- ctr.Counters.branches + 1;
-    (match site_hook with None -> () | Some h -> h ());
-    match reg_hook with
-    | None -> body th fr (ready_of fr)
-    | Some h ->
+    if not is_site then body th fr (ready_of fr)
+    else begin
+      (* the fault-site streams, counted before the body: an armed memory
+         or branch fault is armed here, so it applies to this very access
+         or branch; an armed register SEU flips the destination after the
+         body, which is otherwise a tail call *)
+      if is_mem_site then begin
+        m.mem_count <- m.mem_count + 1;
+        if m.mem_count = mem_at then arm_site m
+      end
+      else if is_br_site then begin
+        m.br_count <- m.br_count + 1;
+        if m.br_count = br_at then arm_site m
+      end;
+      if is_inject_site then m.inj_count <- m.inj_count + 1;
+      if is_inject_site && m.inj_count = reg_at then begin
         let r = body th fr (ready_of fr) in
-        h fr;
+        flip_dest m fr ~dst ~dlanes cls;
         r
+      end
+      else body th fr (ready_of fr)
+    end
   in
-  (* per-class cycle attribution, like the other hooks compiled in only
+  (* per-class cycle attribution, like the trace hook compiled in only
      when enabled: with [profile = None] the closure is [exec] itself *)
   match cfg.profile with
   | None -> exec
@@ -1973,22 +1940,18 @@ let snapshot (m : t) : snapshot =
 
 (* Rebuilds a runnable machine from [sn] under [cfg] (typically a config
    that arms an injection).  The restored machine continues with [resume].
-   Each site counter [cfg] counts (all three in a census, the armed
-   kind's in an injection run) keeps its snapshot value, so a plan drawn
-   against the full golden run stays valid: site number k still fires at
-   the same dynamic instruction.  The others start at 0, as from scratch. *)
+   Every run counts all three site streams, so the counters keep their
+   snapshot values and a plan drawn against the full golden run stays
+   valid: site number k still fires at the same dynamic instruction. *)
 let restore ?(cfg = default_config) (sn : snapshot) : t =
   let m = make ~cfg sn.sn_code (Memory.of_image sn.sn_mem) in
   Buffer.add_string m.output sn.sn_output;
   List.iter (fun (k, v) -> Hashtbl.replace m.alloc_sizes k v) sn.sn_allocs;
   m.nthreads <- sn.sn_nthreads;
   m.total_instrs <- sn.sn_total_instrs;
-  let counts kinds =
-    match cfg.inject with Some inj -> List.mem inj.kind kinds | None -> cfg.count_inject_sites
-  in
-  if counts [ Reg_flip ] then m.inj_count <- sn.sn_inj_count;
-  if counts [ Mem_flip; Addr_flip ] then m.mem_count <- sn.sn_mem_count;
-  if counts [ Branch_flip ] then m.br_count <- sn.sn_br_count;
+  m.inj_count <- sn.sn_inj_count;
+  m.mem_count <- sn.sn_mem_count;
+  m.br_count <- sn.sn_br_count;
   m.recovered <- sn.sn_recovered;
   m.retried <- sn.sn_retried;
   m.reexecs <- sn.sn_reexecs;

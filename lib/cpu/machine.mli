@@ -85,12 +85,19 @@ type fault_kind =
 
 val fault_kind_to_string : fault_kind -> string
 
+(** The site stream a fault kind's [at] counts, as a pick out of a
+    (register, memory, branch) triple in {!snapshot_sites} order:
+    [Reg_flip] takes the register sites, [Mem_flip] and [Addr_flip] the
+    memory sites, [Branch_flip] the branch sites.  The one place this
+    mapping is written. *)
+val kind_sites : fault_kind -> 'a * 'a * 'a -> 'a
+
 (** One pre-drawn fault.  For [Reg_flip]: bit flip(s) in the destination
     register of the [at]-th injection-eligible dynamic instruction — one
     lane always, optionally a second (lane, bit) for multi-bit SEUs.  The
     other kinds draw [at] against their own deterministic site streams
-    ([mem_sites] / [branch_sites] of a counting run) and ignore [lane]
-    and [second]. *)
+    ({!kind_sites}: [mem_sites] / [branch_sites] of any run) and ignore
+    [lane] and [second]. *)
 type inject = {
   at : int;
   lane : int;
@@ -110,11 +117,12 @@ val second_flip :
   dlanes:int -> lane:int -> bit:int -> lane2:int -> bit2:int -> int * int
 
 (** Execution engine selection.  Either engine translates each function,
-    on its first entry, into one closure per instruction that carries the
-    config's trace, counter, fault-site and profiling hooks (a hook the
-    config does not need is compiled out); the engines differ only in the
-    op body inside it.  [Compiled] (the default) specializes the body on
-    its operands and the config's fault/recovery hooks.  [Reference]
+    on its first entry, into one closure per instruction that keeps the
+    counters and the three fault-site counts of every run, and carries
+    the trace and profiling hooks only when the config asks for them; the
+    engines differ only in the op body inside it.  [Compiled] (the
+    default) specializes the body on its operands and the config's
+    re-execution undo log.  [Reference]
     interprets the op through the boxed {!Value} evaluators, kept as the
     executable specification of lane semantics; both engines are required
     to produce bit-identical results. *)
@@ -136,7 +144,8 @@ exception Abort
 type config = {
   max_instrs : int;  (** exceeded -> Hang *)
   inject : inject option;
-  count_inject_sites : bool;
+      (** the armed fault, fired when its {!kind_sites} stream reaches
+          [at]; every run counts all three streams whether armed or not *)
   reexec_retries : int;
       (** re-execution recovery budget: >0 checkpoints each outermost
           hardened call so [elzar_reexec] can roll back and retry that
@@ -224,7 +233,9 @@ val majority4 : n:int -> (int -> int64) -> int64
 
 (** Compiles (a verified) module into a fresh machine with its own memory.
     [flags_cmp] selects the proposed FLAGS-setting comparison lowering for
-    vector branches (future-AVX mode). *)
+    vector branches (future-AVX mode).
+    @raise Invalid_argument if a call to a builtin passes the wrong number
+    of arguments or binds the result of a builtin that returns none. *)
 val create : ?cfg:config -> ?flags_cmp:bool -> Ir.Instr.modul -> t
 
 (** Address of a named global, for host-side input preparation. *)
@@ -258,15 +269,14 @@ val snapshot_sites : snapshot -> int * int * int
 val snapshot_instrs : snapshot -> int
 
 (** Rebuilds a runnable machine from a snapshot under [cfg] (typically a
-    config arming an injection); continue it with {!resume}.  The site
-    counters [cfg] counts (all three in a census, the armed kind's in an
-    injection run) keep their snapshot values, so plans drawn against the
-    full golden run stay valid; the others start at 0, as from scratch.
-    The machine's memory starts as a copy of the
-    snapshot's page table with no page owned: it copies a page only when
-    it first writes it, so a restore costs the table plus the pages the
-    run writes, and any number of machines (on any domains) may be
-    restored from one snapshot. *)
+    config arming an injection); continue it with {!resume}.  All three
+    site counters keep their snapshot values, so plans drawn against the
+    full golden run stay valid and the result carries the same site
+    counts as the run from scratch.  The machine's memory starts as a
+    copy of the snapshot's page table with no page owned: it copies a
+    page only when it first writes it, so a restore costs the table plus
+    the pages the run writes, and any number of machines (on any domains)
+    may be restored from one snapshot. *)
 val restore : ?cfg:config -> snapshot -> t
 
 (** [create] + [run]. *)

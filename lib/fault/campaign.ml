@@ -55,16 +55,22 @@ let save_every = 32
    stream is checked once, here, so no draw below can see an empty one. *)
 let draw ?seed ~(model : Fault.model) (golden : Cpu.Machine.result) :
     unit -> Fault.experiment =
-  let sites = golden.Cpu.Machine.inject_sites in
-  let mem_sites = golden.Cpu.Machine.mem_sites in
-  let branch_sites = golden.Cpu.Machine.branch_sites in
-  let need count what =
-    if count = 0 then invalid_arg ("Campaign.draw: no hardened " ^ what)
+  let sites kind =
+    Cpu.Machine.(kind_sites kind (golden.inject_sites, golden.mem_sites, golden.branch_sites))
   in
-  (match model with
-  | Fault.Reg | Fault.Double _ | Fault.Mixed -> need sites "code to inject into"
-  | Fault.Mem | Fault.Addr -> need mem_sites "memory accesses"
-  | Fault.Cf -> need branch_sites "conditional branches");
+  (* the kind whose stream the model needs: [Double] flips registers, and
+     [Mixed] always has its register draws *)
+  let kind =
+    match model with
+    | Fault.Reg | Fault.Double _ | Fault.Mixed -> Cpu.Machine.Reg_flip
+    | Fault.Mem -> Cpu.Machine.Mem_flip
+    | Fault.Addr -> Cpu.Machine.Addr_flip
+    | Fault.Cf -> Cpu.Machine.Branch_flip
+  in
+  if sites kind = 0 then
+    invalid_arg
+      (Printf.sprintf "Campaign.draw: no %s fault site in hardened code"
+         (Cpu.Machine.fault_kind_to_string kind));
   let rng =
     match model with
     | Fault.Reg -> Random.State.make [| Option.value seed ~default:42 |]
@@ -75,53 +81,42 @@ let draw ?seed ~(model : Fault.model) (golden : Cpu.Machine.result) :
   in
   let int = Random.State.int rng in
   let of_kind (kind : Cpu.Machine.fault_kind) () : Fault.experiment =
+    let at = 1 + int (sites kind) in
     match kind with
     | Cpu.Machine.Reg_flip ->
-        let at = 1 + int sites in
         let lane = int 32 in
         let bit = int 64 in
         { Fault.at; lane; bit; second = None; kind }
     | Cpu.Machine.Mem_flip ->
-        let at = 1 + int mem_sites in
         let bit = int 64 in
         { Fault.at; lane = 0; bit; second = None; kind }
     | Cpu.Machine.Addr_flip ->
-        let at = 1 + int mem_sites in
         (* low 21 address bits: higher flips almost always segfault
            immediately and teach nothing about the checks *)
         let bit = int 21 in
         { Fault.at; lane = 0; bit; second = None; kind }
-    | Cpu.Machine.Branch_flip ->
-        { Fault.at = 1 + int branch_sites; lane = 0; bit = 0; second = None; kind }
+    | Cpu.Machine.Branch_flip -> { Fault.at; lane = 0; bit = 0; second = None; kind }
   in
   match model with
-  | Fault.Reg -> of_kind Cpu.Machine.Reg_flip
-  | Fault.Mem -> of_kind Cpu.Machine.Mem_flip
-  | Fault.Addr -> of_kind Cpu.Machine.Addr_flip
-  | Fault.Cf -> of_kind Cpu.Machine.Branch_flip
+  | Fault.Reg | Fault.Mem | Fault.Addr | Fault.Cf -> of_kind kind
   | Fault.Double { same_bit } ->
       (* the second lane is drawn at a non-zero offset from the first; the
          final non-aliasing guarantee (for any destination lane count) is
          enforced at injection time by {!Cpu.Machine.second_flip} *)
       fun () ->
-        let at = 1 + int sites in
+        let at = 1 + int (sites kind) in
         let lane = int 32 in
         let lane2 = lane + 1 + int 3 in
         let bit = int 64 in
         let bit2 = if same_bit then bit else int 64 in
-        { Fault.at; lane; bit; second = Some (lane2, bit2); kind = Cpu.Machine.Reg_flip }
+        { Fault.at; lane; bit; second = Some (lane2, bit2); kind }
   | Fault.Mixed ->
       (* a kind uniformly among those with at least one site (registers
          always have one), then that kind's experiment *)
       let kinds =
-        List.filter_map
-          (fun (k, s) -> if s > 0 then Some k else None)
-          [
-            (Cpu.Machine.Reg_flip, sites);
-            (Cpu.Machine.Mem_flip, mem_sites);
-            (Cpu.Machine.Addr_flip, mem_sites);
-            (Cpu.Machine.Branch_flip, branch_sites);
-          ]
+        List.filter
+          (fun k -> sites k > 0)
+          Cpu.Machine.[ Reg_flip; Mem_flip; Addr_flip; Branch_flip ]
       in
       fun () -> of_kind (List.nth kinds (int (List.length kinds))) ()
 

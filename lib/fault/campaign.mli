@@ -17,15 +17,15 @@ val default_jobs : unit -> int
 (** [draw ~model golden] is a campaign's experiment drawer: the first [n]
     calls are the plan {!model_campaign} draws for [n] experiments, later
     calls its [Not_reached] redraws.  Each call consumes the RNG in a fixed
-    order against [golden]'s site streams ([inject_sites] for [Reg],
-    [Double] and [Mixed]'s register draws, [mem_sites] for [Mem] and
-    [Addr], [branch_sites] for [Cf]), so a plan is reproducible from
-    (model, seed, site counts) alone.  [seed] defaults to 42 for [Reg], 43
-    for [Double] and 44 for the others; [Reg] and [Double] seed the RNG
-    with [seed] alone, the other models with [seed] salted by the model's
-    name.  A [Double] draw's second lane sits at a non-zero offset from the
-    first; {!Cpu.Machine.second_flip} guarantees the pair cannot alias (and
-    cancel) after the wrap to the destination's actual lane count.
+    order against [golden]'s site stream of each kind it draws
+    ({!Cpu.Machine.kind_sites}; [Double] draws register sites), so a plan
+    is reproducible from (model, seed, site counts) alone.  [seed]
+    defaults to 42 for [Reg], 43 for [Double] and 44 for the others; [Reg]
+    and [Double] seed the RNG with [seed] alone, the other models with
+    [seed] salted by the model's name.  A [Double] draw's second lane sits
+    at a non-zero offset from the first; {!Cpu.Machine.second_flip}
+    guarantees the pair cannot alias (and cancel) after the wrap to the
+    destination's actual lane count.
     @raise Invalid_argument if the model's site stream is empty. *)
 val draw : ?seed:int -> model:Fault.model -> Cpu.Machine.result -> unit -> Fault.experiment
 

@@ -68,13 +68,13 @@ let make_spec ?(flags_cmp = false) ?(args = [||]) ?(init = fun _ -> ())
     ?(engine = Cpu.Machine.default_config.Cpu.Machine.engine) modul entry =
   { modul; flags_cmp; entry; args; init; max_instrs; reexec_retries; engine }
 
-(* One pre-drawn experiment: flip [bit] of one lane of the destination of
-   the [at]-th injection-eligible instruction, plus an optional second
-   (lane, bit) flip for multi-bit SEUs.  The second lane is resolved
-   against the destination's actual lane count by
-   {!Cpu.Machine.second_flip}, which guarantees it never aliases (and
-   hence cancels) the first flip after the [mod dlanes] wrap. *)
-type experiment = {
+(* One pre-drawn experiment: the machine's armed fault itself, so an
+   experiment is armed by putting it in a config.  For register SEUs the
+   optional second (lane, bit) flip is resolved against the destination's
+   actual lane count by {!Cpu.Machine.second_flip}, which guarantees it
+   never aliases (and hence cancels) the first flip after the
+   [mod dlanes] wrap. *)
+type experiment = Cpu.Machine.inject = {
   at : int;
   lane : int;
   bit : int;
@@ -87,15 +87,14 @@ let run_with ?on_quantum (spec : run_spec) (cfg : Cpu.Machine.config) : Cpu.Mach
   spec.init machine;
   Cpu.Machine.run ~args:spec.args ?on_quantum machine spec.entry
 
-(* Fault-free reference run; also counts the injection-eligible dynamic
-   instructions (the "instruction trace" step of §IV-B) and the
-   memory-access / conditional-branch site streams of the other fault
-   kinds. *)
+(* Fault-free reference run.  Like every run, it counts the
+   injection-eligible dynamic instructions (the "instruction trace" step
+   of §IV-B) and the memory-access / conditional-branch site streams of
+   the other fault kinds. *)
 let golden_cfg (spec : run_spec) : Cpu.Machine.config =
   {
     Cpu.Machine.default_config with
     max_instrs = spec.max_instrs;
-    count_inject_sites = true;
     reexec_retries = spec.reexec_retries;
     engine = spec.engine;
   }
@@ -192,15 +191,7 @@ let experiment_cfg ?max_instrs ?abort (spec : run_spec) (e : experiment) :
   {
     Cpu.Machine.default_config with
     max_instrs = (match max_instrs with Some b -> b | None -> spec.max_instrs);
-    inject =
-      Some
-        {
-          Cpu.Machine.at = e.at;
-          lane = e.lane;
-          bit = e.bit;
-          second = e.second;
-          kind = e.kind;
-        };
+    inject = Some e;
     reexec_retries = spec.reexec_retries;
     engine = spec.engine;
     abort;
@@ -209,14 +200,6 @@ let experiment_cfg ?max_instrs ?abort (spec : run_spec) (e : experiment) :
 let run_experiment ?max_instrs ?abort (spec : run_spec) (e : experiment) :
     Cpu.Machine.result =
   run_with spec (experiment_cfg ?max_instrs ?abort spec e)
-
-(* The site stream an experiment's [at] is drawn against. *)
-let site_stream (kind : Cpu.Machine.fault_kind) (sn : Cpu.Machine.snapshot) : int =
-  let inj, mem, br = Cpu.Machine.snapshot_sites sn in
-  match kind with
-  | Cpu.Machine.Reg_flip -> inj
-  | Cpu.Machine.Mem_flip | Cpu.Machine.Addr_flip -> mem
-  | Cpu.Machine.Branch_flip -> br
 
 (* Latest snapshot strictly before the experiment's injection site: the
    [at]-th site fires when the kind's counter reaches [at], so any
@@ -227,7 +210,9 @@ let pick_snapshot (snapshots : Cpu.Machine.snapshot array) (e : experiment) :
     Cpu.Machine.snapshot option =
   let best = ref None in
   Array.iter
-    (fun sn -> if site_stream e.kind sn < e.at then best := Some sn)
+    (fun sn ->
+      if Cpu.Machine.kind_sites e.kind (Cpu.Machine.snapshot_sites sn) < e.at then
+        best := Some sn)
     snapshots;
   !best
 

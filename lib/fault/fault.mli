@@ -61,12 +61,15 @@ val make_spec :
   string ->
   run_spec
 
-(** One pre-drawn experiment.  For [Reg_flip]: flip [bit] of one lane of
-    the destination of the [at]-th injection-eligible instruction, plus an
-    optional second (lane, bit) flip for multi-bit SEUs (resolved to a
-    non-aliasing target by {!Cpu.Machine.second_flip}).  The other kinds
-    draw [at] against their own site streams and ignore [lane]/[second]. *)
-type experiment = {
+(** One pre-drawn experiment: the machine's armed fault
+    ({!Cpu.Machine.inject}), which a run fires when the site stream of its
+    kind ({!Cpu.Machine.kind_sites}) reaches [at].  For [Reg_flip]: flip
+    [bit] of one lane of the destination of the [at]-th
+    injection-eligible instruction, plus an optional second (lane, bit)
+    flip for multi-bit SEUs (resolved to a non-aliasing target by
+    {!Cpu.Machine.second_flip}).  The other kinds ignore
+    [lane]/[second]. *)
+type experiment = Cpu.Machine.inject = {
   at : int;
   lane : int;
   bit : int;
@@ -74,8 +77,9 @@ type experiment = {
   kind : Cpu.Machine.fault_kind;
 }
 
-(** Fault-free reference run; counts the injection-eligible dynamic
-    instructions and the memory-access / branch site streams.
+(** Fault-free reference run.  Its three site counts (injection-eligible
+    instructions, memory accesses, branches), which every run keeps, are
+    what campaigns draw their plans against.
     @raise Invalid_argument if the reference run traps. *)
 val golden : run_spec -> Cpu.Machine.result
 

@@ -1,14 +1,14 @@
 (* Engine equivalence: the compiled engine must be bit-identical to the
    reference interpreter — same wall cycles, per-thread counters, output
    bytes, traps and fault-site streams — across every workload and build
-   flavour, with and without an armed injection.  Plain runs check the
-   hook-free closures; armed, census and undo-log runs check the closures
-   with those hooks compiled in.  Also checks that restoring a mid-run
-   snapshot and resuming reproduces the straight run exactly (the
-   soundness condition behind campaign fast-forward), that every counted
-   campaign outcome equals its experiment run from scratch, and that the
-   compiled engine's supervision hooks keep quantum-boundary
-   discipline. *)
+   flavour, with and without an armed injection.  Every run counts its
+   fault-site streams; plain runs check them against [Fault.golden], armed
+   and undo-log runs check the fault and undo-log paths.  Also checks that
+   restoring a mid-run snapshot (plain or armed) and resuming reproduces
+   the straight run exactly (the soundness condition behind campaign
+   fast-forward), that every counted campaign outcome equals its
+   experiment run from scratch, and that the compiled engine's
+   supervision hooks keep quantum-boundary discipline. *)
 
 let builds =
   [
@@ -83,22 +83,25 @@ let check_inject_engines () =
       (Cpu.Machine.Branch_flip, 1_000, 0);
     ]
 
-(* the counting (site-census) runs must agree too *)
+(* every run is a site census: a plain run with the default config, under
+   either engine, is [Fault.golden]'s run of the same spec, three site
+   counts included *)
 let check_count_sites () =
   List.iter
     (fun name ->
       let w = Workloads.Registry.find name in
       List.iter
         (fun b ->
-          let run engine =
-            Workloads.Workload.execute
-              ~machine_cfg:
-                { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = true }
-              w ~build:b ~nthreads:2 ~size:Workloads.Workload.Tiny
-          in
-          check_result
-            ("count-sites " ^ name ^ "/" ^ Elzar.build_name b)
-            (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled))
+          let golden = Fault.golden (Workloads.Workload.fi_spec w ~build:b ()) in
+          List.iter
+            (fun engine ->
+              check_result
+                (Printf.sprintf "census %s/%s (%s)" name (Elzar.build_name b)
+                   (Cpu.Machine.engine_to_string engine))
+                golden
+                (Workloads.Workload.execute ~machine_cfg:(cfg_with engine) w ~build:b
+                   ~nthreads:2 ~size:Workloads.Workload.Tiny))
+            [ Cpu.Machine.Reference; Cpu.Machine.Compiled ])
         builds)
     [ "hist"; "linreg"; "km" ]
 
@@ -118,7 +121,6 @@ let check_snapshot_resume engine () =
         {
           Cpu.Machine.default_config with
           Cpu.Machine.engine;
-          count_inject_sites = true;
           reexec_retries = spec.Fault.reexec_retries;
         }
       in
@@ -152,6 +154,34 @@ let check_snapshot_resume engine () =
             (Printf.sprintf "%s: snapshot@%d" name (Cpu.Machine.snapshot_instrs sn))
             golden r)
         (List.sort_uniq compare picks);
+      (* an armed run of each fault kind, restored from the middle
+         snapshot, is its run from scratch: every site counter resumes at
+         its snapshot value, whichever stream the fault is armed in *)
+      let sn = all.(Array.length all / 2) in
+      let golden_sites =
+        Cpu.Machine.(golden.inject_sites, golden.mem_sites, golden.branch_sites)
+      in
+      List.iter
+        (fun kind ->
+          let from = Cpu.Machine.kind_sites kind (Cpu.Machine.snapshot_sites sn) in
+          let at = from + 1 + ((Cpu.Machine.kind_sites kind golden_sites - from) / 2) in
+          let armed_cfg =
+            {
+              cfg with
+              Cpu.Machine.inject = Some { Cpu.Machine.at; lane = 1; bit = 5; second = None; kind };
+            }
+          in
+          let label =
+            Printf.sprintf "%s: %s@%d from snapshot@%d" name
+              (Cpu.Machine.fault_kind_to_string kind)
+              at (Cpu.Machine.snapshot_instrs sn)
+          in
+          let r = Cpu.Machine.resume (Cpu.Machine.restore ~cfg:armed_cfg sn) in
+          Alcotest.(check bool) (label ^ ": fault fired") true r.Cpu.Machine.fault_injected;
+          check_result label
+            (Cpu.Machine.run ~args:spec.Fault.args (make_machine armed_cfg) spec.Fault.entry)
+            r)
+        Cpu.Machine.[ Reg_flip; Mem_flip; Addr_flip; Branch_flip ];
       if spec.Fault.reexec_retries > 0 then
         match !ck_snap with
         | None -> Alcotest.failf "%s: no nested live checkpoint to snapshot" name
@@ -460,13 +490,7 @@ let check_pick_snapshot_boundary () =
   let _, snapshots = Fault.golden_capture spec in
   List.iter
     (fun kind ->
-      let count sn =
-        let inj, mem, br = Cpu.Machine.snapshot_sites sn in
-        match kind with
-        | Cpu.Machine.Reg_flip -> inj
-        | Cpu.Machine.Mem_flip | Cpu.Machine.Addr_flip -> mem
-        | Cpu.Machine.Branch_flip -> br
-      in
+      let count sn = Cpu.Machine.kind_sites kind (Cpu.Machine.snapshot_sites sn) in
       let name = Cpu.Machine.fault_kind_to_string kind in
       (* the newest such snapshot, so that an older one is restored *)
       match List.find_opt (fun sn -> count sn > 0) (List.rev (Array.to_list snapshots)) with
@@ -597,7 +621,7 @@ let check_trace_recount () =
   let build = Elzar.Hardened Elzar.Harden_config.default in
   let buf = Buffer.create 4096 in
   let cfg =
-    { Cpu.Machine.default_config with Cpu.Machine.count_inject_sites = true; trace = Some buf }
+    { Cpu.Machine.default_config with Cpu.Machine.trace = Some buf }
   in
   let m = Elzar.machine ~cfg build (Elzar.prepare build (recount_module ())) in
   let r = Cpu.Machine.run ~args:[| 2L |] m "main" in

@@ -543,8 +543,72 @@ let test_invalid_checkpoint_drops_log () =
     "output is the native build's"
     (Fault.golden (spec_for Elzar.Native)).Cpu.Machine.output_digest r.Cpu.Machine.output_digest
 
+(* ---- results pin: the deterministic results of one campaign per fault
+   model, and the golden runs behind them, pinned by MD5 so a change to
+   execution, site counting, snapshot restore or plan drawing that moves
+   any reported figure fails here.  A change that means to move them
+   regenerates the table (the failure prints every row) and says so. ---- *)
+
+let pin_build name = List.assoc name Elzar.builds
+
+let pin_spec wl build =
+  Workloads.Workload.fi_spec (Workloads.Registry.find wl) ~build:(pin_build build) ()
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* "campaign <model>": [Report.campaign_results] of a 16-experiment hist
+   campaign, under elzar-reexec for the double models (whose 2-2 splits
+   only re-execution corrects) and elzar for the others. *)
+let campaign_pin model =
+  let build = match model with Fault.Double _ -> "elzar-reexec" | _ -> "elzar" in
+  let r = Campaign.model_campaign ~n:16 ~jobs:2 ~model (pin_spec "hist" build) in
+  ( "campaign " ^ Fault.model_to_string model,
+    md5 (Obs.Json.to_string (Report.campaign_results r)) )
+
+(* "golden <wl> <build>": the golden run's cycles, counter totals, output
+   and its three site counts. *)
+let golden_pin (wl, build) =
+  let g = Fault.golden (pin_spec wl build) in
+  let open Cpu.Machine in
+  ( Printf.sprintf "golden %s %s" wl build,
+    md5
+      (Printf.sprintf "%d %s %s %d %d %d" g.wall_cycles
+         (Obs.Json.to_string ~compact:true (Report.counters g.totals))
+         g.output_digest g.inject_sites g.mem_sites g.branch_sites) )
+
+let expected_results =
+  [
+    ("campaign reg", "a1788d63e69cb269bb26adaf83a01afa");
+    ("campaign double", "490cc50b460c8b891af1dec85154aafc");
+    ("campaign double-any-bit", "6ef408832b0fc39d1eb9aed36c0a9be0");
+    ("campaign mem", "888e908ebc9c6fe57d66c0144db2a580");
+    ("campaign addr", "19f2702989c7532382b52431738a8044");
+    ("campaign cf", "9a6d131ed0a011f9b3f9e44a724d1f60");
+    ("campaign mixed", "c1c43e9e6db283b3464b982661349cb2");
+    ("golden hist native", "ea496937626524214c94d34e5c67619b");
+    ("golden hist elzar", "388461a1742d4899d52d9789667794f7");
+    ("golden hist elzar-reexec", "388461a1742d4899d52d9789667794f7");
+    ("golden linreg native", "56ff59a2b7a65a7fd44af4f880d9ba1a");
+    ("golden linreg elzar", "167eab7cd3ad4cb9eacb7ca3e749bd27");
+    ("golden linreg elzar-reexec", "167eab7cd3ad4cb9eacb7ca3e749bd27");
+    ("golden km native", "5223686d00f75fc46e3799de2f6edfc4");
+    ("golden km elzar", "035fc821da09043e3a35b68220253dbc");
+    ("golden km elzar-reexec", "035fc821da09043e3a35b68220253dbc");
+  ]
+
+let test_results_pin () =
+  let goldens =
+    List.concat_map
+      (fun wl -> List.map (fun b -> (wl, b)) [ "native"; "elzar"; "elzar-reexec" ])
+      [ "hist"; "linreg"; "km" ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "results table" expected_results
+    (List.map campaign_pin Fault.all_models @ List.map golden_pin goldens)
+
 let tests =
   [
+    Alcotest.test_case "results pin" `Quick test_results_pin;
     Alcotest.test_case "pure compute fully protected" `Slow test_pure_compute_always_protected;
     Alcotest.test_case "native is vulnerable" `Quick test_native_is_vulnerable;
     Alcotest.test_case "campaign stats partition" `Quick test_campaign_stats_consistent;

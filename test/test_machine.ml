@@ -218,8 +218,35 @@ let test_mem_fault engine () =
        ("cmpxchg", fun b -> ignore (cmpxchg b p (i64c 0) (i64c 1)));
      ])
 
+(* A builtin call must match the builtin's arity and result, and is
+   checked when the module is loaded, as a call to an unknown function is:
+   the verifier cannot see the builtin table, and a bad call must never
+   reach a run (where it would index past its argument array). *)
+let test_builtin_call_checked_at_load () =
+  let loads mk =
+    let m = Builder.create_module () in
+    let b, _ = Builder.func m ~hardened:false "main" [ ("n", Types.i64) ] in
+    mk b;
+    Builder.ret b None;
+    Verifier.verify_exn m;
+    match Cpu.Machine.create m with _ -> true | exception Invalid_argument _ -> false
+  in
+  List.iter
+    (fun (name, ok, mk) -> check_bool name ok (loads mk))
+    (let open Builder in
+     [
+       ("malloc(size) loads", true, fun b -> ignore (callv b ~ret:Types.ptr "malloc" [ i64c 8 ]));
+       ("a result left unbound loads", true, fun b -> call0 b "thread_id" []);
+       ("malloc() is rejected", false, fun b -> ignore (callv b ~ret:Types.ptr "malloc" []));
+       ("free(p, p) is rejected", false, fun b -> call0 b "free" [ ptrc 64; ptrc 64 ]);
+       ( "a result bound from free is rejected",
+         false,
+         fun b -> ignore (callv b ~ret:Types.i64 "free" [ ptrc 64 ]) );
+     ])
+
 let tests =
   [
+    Alcotest.test_case "builtin calls checked at load" `Quick test_builtin_call_checked_at_load;
     Alcotest.test_case "trap: null deref" `Quick test_trap_null_deref;
     Alcotest.test_case "trap: division by zero" `Quick test_trap_div_zero;
     Alcotest.test_case "trap: bad callee" `Quick test_trap_bad_callee;
